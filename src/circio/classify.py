@@ -89,7 +89,9 @@ def _theta_pair_witness(
     if len(a.jumps) != len(b.jumps) or len(a.jumps) < 3:
         return None
     for m in valid_block_moduli(a.n):
-        if not (theta_params_valid(a.n, m, a) and theta_params_valid(b.n, m, b)):
+        # theta fixes multiples of m, so a and b must carry the same ones.
+        fixed = {j for j in a.jumps if j % m == 0}
+        if not fixed or fixed != {j for j in b.jumps if j % m == 0}:
             continue
         for t in range(1, a.n // m):
             if theta_image(a, m, t) == b:

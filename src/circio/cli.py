@@ -23,6 +23,7 @@ from .enumeration import (
     generate_a17c,
     generate_c1,
     probe_open_problems,
+    worker_count,
 )
 from .errors import CircioError
 from .goldens import verify_goldens
@@ -155,6 +156,10 @@ def enumerate_family_cmd(
     family_name: str, out_path: str, workers: Optional[int]
 ) -> None:
     """Enumerate all 511 rows of one family and write them to --out."""
+    try:
+        workers = worker_count(workers)
+    except CircioError as exc:
+        raise click.UsageError(str(exc)) from exc
     spec = family(family_name)
     click.echo(f"enumerating family {family_name} (511 rows)...", err=True)
     records = enumerate_family(spec, workers=workers)
@@ -199,6 +204,7 @@ def scan_cmd(
     """Exhaustively scan one order and write a JSON report to --out."""
     click.echo(f"scanning n={n}...", err=True)
     try:
+        workers = worker_count(workers)
         report = full_scan(n, max_jump_count=max_jumps, budget=budget, workers=workers)
     except CircioError as exc:
         raise click.UsageError(str(exc)) from exc

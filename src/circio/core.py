@@ -135,8 +135,9 @@ class EdgeImage:
 def is_circulant(img: EdgeImage) -> Optional[ConnectionSet]:
     """Return S with C_n(S) = img if adjacency is rotation invariant.
 
-    None means the image is not circulant (so a theta candidate fails at
-    this t). The check walks every pair once; membership is O(1).
+    None means the image is not circulant. The check walks every pair once;
+    membership is O(1). theta computes its images on jumps; this edge-level
+    test is the reference the tests compare them against.
     """
     n = img.n
     pairs = img.pairs

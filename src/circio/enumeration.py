@@ -32,20 +32,28 @@ from .errors import (
     Intractable,
     InvalidIndex,
     InvalidParams,
+    WitnessMismatch,
 )
 from .multipliers import adam_orbit, is_adam_equivalent, multiply_set, units
 from .oracle import DEFAULT_BUDGET, IsoVerdict, isomorphic
-from .theta import theta_image, theta_witness, valid_block_moduli
+from .theta import _jump_image, theta_image, theta_witness, valid_block_moduli
 
 DEFAULT_SCAN_BUDGET = 20_000_000
 _MAX_ATOMS_PER_LEVEL = 14
 
 
 def worker_count(workers: Optional[int] = None) -> int:
-    """Explicit argument wins, then CIRCIO_WORKERS, then 1."""
+    """Explicit argument wins, then CIRCIO_WORKERS, then 1.
+
+    Raises InvalidParams when CIRCIO_WORKERS is not an integer.
+    """
     if workers is not None:
         return max(1, workers)
-    return max(1, int(os.environ.get("CIRCIO_WORKERS", "1")))
+    raw = os.environ.get("CIRCIO_WORKERS", "1")
+    try:
+        return max(1, int(raw))
+    except ValueError:
+        raise InvalidParams(f"CIRCIO_WORKERS must be an integer, got {raw!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +101,8 @@ def _family_row(n: int, base: tuple[int, ...], extension: tuple[int, ...]) -> Tu
     source = ConnectionSet(n, tuple(sorted(base + extension)))
     img2 = theta_image(source, 3, 2)
     img4 = theta_image(source, 3, 4)
-    assert img2 is not None and img4 is not None
+    if img2 is None or img4 is None:
+        raise WitnessMismatch(f"{source} has no circulant image at t=2 and t=4")
     members = (source, img2, img4)
     orbit = adam_orbit(source)
     if set(orbit.members) == set(members):
@@ -168,13 +177,8 @@ def _levels(n: int, m: int) -> dict[int, list[int]]:
 
 
 def _core_image(n: int, m: int, core: tuple[int, ...], t: int) -> Optional[tuple[int, ...]]:
-    # The definitional edge-level test needs a multiple of m present, so
-    # probe with m adjoined and strip it from the answer.
-    probe = ConnectionSet(n, tuple(sorted(set(core) | {m})))
-    img = theta_image(probe, m, t)
-    if img is None:
-        return None
-    return tuple(j for j in img.jumps if j != m)
+    img = _jump_image(n, m, t, core)
+    return None if img is None else img.jumps
 
 
 def _core_image_chunk(args: tuple) -> list[tuple[tuple[int, ...], list]]:
@@ -371,8 +375,14 @@ def _scan_one_modulus(
                 left = ConnectionSet(n, tuple(sorted(src + ext)))
                 right = ConnectionSet(n, tuple(sorted(dst + ext)))
                 witness = theta_witness(left, m, t)
-                assert witness is not None and witness.image == right
-                assert is_adam_equivalent(left, right) is None
+                if witness is None or witness.image != right:
+                    raise WitnessMismatch(
+                        f"no theta witness carries {left} onto {right}"
+                    )
+                if is_adam_equivalent(left, right) is not None:
+                    raise WitnessMismatch(
+                        f"a unit multiplier carries {left} onto {right}"
+                    )
 
     # Primitive tuples: classes chased from minimal cores only.
     minimal = [
@@ -449,8 +459,14 @@ def _scan_one_modulus(
             if sample_budget > 0:
                 sample_budget -= 1
                 witness = theta_witness(members[0], m, first_t)
-                assert witness is not None and witness.image in members[1:]
-                assert is_adam_equivalent(members[0], witness.image) is None
+                if witness is None or witness.image not in members[1:]:
+                    raise WitnessMismatch(
+                        f"no theta witness links the tuple of {members[0]}"
+                    )
+                if is_adam_equivalent(members[0], witness.image) is not None:
+                    raise WitnessMismatch(
+                        f"a unit multiplier carries {members[0]} onto {witness.image}"
+                    )
 
 
 # ---------------------------------------------------------------------------

@@ -47,3 +47,7 @@ class InvalidIndex(CircioError):
 
 class Intractable(CircioError):
     """A scan was requested beyond the supported size/work ceiling."""
+
+
+class WitnessMismatch(CircioError):
+    """A witness failed its independent re-check; the result is not certified."""

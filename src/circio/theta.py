@@ -3,25 +3,27 @@
 theta_{n,m,t} sends vertex x to x + (x mod m)*t*m (mod n). For most t the
 image of a circulant edge set is not circulant; the interesting pairs are
 the ones where it is and no unit multiplier explains the isomorphism.
+
+Images are computed on jumps, not edges. Let D be the full difference set
+of R. theta keeps each residue class mod m, so a vertex z = theta(y) with
+y = r (mod m) has neighbour set z + D'_r, where
+
+    D'_r = { d + (((r + d) mod m) - r)*t*m  mod n : d in D }.
+
+The image is circulant iff D'_0 = D'_1 = ... = D'_{m-1}, and it is then
+reduce(D'_0). That is O(m*|R|) work instead of O(n*|R|). theta_witness is
+the only place that builds the edge-level image: it maps every edge of the
+source through the vertex permutation and checks the result against the
+edges of the jump-level image.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
-from .core import (
-    CirculantGraph,
-    ConnectionSet,
-    EdgeImage,
-    is_circulant,
-    reflexive_reduce,
-)
-from .errors import InvalidParams, NotBijective, NotMultipleOfM
-
-# When true, union_shift re-derives every answer from the definitional
-# edge-level image and compares. Tests flip this on.
-CROSS_CHECK = False
+from .core import CirculantGraph, ConnectionSet, reflexive_reduce
+from .errors import InvalidParams, NotBijective, NotMultipleOfM, WitnessMismatch
 
 
 @dataclass(frozen=True)
@@ -83,38 +85,51 @@ def _check_params(cs: ConnectionSet, m: int, t: int) -> ThetaParams:
     return ThetaParams(cs.n, m, t)
 
 
-def theta_image(cs: ConnectionSet, m: int, t: int) -> Optional[ConnectionSet]:
-    """Image connection set, or None when the permuted edges are not circulant.
+def _jump_image(
+    n: int, m: int, t: int, jumps: Sequence[int]
+) -> Optional[ConnectionSet]:
+    """Image of C_n(jumps) under theta_{n,m,t} by the D'_r rule, or None.
 
-    Runs on the full permuted edge set; no jump-arithmetic shortcuts here.
+    Needs no multiple of m in jumps and does not validate its arguments;
+    callers check eligibility first.
     """
-    params = _check_params(cs, m, t)
+    diffs = [d for s in jumps for d in (s, n - s)]
+    shift = t * m
+    first = {(d + (d % m) * shift) % n for d in diffs}
+    for r in range(1, m):
+        if {(d + ((r + d) % m - r) * shift) % n for d in diffs} != first:
+            return None
+    return reflexive_reduce(first, n)
+
+
+def theta_image(cs: ConnectionSet, m: int, t: int) -> Optional[ConnectionSet]:
+    """Image connection set, or None when the image graph is not circulant."""
+    _check_params(cs, m, t)
     if t == 0:
         return cs
-    n = cs.n
-    perm = theta_vertex_map(params)
-    out = set()
-    for a, b in CirculantGraph(cs).edges:
-        pa, pb = perm[a], perm[b]
-        out.add((pa, pb) if pa < pb else (pb, pa))
-    return is_circulant(EdgeImage(n, frozenset(out)))
+    return _jump_image(cs.n, m, t, cs.jumps)
 
 
 def theta_witness(cs: ConnectionSet, m: int, t: int) -> Optional[ThetaWitness]:
-    """Like theta_image, plus an end-to-end edge bijection re-check."""
+    """Like theta_image, plus an end-to-end edge bijection re-check.
+
+    Raises WitnessMismatch if the vertex map does not carry the source edges
+    exactly onto the edges of the image.
+    """
     params = _check_params(cs, m, t)
     image = theta_image(cs, m, t)
     if image is None:
         return None
     perm = theta_vertex_map(params)
-    src_edges = CirculantGraph(cs).edges
-    img_edges = CirculantGraph(image).edges
     mapped = set()
-    for a, b in src_edges:
+    for a, b in CirculantGraph(cs).edges:
         pa, pb = perm[a], perm[b]
         mapped.add((pa, pb) if pa < pb else (pb, pa))
     # The witness must certify a genuine isomorphism, not just a jump match.
-    assert mapped == set(img_edges), "vertex map does not carry edges onto the image"
+    if mapped != CirculantGraph(image).edges:
+        raise WitnessMismatch(
+            f"vertex map of {params} does not carry {cs} onto {image}"
+        )
     return ThetaWitness(params, cs, image, perm)
 
 
@@ -125,10 +140,13 @@ def theta_scan(cs: ConnectionSet, m: int) -> list[tuple[int, ConnectionSet]]:
     hits = []
     mults = {j for j in cs.jumps if j % m == 0}
     for t in range(1, cs.n // m):
-        img = theta_image(cs, m, t)
+        img = _jump_image(cs.n, m, t, cs.jumps)
         if img is not None:
             # Multiples of m ride through every successful transform unchanged.
-            assert {j for j in img.jumps if j % m == 0} == mults
+            if {j for j in img.jumps if j % m == 0} != mults:
+                raise WitnessMismatch(
+                    f"image {img} of {cs} at t={t} moved a multiple of {m}"
+                )
             hits.append((t, img))
     return hits
 
@@ -138,9 +156,8 @@ def union_shift(
 ) -> Optional[ConnectionSet]:
     """theta_image(cs + extra, m, t) where extra holds reduced multiples of m.
 
-    Multiples of m are fixed pointwise by the transform, so the image is just
-    theta_image(cs, m, t) with extra unioned back in. CROSS_CHECK re-derives
-    the slow way and compares.
+    Raises NotMultipleOfM for an extension jump that is not a multiple of m,
+    not reduced, or already in cs.
     """
     extra = tuple(sorted(set(extra)))
     half = cs.n // 2
@@ -151,14 +168,4 @@ def union_shift(
             raise NotMultipleOfM(f"extension jump {e} is not reduced for n={cs.n}")
         if e in cs.jumps:
             raise NotMultipleOfM(f"extension jump {e} already present in {cs}")
-    fast: Optional[ConnectionSet]
-    base = theta_image(cs, m, t)
-    if base is None:
-        fast = None
-    else:
-        fast = reflexive_reduce(base.jumps + extra, cs.n)
-    if CROSS_CHECK:
-        union = reflexive_reduce(cs.jumps + extra, cs.n)
-        direct = theta_image(union, m, t)
-        assert fast == direct, f"fast path diverged for {cs} + {extra} at t={t}"
-    return fast
+    return theta_image(ConnectionSet(cs.n, tuple(sorted(cs.jumps + extra))), m, t)

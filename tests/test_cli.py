@@ -147,6 +147,22 @@ class TestScanCommand:
         assert result.exit_code == 2
 
 
+class TestWorkersEnvironment:
+    @pytest.mark.parametrize(
+        "args",
+        [["scan", "--n", "16"], ["enumerate-family", "--family", "a"]],
+        ids=["scan", "enumerate-family"],
+    )
+    def test_non_integer_is_usage_error(self, runner, tmp_path, args):
+        out = tmp_path / "x.json"
+        result = runner.invoke(
+            main, args + ["--out", str(out)], env={"CIRCIO_WORKERS": "abc"}
+        )
+        assert result.exit_code == 2
+        assert "CIRCIO_WORKERS" in result.output
+        assert not out.exists()
+
+
 class TestGenerateCommand:
     def test_a17c(self, runner):
         result = runner.invoke(main, ["generate", "--a17c", "2", "1"])

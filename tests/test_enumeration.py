@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 
 from circio import (
@@ -18,9 +20,11 @@ from circio import (
     full_scan,
     generate_a17c,
     generate_c1,
+    is_adam_equivalent,
     probe_open_problems,
     theta_image,
     union_shift,
+    valid_block_moduli,
     worker_count,
 )
 from helpers import cs
@@ -140,6 +144,11 @@ class TestWorkerCount:
     def test_floor_one(self):
         assert worker_count(0) == 1
 
+    def test_non_integer_env_rejected(self, monkeypatch):
+        monkeypatch.setenv("CIRCIO_WORKERS", "abc")
+        with pytest.raises(InvalidParams, match="CIRCIO_WORKERS"):
+            worker_count()
+
 
 class TestFullScan:
     def test_n8_empty(self):
@@ -212,6 +221,45 @@ class TestFullScan:
         par = full_scan(54)
         assert seq.counts == par.counts
         assert [r.members for r in seq.records] == [r.members for r in par.records]
+
+
+def brute_force_pair_count(n: int) -> int:
+    """Unordered non-multiplier theta pairs {R, theta(R)}, found by trying
+    every R with |R| >= 3 and a multiple of m at every shift t."""
+    half = n // 2
+    pairs = set()
+    for m in valid_block_moduli(n):
+        for size in range(3, half + 1):
+            for jumps in combinations(range(1, half + 1), size):
+                if all(j % m for j in jumps):
+                    continue
+                r = ConnectionSet(n, jumps)
+                for t in range(1, n // m):
+                    s = theta_image(r, m, t)
+                    if s is None or s == r:
+                        continue
+                    key = (r, s) if r < s else (s, r)
+                    if key not in pairs and is_adam_equivalent(r, s) is None:
+                        pairs.add(key)
+    return len(pairs)
+
+
+class TestBruteForceScanCounts:
+    """The scan's raw pair counts, derived without the core lattice."""
+
+    @pytest.mark.parametrize(
+        "n,expected",
+        [
+            (8, 0),
+            (16, 8),
+            (24, 64),
+            (27, 72),
+            pytest.param(32, 1392, marks=pytest.mark.slow),
+        ],
+    )
+    def test_matches_full_scan(self, n, expected):
+        assert brute_force_pair_count(n) == expected
+        assert full_scan(n).counts["type2_pairs_raw"] == expected
 
 
 class TestGenerateA17c:

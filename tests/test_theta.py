@@ -1,4 +1,5 @@
-"""The block-shift transform: worked images, parameter law, union shortcut."""
+"""The block-shift transform: worked images, parameter law, union shortcut,
+and agreement of the jump-level image with the edge-level definition."""
 
 from __future__ import annotations
 
@@ -7,9 +8,11 @@ from hypothesis import given, settings
 
 import circio.theta as theta_mod
 from circio import (
+    ConnectionSet,
     InvalidParams,
     NotMultipleOfM,
     ThetaParams,
+    WitnessMismatch,
     theta_image,
     theta_params_valid,
     theta_scan,
@@ -18,7 +21,8 @@ from circio import (
     union_shift,
     valid_block_moduli,
 )
-from helpers import cs, theta_inputs
+from circio.enumeration import _core_image
+from helpers import cs, edge_level_theta_image, theta_inputs
 
 # The four worked images at order 54, m = 3.
 WORKED_IMAGES = [
@@ -129,6 +133,14 @@ class TestThetaWitness:
     def test_witness_none_when_not_circulant(self):
         assert theta_witness(cs("C54(1,3,17,19)"), 3, 1) is None
 
+    def test_wrong_image_raises_witness_mismatch(self, monkeypatch):
+        source = cs("C54(1,3,17,19)")
+        # The t=4 image is circulant, but the t=2 vertex map does not reach it.
+        wrong = cs("C54(3,5,13,23)")
+        monkeypatch.setattr(theta_mod, "theta_image", lambda c, m, t: wrong)
+        with pytest.raises(WitnessMismatch):
+            theta_witness(source, 3, 2)
+
 
 class TestThetaScan:
     def test_family_base_hits(self):
@@ -165,18 +177,25 @@ class TestUnionShift:
     def test_none_propagates(self):
         assert union_shift(cs("C54(1,3,17,19)"), (6,), 3, 1) is None
 
+
+class TestJumpLevelImage:
     @settings(max_examples=60)
     @given(theta_inputs())
-    def test_cross_check_mode(self, inp):
+    def test_agrees_with_edge_level_definition(self, inp):
         a, m, t = inp
+        assert theta_image(a, m, t) == edge_level_theta_image(a, m, t)
+
         pool = [j for j in range(m, a.n // 2 + 1, m) if j not in a.jumps]
         extra = tuple(pool[:2])
-        if not extra:
-            return
-        old = theta_mod.CROSS_CHECK
-        theta_mod.CROSS_CHECK = True
-        try:
-            # the assertion inside union_shift is the property under test
-            union_shift(a, extra, m, t)
-        finally:
-            theta_mod.CROSS_CHECK = old
+        union = ConnectionSet(a.n, tuple(sorted(a.jumps + extra)))
+        assert union_shift(a, extra, m, t) == theta_image(union, m, t)
+
+        # A bare core (no multiple of m) against the edge-level image of the
+        # core with m adjoined, m stripped again.
+        core = tuple(j for j in a.jumps if j % m)
+        if core:
+            probe = edge_level_theta_image(
+                ConnectionSet(a.n, tuple(sorted(core + (m,)))), m, t
+            )
+            expected = None if probe is None else tuple(j for j in probe.jumps if j != m)
+            assert _core_image(a.n, m, core, t) == expected
