@@ -3,7 +3,8 @@
 
 Writes family_a.csv and family_b.csv into --out-dir (default: cwd), prints
 per-family verdict tallies, then runs the golden-row recomputation and
-prints its report. Exits 1 if any golden verdict disagrees.
+prints its report. Exits 1 if any golden verdict disagrees, 2 on bad input
+(such as a CIRCIO_WORKERS value that is not an integer).
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from circio import enumerate_family, family, verify_goldens
-from circio.cli import export_csv
+from circio import CircioError, enumerate_family, family, verify_goldens, worker_count
+from circio.export import export_csv, verdict_counts
 
 
 def main() -> int:
@@ -21,20 +22,25 @@ def main() -> int:
     parser.add_argument("--out-dir", type=Path, default=Path("."))
     parser.add_argument("--workers", type=int, default=None)
     args = parser.parse_args()
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-
-    total_t2 = 0
-    for name in ("a", "b"):
-        records = enumerate_family(family(name), workers=args.workers)
-        path = args.out_dir / f"family_{name}.csv"
-        export_csv(records, path)
-        t2 = sum(1 for r in records if r.verdict.table_verdict == "T2")
-        t1 = sum(1 for r in records if r.verdict.table_verdict == "T1")
-        total_t2 += t2
-        print(f"family {name}: {len(records)} rows ({t2} T2, {t1} T1) -> {path}")
-    print(f"combined Type-2 triples: {total_t2}")
-
-    report = verify_goldens()
+    try:
+        workers = worker_count(args.workers)
+        args.out_dir.mkdir(parents=True, exist_ok=True)
+        total_t2 = 0
+        for name in ("a", "b"):
+            records = enumerate_family(family(name), workers=workers)
+            path = args.out_dir / f"family_{name}.csv"
+            export_csv(records, path)
+            tally = verdict_counts(records)
+            total_t2 += tally["T2"]
+            print(
+                f"family {name}: {len(records)} rows "
+                f"({tally['T2']} T2, {tally['T1']} T1) -> {path}"
+            )
+        print(f"combined Type-2 triples: {total_t2}")
+        report = verify_goldens()
+    except CircioError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(report.summary())
     return 0 if report.ok else 1
 

@@ -1,9 +1,11 @@
 """Pair and tuple classification: multiplier first, then theta, then oracle.
 
 The verdict vocabulary mirrors the tables this package reproduces: a tuple
-is T1 exactly when the unit-multiplier orbit of its first member equals the
-member set, and T2 when theta witnesses link everything but at least one
-pair has no multiplier witness.
+is T1 exactly when every member lies in the unit-multiplier orbit of its
+first member (orbits are equivalence classes, so every pair is then
+multiplied), and T2 when theta witnesses link everything but at least one
+pair has no multiplier witness. type1_verdict is the one place that rule is
+decided.
 """
 
 from __future__ import annotations
@@ -82,6 +84,20 @@ class TupleRecord:
         }
 
 
+def type1_verdict(
+    members: Sequence[ConnectionSet], orbit: AdamOrbit
+) -> Optional[Classification]:
+    """T1 when every member lies in orbit, the orbit of members[0]; else None.
+
+    The unit reported is the smallest one carrying members[0] onto members[1].
+    """
+    if not all(cs in orbit for cs in members):
+        return None
+    return Classification(
+        kind=TYPE1, orbit=orbit, unit=is_adam_equivalent(members[0], members[1])
+    )
+
+
 def _theta_pair_witness(
     a: ConnectionSet, b: ConnectionSet
 ) -> Optional[tuple[int, int]]:
@@ -108,20 +124,41 @@ def classify_pair(
     if a == b:
         raise InvalidParams("classify_pair requires two distinct sets")
     orbit = adam_orbit(a)
-    x = is_adam_equivalent(a, b)
-    if x is not None:
-        return Classification(kind=TYPE1, orbit=orbit, unit=x)
-    hit = _theta_pair_witness(a, b)
-    if hit is not None:
-        m, t = hit
-        return Classification(kind=TYPE2, orbit=orbit, m=m, t=t, chain=(a, b))
-    verdict = isomorphic(CirculantGraph(a), CirculantGraph(b), budget)
-    if verdict.kind == "non-isomorphic":
-        return Classification(
-            kind=NON_ISOMORPHIC, orbit=orbit, certificate=verdict.certificate
-        )
-    if verdict.kind == "timeout":
-        return Classification(kind=UNKNOWN, orbit=orbit, reason="budget")
+    return type1_verdict((a, b), orbit) or _linked_verdict((a, b), orbit, budget)
+
+
+def _linked_verdict(
+    members: tuple[ConnectionSet, ...], orbit: AdamOrbit, budget: int
+) -> Classification:
+    """T2, non-isomorphic or unknown for members that are not T1.
+
+    Pairs without a multiplier need a theta witness (ascending m then t).
+    Pairs with neither go to the oracle in order; the first non-isomorphic
+    or timeout verdict decides, and an all-isomorphic answer is unknown.
+    """
+    first_theta: Optional[tuple[int, int]] = None
+    unlinked: list[tuple[ConnectionSet, ConnectionSet]] = []
+    for i in range(len(members)):
+        for j in range(i + 1, len(members)):
+            if is_adam_equivalent(members[i], members[j]) is not None:
+                continue
+            hit = _theta_pair_witness(members[i], members[j])
+            if hit is None:
+                unlinked.append((members[i], members[j]))
+            elif first_theta is None:
+                first_theta = hit
+    if not unlinked:
+        # Not T1, so some pair has no multiplier and first_theta is set.
+        m, t = first_theta
+        return Classification(kind=TYPE2, orbit=orbit, m=m, t=t, chain=members)
+    for a, b in unlinked:
+        iso = isomorphic(CirculantGraph(a), CirculantGraph(b), budget)
+        if iso.kind == "non-isomorphic":
+            return Classification(
+                kind=NON_ISOMORPHIC, orbit=orbit, certificate=iso.certificate
+            )
+        if iso.kind == "timeout":
+            return Classification(kind=UNKNOWN, orbit=orbit, reason="budget")
     return Classification(
         kind=UNKNOWN,
         orbit=orbit,
@@ -134,8 +171,8 @@ def classify_tuple(
 ) -> TupleRecord:
     """Classify 2 or more sets the way the tables do.
 
-    T2 needs every pair witnessed (multiplier or theta) with at least one
-    pair having only a theta witness; T1 needs every pair multiplied.
+    T1 needs every member in the orbit of the first (type1_verdict); T2
+    needs every pair witnessed (multiplier or theta) otherwise.
     """
     members = tuple(members)
     if len(members) < 2:
@@ -148,49 +185,7 @@ def classify_tuple(
         raise InvalidParams("tuple members must be pairwise distinct")
 
     orbit = adam_orbit(members[0])
-    all_adam = True
-    all_witnessed = True
-    first_theta: Optional[tuple[int, int]] = None
-    unit_01: Optional[int] = None
-    unlinked: list[tuple[ConnectionSet, ConnectionSet]] = []
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            x = is_adam_equivalent(members[i], members[j])
-            if i == 0 and j == 1:
-                unit_01 = x
-            if x is not None:
-                continue
-            all_adam = False
-            hit = _theta_pair_witness(members[i], members[j])
-            if hit is None:
-                all_witnessed = False
-                unlinked.append((members[i], members[j]))
-            elif first_theta is None:
-                first_theta = hit
-
-    if all_adam:
-        verdict = Classification(kind=TYPE1, orbit=orbit, unit=unit_01)
-    elif all_witnessed:
-        m, t = first_theta
-        verdict = Classification(kind=TYPE2, orbit=orbit, m=m, t=t, chain=members)
-    else:
-        verdict = None
-        for a, b in unlinked:
-            iso = isomorphic(CirculantGraph(a), CirculantGraph(b), budget)
-            if iso.kind == "non-isomorphic":
-                verdict = Classification(
-                    kind=NON_ISOMORPHIC, orbit=orbit, certificate=iso.certificate
-                )
-                break
-            if iso.kind == "timeout":
-                verdict = Classification(kind=UNKNOWN, orbit=orbit, reason="budget")
-                break
-        if verdict is None:
-            verdict = Classification(
-                kind=UNKNOWN,
-                orbit=orbit,
-                reason="isomorphic, no Type-1/Type-2 witness found",
-            )
+    verdict = type1_verdict(members, orbit) or _linked_verdict(members, orbit, budget)
 
     theta_images: dict[int, ConnectionSet] = {}
     base = members[0]

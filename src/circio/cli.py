@@ -1,5 +1,7 @@
 """Command-line driver: classification, enumeration, export, golden checks.
 
+The CSV/JSONL writers live in circio.export; this module binds them too.
+
 Exit codes: 0 on success, 1 when verify-goldens finds a verdict mismatch,
 2 on usage errors (including parameter values the library rejects).
 """
@@ -7,13 +9,12 @@ Exit codes: 0 on success, 1 when verify-goldens finds a verdict mismatch,
 from __future__ import annotations
 
 import json
-import os
-from typing import Optional, Sequence
+from typing import Optional
 
 import click
 
 from . import __version__
-from .classify import TupleRecord, classify_pair, classify_tuple
+from .classify import classify_pair, classify_tuple
 from .core import ConnectionSet
 from .enumeration import (
     DEFAULT_SCAN_BUDGET,
@@ -26,55 +27,11 @@ from .enumeration import (
     worker_count,
 )
 from .errors import CircioError
+from .export import export_csv, export_jsonl, verdict_counts
 from .goldens import verify_goldens
 from .multipliers import adam_orbit
 from .oracle import DEFAULT_BUDGET
 from .theta import theta_image
-
-CSV_HEADER = "row,R,theta_t2,theta_t4,adam_orbit,verdict"
-
-
-def export_csv(records: Sequence[TupleRecord], path: str | os.PathLike) -> None:
-    """Write records as the tables' six columns, one row per record.
-
-    Cells use the canonical C<n>(...) text. The orbit cell is quoted and
-    ';'-joined; the others are written bare, matching the published layout.
-    Built by hand rather than with the csv module so the bytes stay fixed.
-    """
-    if not records:
-        raise ValueError("refusing to export an empty record list")
-    lines = [CSV_HEADER]
-    for row_no, rec in enumerate(records, start=1):
-        orbit_cell = ";".join(str(c) for c in rec.verdict.orbit.members)
-        lines.append(
-            "%d,%s,%s,%s,\"%s\",%s"
-            % (
-                row_no,
-                rec.members[0],
-                rec.theta_images.get(2, ""),
-                rec.theta_images.get(4, ""),
-                orbit_cell,
-                rec.verdict.table_verdict,
-            )
-        )
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise OSError(f"writing {path}: {exc}") from exc
-
-
-def export_jsonl(records: Sequence[TupleRecord], path: str | os.PathLike) -> None:
-    """One record per line as JSON, in enumeration order."""
-    if not records:
-        raise ValueError("refusing to export an empty record list")
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            for rec in records:
-                fh.write(json.dumps(rec.to_json()) + "\n")
-    except OSError as exc:
-        raise OSError(f"writing {path}: {exc}") from exc
-
 
 def _parse_set(text: str) -> ConnectionSet:
     try:
@@ -163,14 +120,14 @@ def enumerate_family_cmd(
     spec = family(family_name)
     click.echo(f"enumerating family {family_name} (511 rows)...", err=True)
     records = enumerate_family(spec, workers=workers)
-    t2 = sum(1 for r in records if r.verdict.table_verdict == "T2")
-    t1 = sum(1 for r in records if r.verdict.table_verdict == "T1")
+    tally = verdict_counts(records)
     if out_path.endswith(".jsonl"):
         export_jsonl(records, out_path)
     else:
         export_csv(records, out_path)
     click.echo(
-        f"family {family_name}: {len(records)} rows, {t2} T2, {t1} T1 -> {out_path}"
+        f"family {family_name}: {len(records)} rows, {tally['T2']} T2, {tally['T1']} T1"
+        f" -> {out_path}"
     )
 
 

@@ -17,15 +17,11 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from .classify import (
-    TYPE1,
-    TYPE2,
-    Classification,
-    TupleRecord,
-)
+from .classify import TYPE2, Classification, TupleRecord, type1_verdict
 from .core import CirculantGraph, ConnectionSet, reflexive_reduce
 from .errors import (
     DegeneratePair,
@@ -34,7 +30,7 @@ from .errors import (
     InvalidParams,
     WitnessMismatch,
 )
-from .multipliers import adam_orbit, is_adam_equivalent, multiply_set, units
+from .multipliers import adam_orbit, carrying_units, is_adam_equivalent, units
 from .oracle import DEFAULT_BUDGET, IsoVerdict, isomorphic
 from .theta import _jump_image, theta_image, theta_witness, valid_block_moduli
 
@@ -54,6 +50,22 @@ def worker_count(workers: Optional[int] = None) -> int:
         return max(1, int(raw))
     except ValueError:
         raise InvalidParams(f"CIRCIO_WORKERS must be an integer, got {raw!r}") from None
+
+
+def _chunked_map(fn: Callable[[list], list], items: list, workers: int) -> list:
+    """fn over contiguous chunks of items, results concatenated in order.
+
+    The pool never has more processes than chunks or than os.cpu_count():
+    with the fork start method every requested process starts on the first
+    submit. One process left means no pool at all.
+    """
+    nworkers = min(workers, len(items), os.cpu_count() or 1)
+    if nworkers <= 1:
+        return fn(items)
+    size = math.ceil(len(items) / nworkers)
+    chunks = [items[i : i + size] for i in range(0, len(items), size)]
+    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+        return [out for part in pool.map(fn, chunks) for out in part]
 
 
 # ---------------------------------------------------------------------------
@@ -97,48 +109,37 @@ def _pool_subsets(pool: Sequence[int]) -> list[tuple[int, ...]]:
     return out
 
 
-def _family_row(n: int, base: tuple[int, ...], extension: tuple[int, ...]) -> TupleRecord:
-    source = ConnectionSet(n, tuple(sorted(base + extension)))
+def family_row(source: ConnectionSet) -> TupleRecord:
+    """One table row: source, its images at t=2 and t=4 under m=3, verdict.
+
+    Raises WitnessMismatch when either image is not circulant.
+    """
     img2 = theta_image(source, 3, 2)
     img4 = theta_image(source, 3, 4)
     if img2 is None or img4 is None:
         raise WitnessMismatch(f"{source} has no circulant image at t=2 and t=4")
     members = (source, img2, img4)
     orbit = adam_orbit(source)
-    if set(orbit.members) == set(members):
-        verdict = Classification(
-            kind=TYPE1, orbit=orbit, unit=is_adam_equivalent(source, img2)
-        )
-    else:
-        verdict = Classification(kind=TYPE2, orbit=orbit, m=3, t=2, chain=members)
+    verdict = type1_verdict(members, orbit) or Classification(
+        kind=TYPE2, orbit=orbit, m=3, t=2, chain=members
+    )
     return TupleRecord(members=members, theta_images={2: img2, 4: img4}, verdict=verdict)
 
 
-def _family_chunk(args: tuple) -> list[tuple[int, TupleRecord]]:
-    n, base, chunk = args
-    return [(row_no, _family_row(n, base, ext)) for row_no, ext in chunk]
+def _family_rows(sources: list[ConnectionSet]) -> list[TupleRecord]:
+    return [family_row(source) for source in sources]
 
 
 def enumerate_family(
     spec: FamilySpec, workers: Optional[int] = None
 ) -> list[TupleRecord]:
     """All 511 rows of one family, in table order."""
-    subsets = _pool_subsets(spec.pool)
-    numbered = list(enumerate(subsets, start=1))
     nworkers = worker_count(workers)
-    if nworkers <= 1:
-        return [_family_row(spec.n, spec.base.jumps, ext) for _, ext in numbered]
-    size = math.ceil(len(numbered) / nworkers)
-    chunks = [
-        (spec.n, spec.base.jumps, numbered[i : i + size])
-        for i in range(0, len(numbered), size)
+    sources = [
+        ConnectionSet(spec.n, tuple(sorted(spec.base.jumps + ext)))
+        for ext in _pool_subsets(spec.pool)
     ]
-    merged: dict[int, TupleRecord] = {}
-    with ProcessPoolExecutor(max_workers=nworkers) as pool:
-        for part in pool.map(_family_chunk, chunks):
-            for row_no, record in part:
-                merged[row_no] = record
-    return [merged[i] for i in range(1, len(numbered) + 1)]
+    return _chunked_map(_family_rows, sources, nworkers)
 
 
 # ---------------------------------------------------------------------------
@@ -181,14 +182,11 @@ def _core_image(n: int, m: int, core: tuple[int, ...], t: int) -> Optional[tuple
     return None if img is None else img.jumps
 
 
-def _core_image_chunk(args: tuple) -> list[tuple[tuple[int, ...], list]]:
-    n, m, cores = args
-    out = []
-    for core in cores:
-        out.append(
-            (core, [(t, _core_image(n, m, core, t)) for t in range(1, n // m)])
-        )
-    return out
+def _core_images(
+    n: int, m: int, cores: list[tuple[int, ...]]
+) -> list[dict[int, Optional[tuple[int, ...]]]]:
+    """Per core, t -> its jump-level image (None when not circulant)."""
+    return [{t: _core_image(n, m, core, t) for t in range(1, n // m)} for core in cores]
 
 
 def _unit_mask_tables(
@@ -197,7 +195,7 @@ def _unit_mask_tables(
     """For each unit x, mask -> image mask of the multiple-of-m pool."""
     index = {j: i for i, j in enumerate(extension_pool)}
     tables: dict[int, list[int]] = {}
-    for x in units(n).units:
+    for x in units(n):
         shift = [index[min(x * j % n, n - x * j % n)] for j in extension_pool]
         table = [0] * (1 << len(extension_pool))
         for mask in range(1 << len(extension_pool)):
@@ -212,19 +210,30 @@ def _unit_mask_tables(
     return tables
 
 
-def _coset(n: int, a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
-    """Units carrying jump set a onto jump set b."""
-    out = []
-    sa = ConnectionSet(n, a)
-    target = tuple(b)
-    for x in units(n).units:
-        if multiply_set(sa, x).jumps == target:
-            out.append(x)
-    return out
-
-
 def _mask_jumps(extension_pool: Sequence[int], mask: int) -> tuple[int, ...]:
     return tuple(j for i, j in enumerate(extension_pool) if mask >> i & 1)
+
+
+def _admissible_masks(
+    core_size: int, popcounts: Sequence[int], max_jump_count: Optional[int]
+) -> list[int]:
+    """Nonempty extension masks giving core + extension 3 to max_jump_count jumps."""
+    top = math.inf if max_jump_count is None else max_jump_count
+    return [
+        mask
+        for mask in range(1, len(popcounts))
+        if 3 <= core_size + popcounts[mask] <= top
+    ]
+
+
+def _verify_theta_pair(left: ConnectionSet, right: ConnectionSet, m: int, t: int) -> None:
+    """Raise WitnessMismatch unless theta at (m, t) carries left onto right
+    edge by edge and no unit multiplier does."""
+    witness = theta_witness(left, m, t)
+    if witness is None or witness.image != right:
+        raise WitnessMismatch(f"no theta witness carries {left} onto {right}")
+    if is_adam_equivalent(left, right) is not None:
+        raise WitnessMismatch(f"a unit multiplier carries {left} onto {right}")
 
 
 @dataclass(frozen=True)
@@ -314,24 +323,13 @@ def _scan_one_modulus(
             f"core image phase needs {len(core_list) * t_range} image tests"
         )
 
-    # Image map, optionally in parallel. Deterministic regardless of split.
+    # Image map, in parallel only for 64 cores or more. Deterministic
+    # regardless of split.
     nworkers = worker_count(workers)
-    images: dict[tuple[int, ...], dict[int, Optional[tuple[int, ...]]]] = {}
-    if nworkers <= 1 or len(core_list) < 64:
-        for core in core_list:
-            images[core] = {
-                t: _core_image(n, m, core, t) for t in range(1, n // m)
-            }
-    else:
-        size = math.ceil(len(core_list) / nworkers)
-        chunks = [
-            (n, m, core_list[i : i + size])
-            for i in range(0, len(core_list), size)
-        ]
-        with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            for part in pool.map(_core_image_chunk, chunks):
-                for core, hits in part:
-                    images[core] = dict(hits)
+    if len(core_list) < 64:
+        nworkers = 1
+    image_list = _chunked_map(partial(_core_images, n, m), core_list, nworkers)
+    images = dict(zip(core_list, image_list))
 
     core_set = set(core_list)
     linked: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple] = {}
@@ -340,7 +338,8 @@ def _scan_one_modulus(
             img = images[core][t]
             if img is None or img == core:
                 continue
-            assert img in core_set, f"image {img} of {core} escaped the core lattice"
+            if img not in core_set:
+                raise WitnessMismatch(f"image {img} of {core} escaped the core lattice")
             key = (core, img) if core < img else (img, core)
             if key not in linked:
                 linked[key] = (core, img, t)
@@ -349,7 +348,8 @@ def _scan_one_modulus(
     pool_size = len(extension_pool)
     full_mask = (1 << pool_size) - 1
     cosets = {
-        key: _coset(n, src, dst) for key, (src, dst, _) in sorted(linked.items())
+        key: list(carrying_units(ConnectionSet(n, src), ConnectionSet(n, dst)))
+        for key, (src, dst, _) in sorted(linked.items())
     }
     mask_work = sum(max(1, len(x)) for x in cosets.values()) * (full_mask + 1)
     if mask_work > budget:
@@ -361,28 +361,18 @@ def _scan_one_modulus(
         src, dst, t = linked[key]
         xs = cosets[key]
         tables = [mask_tables[x] for x in xs]
-        for mask in range(1, full_mask + 1):
-            size = len(src) + popcounts[mask]
-            if size < 3:
-                continue
-            if max_jump_count is not None and size > max_jump_count:
-                continue
+        for mask in _admissible_masks(len(src), popcounts, max_jump_count):
             if any(table[mask] == mask for table in tables):
                 continue
             counts["type2_pairs_raw"] += 1
             if verify_all:
                 ext = _mask_jumps(extension_pool, mask)
-                left = ConnectionSet(n, tuple(sorted(src + ext)))
-                right = ConnectionSet(n, tuple(sorted(dst + ext)))
-                witness = theta_witness(left, m, t)
-                if witness is None or witness.image != right:
-                    raise WitnessMismatch(
-                        f"no theta witness carries {left} onto {right}"
-                    )
-                if is_adam_equivalent(left, right) is not None:
-                    raise WitnessMismatch(
-                        f"a unit multiplier carries {left} onto {right}"
-                    )
+                _verify_theta_pair(
+                    ConnectionSet(n, tuple(sorted(src + ext))),
+                    ConnectionSet(n, tuple(sorted(dst + ext))),
+                    m,
+                    t,
+                )
 
     # Primitive tuples: classes chased from minimal cores only.
     minimal = [
@@ -404,7 +394,8 @@ def _scan_one_modulus(
                 img = images[cur][t]
                 if img is None or img in group:
                     continue
-                assert img in minimal_set, "image of a minimal core is not minimal"
+                if img not in minimal_set:
+                    raise WitnessMismatch(f"image {img} of a minimal core is not minimal")
                 group.add(img)
                 frontier.append(img)
         visited |= group
@@ -414,8 +405,9 @@ def _scan_one_modulus(
     for group in classes:
         if len(group) < 2:
             continue
+        group_sets = [ConnectionSet(n, core) for core in group]
         pair_cosets = [
-            _coset(n, group[i], group[j])
+            list(carrying_units(group_sets[i], group_sets[j]))
             for i in range(len(group))
             for j in range(i + 1, len(group))
         ]
@@ -427,12 +419,7 @@ def _scan_one_modulus(
             if img is not None and img in group and img != base_core
         ]
         first_t = base_hits[0][0]
-        for mask in range(1, full_mask + 1):
-            size = len(base_core) + popcounts[mask]
-            if size < 3:
-                continue
-            if max_jump_count is not None and size > max_jump_count:
-                continue
+        for mask in _admissible_masks(len(base_core), popcounts, max_jump_count):
             if all(
                 any(table[mask] == mask for table in tables)
                 for tables in pair_tables
@@ -458,15 +445,7 @@ def _scan_one_modulus(
             records.append(record)
             if sample_budget > 0:
                 sample_budget -= 1
-                witness = theta_witness(members[0], m, first_t)
-                if witness is None or witness.image not in members[1:]:
-                    raise WitnessMismatch(
-                        f"no theta witness links the tuple of {members[0]}"
-                    )
-                if is_adam_equivalent(members[0], witness.image) is not None:
-                    raise WitnessMismatch(
-                        f"a unit multiplier carries {members[0]} onto {witness.image}"
-                    )
+                _verify_theta_pair(members[0], theta_images[first_t], m, first_t)
 
 
 # ---------------------------------------------------------------------------

@@ -29,10 +29,6 @@ class NotMultipleOfM(CircioError):
     """An extension jump was required to be a multiple of m and is not."""
 
 
-class NotBijective(CircioError):
-    """A vertex map that must be a permutation is not one."""
-
-
 class BudgetExceeded(CircioError):
     """Search exceeded its node/refinement budget."""
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .core import CirculantGraph, adjacency_spectrum, first_spectral_gap
-from .errors import BudgetExceeded, OrderMismatch
+from .errors import BudgetExceeded, OrderMismatch, WitnessMismatch
 
 DEFAULT_BUDGET = 10 ** 7
 
@@ -166,7 +166,8 @@ def canonical_edges_of(
         row.sort()
     search = _Search(n, adj, budget)
     search.run([0] * n, ())
-    assert search.best_cert is not None
+    if search.best_cert is None:
+        raise WitnessMismatch("canonical search reached no leaf")
     return search.best_cert, tuple(search.best_lab)
 
 
@@ -177,7 +178,8 @@ def canonical_form(g: CirculantGraph, budget: int = DEFAULT_BUDGET) -> Canonical
     relabeled = sorted(
         (min(lab[a], lab[b]), max(lab[a], lab[b])) for a, b in g.edges
     )
-    assert tuple(relabeled) == cert
+    if tuple(relabeled) != cert:
+        raise WitnessMismatch(f"the canonical labeling of {g.cs} misses its certificate")
     return CanonicalForm(g.n, cert, lab)
 
 
@@ -217,5 +219,6 @@ def isomorphic(
     for v in range(b.n):
         inv_b[cb.labeling[v]] = v
     perm = tuple(inv_b[ca.labeling[v]] for v in range(a.n))
-    assert verify_permutation(a, b, perm)
+    if not verify_permutation(a, b, perm):
+        raise WitnessMismatch(f"the canonical permutation does not carry {a.cs} onto {b.cs}")
     return IsoVerdict(kind="isomorphic", permutation=perm)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .core import CirculantGraph, ConnectionSet, reflexive_reduce
-from .errors import InvalidParams, NotBijective, NotMultipleOfM, WitnessMismatch
+from .errors import InvalidParams, NotMultipleOfM, WitnessMismatch
 
 
 @dataclass(frozen=True)
@@ -70,13 +70,13 @@ def theta_params_valid(n: int, m: int, cs: ConnectionSet) -> bool:
 
 
 def theta_vertex_map(params: ThetaParams) -> tuple[int, ...]:
-    """The permutation x -> x + (x mod m)*t*m mod n."""
+    """The permutation x -> x + (x mod m)*t*m mod n.
+
+    It keeps every residue class mod m and translates within it, so it is a
+    bijection whenever m divides n, which ThetaParams guarantees.
+    """
     n, m, t = params.n, params.m, params.t
-    perm = tuple((x + (x % m) * t * m) % n for x in range(n))
-    if len(set(perm)) != n:
-        # Cannot happen while the params invariants hold.
-        raise NotBijective(f"theta map collides for {params}")
-    return perm
+    return tuple((x + (x % m) * t * m) % n for x in range(n))
 
 
 def _check_params(cs: ConnectionSet, m: int, t: int) -> ThetaParams:

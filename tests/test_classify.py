@@ -14,9 +14,11 @@ from circio import (
     ConnectionSet,
     InvalidParams,
     OrderMismatch,
+    adam_orbit,
     classify_pair,
     classify_tuple,
 )
+from circio.classify import type1_verdict
 from helpers import cs
 
 
@@ -97,6 +99,19 @@ class TestClassifyPair:
         assert out["verdict"] == TYPE2
         assert out["m"] == 3 and out["t"] == 2
         assert out["orbit"][0] == "C54(1,3,17,19)"
+
+
+class TestType1Verdict:
+    def test_all_members_in_the_orbit(self):
+        members = (cs("C54(1,9,17,19)"), cs("C54(7,9,11,25)"), cs("C54(5,9,13,23)"))
+        v = type1_verdict(members, adam_orbit(members[0]))
+        assert v.kind == TYPE1
+        # The unit carries members[0] onto members[1], not onto the smallest.
+        assert v.unit == 7
+
+    def test_one_member_outside(self):
+        members = (cs("C54(1,3,17,19)"), cs("C54(5,13,15,23)"), cs("C54(3,7,11,25)"))
+        assert type1_verdict(members, adam_orbit(members[0])) is None
 
 
 class TestClassifyTuple:

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import os
 from itertools import combinations
 
 import pytest
 
+import circio.enumeration as enumeration_mod
 from circio import (
     ConnectionSet,
     DegeneratePair,
@@ -14,6 +16,7 @@ from circio import (
     InvalidParams,
     TYPE1,
     TYPE2,
+    WitnessMismatch,
     classify_pair,
     enumerate_family,
     family,
@@ -27,6 +30,7 @@ from circio import (
     valid_block_moduli,
     worker_count,
 )
+from circio.enumeration import family_row
 from helpers import cs
 
 # Rows (1-based, ordered by extension size then lexicographically) whose
@@ -109,6 +113,21 @@ class TestEnumerateFamily:
             assert seq.theta_images == par.theta_images
             assert seq.verdict == par.verdict
 
+    def test_family_row_is_the_enumerated_row(self, family_a):
+        for rec in family_a[:20]:
+            row = family_row(rec.members[0])
+            assert row.members == rec.members
+            assert row.theta_images == rec.theta_images
+            assert row.verdict == rec.verdict
+
+    def test_t1_membership_is_orbit_equality(self, family_a, family_b):
+        # Every row has three distinct members and an orbit of three, so
+        # "all members in the orbit" and "orbit equals the members" agree.
+        for rec in family_a + family_b:
+            orbit = set(rec.verdict.orbit.members)
+            assert len(orbit) == 3 and len(set(rec.members)) == 3
+            assert (rec.verdict.kind == TYPE1) == (orbit == set(rec.members))
+
     def test_union_property_all_rows(self, family_a, family_b):
         # every row's images are the one-extension seed images with the rest
         # of the extension riding along unchanged
@@ -148,6 +167,72 @@ class TestWorkerCount:
         monkeypatch.setenv("CIRCIO_WORKERS", "abc")
         with pytest.raises(InvalidParams, match="CIRCIO_WORKERS"):
             worker_count()
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers: int):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, chunks):
+        return [fn(chunk) for chunk in chunks]
+
+
+class TestWorkerPool:
+    @pytest.fixture()
+    def pool_sizes(self, monkeypatch):
+        monkeypatch.setattr(enumeration_mod, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        _RecordingPool.sizes = []
+        return _RecordingPool.sizes
+
+    def test_family_pool_clamped_to_cpu_count(self, pool_sizes, family_a):
+        records = enumerate_family(family("a"), workers=5000)
+        assert pool_sizes == [3]
+        assert [r.members for r in records] == [r.members for r in family_a]
+
+    def test_scan_pool_clamped_to_cpu_count(self, pool_sizes):
+        rep = full_scan(54, workers=5000)
+        assert pool_sizes == [3]
+        assert rep.counts["type2_pairs_raw"] == 28800
+
+    def test_pool_clamped_to_chunk_count(self, pool_sizes):
+        assert enumeration_mod._chunked_map(list, [1, 2], 5000) == [1, 2]
+        assert pool_sizes == [2]
+
+    def test_one_cpu_means_no_pool(self, pool_sizes, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert enumeration_mod._chunked_map(list, [1, 2, 3], 5000) == [1, 2, 3]
+        assert pool_sizes == []
+
+
+class TestScanLatticeChecks:
+    """The core-lattice invariants raise WitnessMismatch, not assert."""
+
+    def test_image_escaping_the_lattice(self, monkeypatch):
+        monkeypatch.setattr(enumeration_mod, "_core_image", lambda n, m, core, t: (2, 4))
+        with pytest.raises(WitnessMismatch, match="escaped the core lattice"):
+            full_scan(16)
+
+    def test_minimal_core_with_a_non_minimal_image(self, monkeypatch):
+        # At n = 16 the cores are (1,7), (3,5) and (1,3,5,7); send (1,7) to
+        # the non-minimal one and skip the pair re-check it would fail.
+        def images(n, m, core, t):
+            return (1, 3, 5, 7) if core == (1, 7) else None
+
+        monkeypatch.setattr(enumeration_mod, "_core_image", images)
+        monkeypatch.setattr(enumeration_mod, "_verify_theta_pair", lambda *args: None)
+        with pytest.raises(WitnessMismatch, match="is not minimal"):
+            full_scan(16)
 
 
 class TestFullScan:

@@ -8,11 +8,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import circio.multipliers as multipliers_mod
 from circio import (
     ConnectionSet,
     NotAUnit,
     OrderMismatch,
+    WitnessMismatch,
     adam_orbit,
+    carrying_units,
     is_adam_equivalent,
     multiply_set,
     units,
@@ -49,11 +52,11 @@ ORBIT_IDENTITIES = {
 
 class TestUnits:
     def test_units_16(self):
-        assert units(16).units == (1, 3, 5, 7, 9, 11, 13, 15)
+        assert units(16) == (1, 3, 5, 7, 9, 11, 13, 15)
 
     def test_units_54_count(self):
-        assert len(units(54).units) == 18
-        assert all(u % 2 and u % 3 for u in units(54).units)
+        assert len(units(54)) == 18
+        assert all(u % 2 and u % 3 for u in units(54))
 
     def test_order_validation(self):
         with pytest.raises(ValueError):
@@ -72,13 +75,20 @@ class TestMultiplySet:
 
     @given(connection_sets(max_n=50), st.integers(1, 200))
     def test_preserves_cardinality(self, a, k):
-        us = units(a.n).units
+        us = units(a.n)
         x = us[k % len(us)]
         assert len(multiply_set(a, x).jumps) == len(a.jumps)
 
+    def test_size_change_raises_witness_mismatch(self, monkeypatch):
+        monkeypatch.setattr(
+            multipliers_mod, "reflexive_reduce", lambda raw, n: ConnectionSet(n, (1,))
+        )
+        with pytest.raises(WitnessMismatch):
+            multiply_set(cs("C54(1,3)"), 5)
+
     @given(connection_sets(max_n=50), st.integers(1, 200))
     def test_x_and_minus_x_agree(self, a, k):
-        us = units(a.n).units
+        us = units(a.n)
         x = us[k % len(us)]
         assert multiply_set(a, x) == multiply_set(a, a.n - x)
 
@@ -108,7 +118,7 @@ class TestAdamOrbit:
             for combo in combinations(range(1, 9), k)
         ]
         orbits = {a: adam_orbit(a) for a in all_sets}
-        phi16 = len(units(16).units)
+        phi16 = len(units(16))
         for a in all_sets:
             assert len(orbits[a].members) <= phi16
             for b in orbits[a].members:
@@ -135,3 +145,26 @@ class TestIsAdamEquivalent:
 
     def test_size_mismatch_short_circuits(self):
         assert is_adam_equivalent(cs("C54(1,3)"), cs("C54(1)")) is None
+
+
+class TestCarryingUnits:
+    @given(connection_sets(max_n=50), st.integers(1, 200))
+    def test_exactly_the_carrying_units_ascending(self, a, k):
+        us = units(a.n)
+        b = multiply_set(a, us[k % len(us)])
+        got = list(carrying_units(a, b))
+        assert got == [x for x in us if multiply_set(a, x) == b]
+        assert is_adam_equivalent(a, b) == got[0]
+
+    def test_published_pair(self):
+        # x and n - x always act alike, so units come in pairs.
+        got = list(carrying_units(cs("C54(1,9,17,19)"), cs("C54(5,9,13,23)")))
+        assert got[0] == 5
+        assert sorted(54 - x for x in got) == got
+
+    def test_none_for_a_theta_image(self):
+        assert list(carrying_units(cs("C54(1,3,17,19)"), cs("C54(3,7,11,25)"))) == []
+
+    def test_order_mismatch(self):
+        with pytest.raises(OrderMismatch):
+            list(carrying_units(cs("C54(1)"), cs("C27(1)")))

@@ -6,11 +6,13 @@ import random
 
 import pytest
 
+import circio.oracle as oracle_mod
 from circio import (
     BudgetExceeded,
     CirculantGraph,
     ConnectionSet,
     OrderMismatch,
+    WitnessMismatch,
     canonical_edges_of,
     canonical_form,
     isomorphic,
@@ -114,7 +116,7 @@ class TestIsomorphic:
     def test_agrees_with_multiplier_action(self):
         rng = random.Random(11)
         for n in (16, 24, 54):
-            us = units(n).units
+            us = units(n)
             for _ in range(20):
                 k = rng.randint(1, 4)
                 jumps = tuple(sorted(rng.sample(range(1, n // 2 + 1), k)))
@@ -128,3 +130,28 @@ class TestIsomorphic:
         assert iso.serialize().startswith("isomorphic ")
         non = isomorphic(graph("C16(1)"), graph("C16(1,2)"))
         assert non.serialize().startswith("non-isomorphic spectrum[")
+
+
+class TestCertificateChecks:
+    """Each check raises WitnessMismatch, so python -O cannot skip it."""
+
+    def test_search_without_a_leaf(self, monkeypatch):
+        monkeypatch.setattr(oracle_mod._Search, "run", lambda self, colors, path: None)
+        with pytest.raises(WitnessMismatch):
+            canonical_edges_of(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+
+    def test_labeling_that_misses_its_certificate(self, monkeypatch):
+        real = oracle_mod.canonical_edges_of
+
+        def wrong_certificate(n, edges, budget):
+            cert, lab = real(n, edges, budget)
+            return cert[1:], lab
+
+        monkeypatch.setattr(oracle_mod, "canonical_edges_of", wrong_certificate)
+        with pytest.raises(WitnessMismatch):
+            canonical_form(graph("C16(1,2)"))
+
+    def test_permutation_that_fails_verification(self, monkeypatch):
+        monkeypatch.setattr(oracle_mod, "verify_permutation", lambda a, b, perm: False)
+        with pytest.raises(WitnessMismatch):
+            isomorphic(graph("C8(1,2)"), graph("C8(2,3)"))
