@@ -1,9 +1,14 @@
 """Isomorphism oracle independent of the multiplier/theta machinery.
 
 Spectrum first (cheap non-isomorphism certificates), then canonical labeling
-by individualization-refinement with discovered-automorphism pruning. The
-canonical engine works on plain adjacency lists so it owes nothing to the
-algebra it is checking.
+by individualization-refinement with automorphism pruning. The search starts
+from the rotation x -> x+1 and the reflection x -> -x whenever the input, as
+labeled, admits them; each is checked edge by edge before use, and the search
+adds the automorphisms it discovers at its leaves. Pruning by automorphisms
+skips only subtrees equivalent to explored ones, so the certificate and the
+labeling do not depend on the seeds. The canonical engine works on plain
+adjacency lists and uses no multiplier or theta algebra, so it owes nothing
+to the algebra it is checking.
 """
 
 from __future__ import annotations
@@ -22,16 +27,19 @@ class CanonicalForm:
     n: int
     canonical_edges: tuple[tuple[int, int], ...]
     labeling: tuple[int, ...]
+    nodes: int  # search nodes used
 
 
 @dataclass(frozen=True)
 class IsoVerdict:
     """One of isomorphic (with permutation), non-isomorphic (with a named
-    certificate), or timeout."""
+    certificate), or timeout. nodes counts the canonical search nodes used
+    on both sides (0 for a spectral verdict); serialize() leaves it out."""
 
     kind: str
     permutation: Optional[tuple[int, ...]] = None
     certificate: Optional[str] = None
+    nodes: int = 0
 
     def serialize(self) -> str:
         if self.kind == "isomorphic":
@@ -67,14 +75,31 @@ def _individualize(colors: list[int], v: int) -> list[int]:
     return [2 * c + (0 if u == v else 1) for u, c in enumerate(colors)]
 
 
+def _close(orbit: set[int], todo: list[int], gens: Sequence[Sequence[int]]) -> None:
+    """Add to orbit the images of todo under the group gens generate."""
+    while todo:
+        u = todo.pop()
+        for g in gens:
+            w = g[u]
+            if w not in orbit:
+                orbit.add(w)
+                todo.append(w)
+
+
 class _Search:
     def __init__(self, n: int, adj: Sequence[Sequence[int]], budget: int):
         self.n = n
         self.adj = adj
+        self.nbr = [set(a) for a in adj]
+        self.budget = budget
         self.remaining = budget
         self.best_cert: Optional[tuple[tuple[int, int], ...]] = None
         self.best_lab: Optional[list[int]] = None
         self.auts: list[tuple[int, ...]] = []
+
+    @property
+    def nodes(self) -> int:
+        return self.budget - self.remaining
 
     def _certificate(self, lab: list[int]) -> tuple[tuple[int, int], ...]:
         out = []
@@ -88,14 +113,18 @@ class _Search:
         return tuple(out)
 
     def _is_automorphism(self, gamma: Sequence[int]) -> bool:
-        adj = self.adj
-        nbr = [set(a) for a in adj]
+        nbr = self.nbr
         for v in range(self.n):
-            gv = gamma[v]
-            for u in adj[v]:
-                if gamma[u] not in nbr[gv]:
+            image = nbr[gamma[v]]
+            for u in self.adj[v]:
+                if gamma[u] not in image:
                     return False
         return True
+
+    def _store(self, gamma: tuple[int, ...]) -> None:
+        """Keep a verified automorphism unless it is the identity or known."""
+        if any(gamma[v] != v for v in range(self.n)) and gamma not in self.auts:
+            self.auts.append(gamma)
 
     def _leaf(self, colors: list[int]) -> None:
         lab = colors  # discrete coloring is the labeling itself
@@ -108,8 +137,8 @@ class _Search:
             for v in range(self.n):
                 inv_prev[self.best_lab[v]] = v
             gamma = tuple(inv_prev[lab[v]] for v in range(self.n))
-            if any(gamma[v] != v for v in range(self.n)) and self._is_automorphism(gamma):
-                self.auts.append(gamma)
+            if self._is_automorphism(gamma):
+                self._store(gamma)
 
     def run(self, colors: list[int], path: tuple[int, ...]) -> None:
         if self.remaining <= 0:
@@ -125,29 +154,50 @@ class _Search:
         if target is None:
             self._leaf(colors)
             return
-        candidates = sorted(target)
-        forbidden: set[int] = set()
+        # Orbit pruning: skip a candidate that a known automorphism fixing
+        # the path pointwise carries onto an explored one. forbidden is kept
+        # closed under gens, the stored automorphisms that fix the path.
+        gens: list[tuple[int, ...]] = []
         seen_auts = 0
-        for v in candidates:
-            # Orbit pruning: skip candidates reachable from an explored one by
-            # a known automorphism fixing the current path pointwise.
-            if len(self.auts) != seen_auts or v in forbidden:
-                gens = [
-                    g for g in self.auts if all(g[p] == p for p in path)
-                ]
-                seen_auts = len(self.auts)
-                changed = True
-                while changed:
-                    changed = False
-                    for g in gens:
-                        for u in list(forbidden):
-                            if g[u] not in forbidden:
-                                forbidden.add(g[u])
-                                changed = True
-                if v in forbidden:
-                    continue
+        forbidden: set[int] = set()
+        for v in sorted(target):
+            fresh = [g for g in self.auts[seen_auts:] if all(g[p] == p for p in path)]
+            seen_auts = len(self.auts)
+            if fresh:
+                gens += fresh
+                _close(forbidden, list(forbidden), gens)
+            if v in forbidden:
+                continue
             self.run(_individualize(colors, v), path + (v,))
             forbidden.add(v)
+            _close(forbidden, [v], gens)
+
+
+def _dihedral_seeds(n: int, search: _Search) -> list[tuple[int, ...]]:
+    """The rotation x -> x+1 and the reflection x -> -x mod n, each kept only
+    if it is an automorphism of the input as labeled. Every circulant admits
+    both in its natural labeling; a relabeled input usually admits neither."""
+    maps = (tuple((v + 1) % n for v in range(n)), tuple(-v % n for v in range(n)))
+    return [gamma for gamma in maps if search._is_automorphism(gamma)]
+
+
+def _canonical_search(
+    n: int, edges: Sequence[tuple[int, int]], budget: int
+) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...], int]:
+    """Certificate, labeling and search nodes used for a plain edge list."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    for row in adj:
+        row.sort()
+    search = _Search(n, adj, budget)
+    for gamma in _dihedral_seeds(n, search):
+        search._store(gamma)
+    search.run([0] * n, ())
+    if search.best_cert is None:
+        raise WitnessMismatch("canonical search reached no leaf")
+    return search.best_cert, tuple(search.best_lab), search.nodes
 
 
 def canonical_edges_of(
@@ -158,29 +208,20 @@ def canonical_edges_of(
     Exposed separately from canonical_form so label-invariance can be tested
     on arbitrarily relabeled inputs.
     """
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    for row in adj:
-        row.sort()
-    search = _Search(n, adj, budget)
-    search.run([0] * n, ())
-    if search.best_cert is None:
-        raise WitnessMismatch("canonical search reached no leaf")
-    return search.best_cert, tuple(search.best_lab)
+    cert, lab, _ = _canonical_search(n, edges, budget)
+    return cert, lab
 
 
 def canonical_form(g: CirculantGraph, budget: int = DEFAULT_BUDGET) -> CanonicalForm:
     """Canonical form of a circulant graph. Raises BudgetExceeded on blowup."""
-    cert, lab = canonical_edges_of(g.n, sorted(g.edges), budget)
+    cert, lab, nodes = _canonical_search(g.n, sorted(g.edges), budget)
     # The labeling must reproduce the certificate exactly.
     relabeled = sorted(
         (min(lab[a], lab[b]), max(lab[a], lab[b])) for a, b in g.edges
     )
     if tuple(relabeled) != cert:
         raise WitnessMismatch(f"the canonical labeling of {g.cs} misses its certificate")
-    return CanonicalForm(g.n, cert, lab)
+    return CanonicalForm(g.n, cert, lab, nodes)
 
 
 def verify_permutation(
@@ -208,17 +249,21 @@ def isomorphic(
     gap = first_spectral_gap(adjacency_spectrum(a.cs), adjacency_spectrum(b.cs))
     if gap is not None:
         return IsoVerdict(kind="non-isomorphic", certificate=f"spectrum[{gap}]")
+    nodes = 0
     try:
         ca = canonical_form(a, budget)
+        nodes = ca.nodes
         cb = canonical_form(b, budget)
     except BudgetExceeded:
-        return IsoVerdict(kind="timeout")
+        # The search gives up only once it has spent its whole budget.
+        return IsoVerdict(kind="timeout", nodes=nodes + max(budget, 0))
+    nodes += cb.nodes
     if ca.canonical_edges != cb.canonical_edges:
-        return IsoVerdict(kind="non-isomorphic", certificate="canonical-form")
+        return IsoVerdict(kind="non-isomorphic", certificate="canonical-form", nodes=nodes)
     inv_b = [0] * b.n
     for v in range(b.n):
         inv_b[cb.labeling[v]] = v
     perm = tuple(inv_b[ca.labeling[v]] for v in range(a.n))
     if not verify_permutation(a, b, perm):
         raise WitnessMismatch(f"the canonical permutation does not carry {a.cs} onto {b.cs}")
-    return IsoVerdict(kind="isomorphic", permutation=perm)
+    return IsoVerdict(kind="isomorphic", permutation=perm, nodes=nodes)

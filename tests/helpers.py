@@ -2,18 +2,27 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Optional
 
 from hypothesis import strategies as st
 
 from circio import (
+    TYPE2,
     CirculantGraph,
     ConnectionSet,
     EdgeImage,
     ThetaParams,
+    TupleRecord,
+    enumerate_family,
+    family,
     is_circulant,
     theta_vertex_map,
 )
+
+# Four Type-1 family rows (family, row from 1) whose canonical search is the
+# costliest part of the pair queries; their costs span a sixfold range.
+CATALOGUE_T1 = (("a", 3), ("b", 30), ("a", 206), ("b", 206))
 
 # (n, m) pairs where the block transform is defined at all.
 THETA_ORDERS = ((8, 2), (16, 2), (24, 2), (27, 3), (32, 2), (40, 2), (48, 2), (54, 3))
@@ -48,3 +57,14 @@ def edge_level_theta_image(cs: ConnectionSet, m: int, t: int) -> Optional[Connec
         pa, pb = perm[a], perm[b]
         pairs.add((pa, pb) if pa < pb else (pb, pa))
     return is_circulant(EdgeImage(cs.n, frozenset(pairs)))
+
+
+@lru_cache(maxsize=None)
+def family_records(name: str) -> tuple[TupleRecord, ...]:
+    """All 511 rows of family a or b, in table order."""
+    return tuple(enumerate_family(family(name), workers=1))
+
+
+def type2_family_records() -> list[TupleRecord]:
+    """The 960 Type-2 rows of both families."""
+    return [r for r in family_records("a") + family_records("b") if r.verdict.kind == TYPE2]

@@ -15,12 +15,13 @@ from circio import (
     WitnessMismatch,
     canonical_edges_of,
     canonical_form,
+    generate_c1,
     isomorphic,
     multiply_set,
     units,
     verify_permutation,
 )
-from helpers import cs
+from helpers import CATALOGUE_T1, cs, family_records, type2_family_records
 
 
 def graph(text: str) -> CirculantGraph:
@@ -141,13 +142,13 @@ class TestCertificateChecks:
             canonical_edges_of(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
 
     def test_labeling_that_misses_its_certificate(self, monkeypatch):
-        real = oracle_mod.canonical_edges_of
+        real = oracle_mod._canonical_search
 
         def wrong_certificate(n, edges, budget):
-            cert, lab = real(n, edges, budget)
-            return cert[1:], lab
+            cert, lab, nodes = real(n, edges, budget)
+            return cert[1:], lab, nodes
 
-        monkeypatch.setattr(oracle_mod, "canonical_edges_of", wrong_certificate)
+        monkeypatch.setattr(oracle_mod, "_canonical_search", wrong_certificate)
         with pytest.raises(WitnessMismatch):
             canonical_form(graph("C16(1,2)"))
 
@@ -155,3 +156,100 @@ class TestCertificateChecks:
         monkeypatch.setattr(oracle_mod, "verify_permutation", lambda a, b, perm: False)
         with pytest.raises(WitnessMismatch):
             isomorphic(graph("C8(1,2)"), graph("C8(2,3)"))
+
+
+def relabeled(g: CirculantGraph, seed: int) -> list[tuple[int, int]]:
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return [(min(perm[a], perm[b]), max(perm[a], perm[b])) for a, b in g.edges]
+
+
+class TestDihedralSeeds:
+    """The rotation and reflection seeds prune the search but change no byte:
+    certificate and labeling are the same with the seeds and without them."""
+
+    @staticmethod
+    def seeded_and_unseeded(monkeypatch, n, edges):
+        used = []
+        real = oracle_mod._dihedral_seeds
+
+        def spy(n, search):
+            seeds = real(n, search)
+            used.extend(seeds)
+            return seeds
+
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle_mod, "_dihedral_seeds", spy)
+            seeded = canonical_edges_of(n, edges)
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle_mod, "_dihedral_seeds", lambda n, search: [])
+            unseeded = canonical_edges_of(n, edges)
+        return seeded, unseeded, len(used)
+
+    def assert_same_with_both_seeds(self, monkeypatch, g: CirculantGraph):
+        seeded, unseeded, used = self.seeded_and_unseeded(monkeypatch, g.n, sorted(g.edges))
+        assert used == 2, g.cs
+        assert seeded == unseeded, g.cs
+
+    def test_sampled_family_rows(self, monkeypatch):
+        # Type-1 rows cost seconds without the seeds: see test_catalogue_t1_rows.
+        for record in random.Random(4).sample(type2_family_records(), 20):
+            for member in record.members:
+                self.assert_same_with_both_seeds(monkeypatch, CirculantGraph(member))
+
+    def test_cycle(self, monkeypatch):
+        self.assert_same_with_both_seeds(monkeypatch, graph("C54(1)"))
+
+    def test_c27_construction_pair(self, monkeypatch):
+        for i in (1, 2):
+            self.assert_same_with_both_seeds(monkeypatch, CirculantGraph(generate_c1(1, 3, 1, 0, i)))
+
+    def test_relabeled_input_gets_no_seed(self, monkeypatch):
+        g = graph("C54(1,3,17,19)")
+        seeded, unseeded, used = self.seeded_and_unseeded(monkeypatch, g.n, relabeled(g, 5))
+        assert used == 0
+        assert seeded == unseeded
+        assert seeded[0] == canonical_edges_of(g.n, sorted(g.edges))[0]
+
+    @pytest.mark.slow
+    def test_catalogue_t1_rows(self, monkeypatch):
+        for name, row in CATALOGUE_T1:
+            record = family_records(name)[row - 1]
+            for member in (record.members[0], record.theta_images[2]):
+                self.assert_same_with_both_seeds(monkeypatch, CirculantGraph(member))
+
+
+class TestNodeCounts:
+    def test_cycle_needs_three_nodes(self):
+        # Root, one child, one leaf: the rotation prunes the root's other
+        # children and the reflection the child's.
+        assert canonical_form(graph("C54(1)"), budget=3).nodes == 3
+        with pytest.raises(BudgetExceeded):
+            canonical_form(graph("C54(1)"), budget=2)
+
+    def test_costliest_catalogue_graph_fits_in_1000(self):
+        form = canonical_form(graph("C54(2,6,12,16,18,20,24)"), budget=1000)
+        assert 0 < form.nodes <= 1000
+
+    def test_isomorphic_sums_both_sides(self):
+        a, b = graph("C54(1,3,17,19)"), graph("C54(3,7,11,25)")
+        v = isomorphic(a, b)
+        assert v.nodes == canonical_form(a).nodes + canonical_form(b).nodes
+
+    def test_timeout_says_how_far_it_got(self):
+        # Each side needs 5 nodes; the first one gives up after the budget.
+        a, b = graph("C54(1,3,17,19)"), graph("C54(3,7,11,25)")
+        for budget in (3, 4):
+            v = isomorphic(a, b, budget=budget)
+            assert v.kind == "timeout"
+            assert v.nodes == budget
+        assert isomorphic(a, b, budget=5).nodes == 10
+
+    def test_spectral_verdict_uses_no_nodes(self):
+        v = isomorphic(graph("C16(1)"), graph("C16(1,2)"))
+        assert v.nodes == 0
+
+    def test_serialize_leaves_nodes_out(self):
+        v = isomorphic(graph("C8(1,2)"), graph("C8(2,3)"))
+        assert v.nodes > 0
+        assert v.serialize() == "isomorphic " + " ".join(map(str, v.permutation))
