@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 from .errors import ZeroJump
 
 _CS_TEXT = re.compile(r"^\s*C\s*(\d+)\s*\(\s*([0-9,\s]*?)\s*\)\s*$")
@@ -153,24 +151,23 @@ def is_circulant(img: EdgeImage) -> Optional[ConnectionSet]:
 
 
 def adjacency_spectrum(cs: ConnectionSet) -> list[float]:
-    """Eigenvalues of C_n(cs), ascending. Closed form over cosines."""
+    """Eigenvalues of C_n(cs), ascending: the closed form sum over the jumps
+    of 2cos(2.0 * math.pi * k * s / n), each angle formed left to right."""
     n = cs.n
-    k = np.arange(n)
-    lam = np.zeros(n)
+    lam = [0.0] * n
     for s in cs.jumps:
         if 2 * s == n:
-            lam += np.cos(math.pi * k)
+            terms = [math.cos(math.pi * k) for k in range(n)]
         else:
-            lam += 2.0 * np.cos(2.0 * math.pi * k * s / n)
+            terms = [2.0 * math.cos(2.0 * math.pi * k * s / n) for k in range(n)]
+        lam = [x + y for x, y in zip(lam, terms)]
     lam.sort()
-    return lam.tolist()
+    return lam
 
 
 def spectra_equal(a: Sequence[float], b: Sequence[float], tol: float = 1e-9) -> bool:
     """Sorted-multiset equality with absolute tolerance."""
-    if len(a) != len(b):
-        return False
-    return all(abs(x - y) <= tol for x, y in zip(a, b))
+    return first_spectral_gap(a, b, tol) is None
 
 
 def first_spectral_gap(a: Sequence[float], b: Sequence[float], tol: float = 1e-9) -> Optional[int]:

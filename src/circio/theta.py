@@ -135,8 +135,7 @@ def theta_witness(cs: ConnectionSet, m: int, t: int) -> Optional[ThetaWitness]:
 
 def theta_scan(cs: ConnectionSet, m: int) -> list[tuple[int, ConnectionSet]]:
     """All t in [1, n/m - 1] with a circulant image, ascending by t."""
-    if not theta_params_valid(cs.n, m, cs):
-        raise InvalidParams(f"theta is undefined for n={cs.n}, m={m}, jumps={cs.jumps}")
+    _check_params(cs, m, 0)
     hits = []
     mults = {j for j in cs.jumps if j % m == 0}
     for t in range(1, cs.n // m):

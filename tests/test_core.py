@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -146,6 +145,7 @@ class TestSpectrum:
 
     @given(connection_sets(max_n=30))
     def test_matches_dense_eigensolver(self, a):
+        np = pytest.importorskip("numpy")
         n = a.n
         mat = np.zeros((n, n))
         for x, row in enumerate(CirculantGraph(a).adjacency):

@@ -418,12 +418,12 @@ class TestProbes:
 
     def test_deterministic_spectral_outcome(self):
         # not asserted by the library, but the computation is deterministic:
-        # every probed pair separates on its spectrum
+        # every probed pair separates on its spectrum, the eight n=48 pairs
+        # at the second eigenvalue and the other 27 at the first
         report = probe_open_problems()
         assert all(e.verdict.kind == "non-isomorphic" for e in report.entries)
-        assert all(
-            e.verdict.certificate.startswith("spectrum[") for e in report.entries
-        )
+        certificates = [e.verdict.certificate for e in report.entries]
+        assert certificates == ["spectrum[1]"] * 8 + ["spectrum[0]"] * 27
 
     def test_json_and_summary(self):
         report = probe_open_problems()
