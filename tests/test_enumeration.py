@@ -53,6 +53,19 @@ def family_b():
     return enumerate_family(family("b"))
 
 
+@pytest.fixture(scope="module")
+def scan54():
+    return full_scan(54)
+
+
+def scan_counts(pairs: int, type2: int, type1: int) -> dict[str, int]:
+    return {
+        "type2_pairs_raw": pairs,
+        "type2_tuples_primitive": type2,
+        "type1_tuples_primitive": type1,
+    }
+
+
 class TestFamilySpec:
     def test_specs(self):
         a = family("a")
@@ -242,25 +255,40 @@ class TestFullScan:
         assert rep.counts["type2_tuples_primitive"] == 0
         assert rep.records == []
 
+    # Every count of every scannable order the benchmark runs, plus n = 24:
+    # pairs, T2 tuples, T1 tuples.
     def test_n16(self):
-        rep = full_scan(16)
-        assert rep.counts["type2_pairs_raw"] == 8
-        assert rep.counts["type2_tuples_primitive"] == 8
+        assert full_scan(16).counts == scan_counts(8, 8, 7)
 
     def test_n24(self):
-        rep = full_scan(24)
-        assert rep.counts["type2_pairs_raw"] == 64
-        assert rep.counts["type2_tuples_primitive"] == 32
+        assert full_scan(24).counts == scan_counts(64, 32, 94)
 
     def test_n27(self):
-        rep = full_scan(27)
-        assert rep.counts["type2_pairs_raw"] == 72
-        assert rep.counts["type2_tuples_primitive"] == 12
+        assert full_scan(27).counts == scan_counts(72, 12, 3)
 
     def test_n32(self):
-        rep = full_scan(32)
-        assert rep.counts["type2_pairs_raw"] == 1392
-        assert rep.counts["type2_tuples_primitive"] == 384
+        assert full_scan(32).counts == scan_counts(1392, 384, 126)
+
+    def test_n48(self):
+        assert full_scan(48).counts == scan_counts(105728, 10624, 9851)
+
+    def test_n54(self, scan54):
+        assert scan54.counts == scan_counts(28800, 960, 1595)
+
+    def test_n54_is_the_paper_960(self, scan54, family_a, family_b):
+        # The exhaustive scan and the two families derive the paper's 960
+        # Type-2 triples independently; as sets of members they agree.
+        assert all(
+            len(rec.members) == 3 and rec.verdict.m == 3 for rec in scan54.records
+        )
+        scanned = {frozenset(rec.members) for rec in scan54.records}
+        rows = {
+            frozenset(rec.members)
+            for rec in family_a + family_b
+            if rec.verdict.kind == TYPE2
+        }
+        assert len(scan54.records) == len(scanned) == len(rows) == 960
+        assert scanned == rows
 
     def test_no_transform_order_scans_clean(self):
         rep = full_scan(12)
