@@ -4,7 +4,8 @@
 Writes family_a.csv and family_b.csv into --out-dir (default: cwd), prints
 per-family verdict tallies, then runs the golden-row recomputation and
 prints its report. Exits 1 if any golden verdict disagrees, 2 on bad input
-(such as a CIRCIO_WORKERS value that is not an integer).
+(such as a CIRCIO_WORKERS value that is not an integer) or an output path
+that cannot be written.
 """
 
 from __future__ import annotations
@@ -40,6 +41,10 @@ def main() -> int:
         report = verify_goldens()
     except CircioError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        path = exc.filename or args.out_dir
+        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
         return 2
     print(report.summary())
     return 0 if report.ok else 1

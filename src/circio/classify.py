@@ -17,7 +17,7 @@ from .core import CirculantGraph, ConnectionSet
 from .errors import InvalidParams, OrderMismatch
 from .multipliers import AdamOrbit, adam_orbit, is_adam_equivalent
 from .oracle import DEFAULT_BUDGET, isomorphic
-from .theta import theta_image, theta_params_valid, theta_scan, valid_block_moduli
+from .theta import _has_multiple, theta_image, theta_scan, valid_block_moduli
 
 TYPE1 = "type1"
 TYPE2 = "type2"
@@ -191,7 +191,7 @@ def classify_tuple(
     base = members[0]
     rest = set(members[1:])
     for m in valid_block_moduli(n):
-        if not theta_params_valid(n, m, base):
+        if not _has_multiple(base, m):
             continue
         for t, img in theta_scan(base, m):
             if img in rest:

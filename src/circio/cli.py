@@ -3,7 +3,8 @@
 The CSV/JSONL writers live in circio.export; this module binds them too.
 
 Exit codes: 0 on success, 1 when verify-goldens finds a verdict mismatch,
-2 on usage errors (including parameter values the library rejects).
+2 on usage errors (including parameter values the library rejects and output
+paths that cannot be written).
 """
 
 from __future__ import annotations
@@ -38,6 +39,19 @@ def _parse_set(text: str) -> ConnectionSet:
         return ConnectionSet.parse(text)
     except (ValueError, CircioError) as exc:
         raise click.UsageError(f"bad connection set {text!r}: {exc}") from exc
+
+
+def _unwritable(path: str, exc: OSError) -> click.UsageError:
+    return click.UsageError(f"cannot write {path}: {exc.strerror or exc}")
+
+
+def _write_json(data: dict, path: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh, indent=2)
+            fh.write("\n")
+    except OSError as exc:
+        raise _unwritable(path, exc) from exc
 
 
 @click.group()
@@ -121,10 +135,13 @@ def enumerate_family_cmd(
     click.echo(f"enumerating family {family_name} (511 rows)...", err=True)
     records = enumerate_family(spec, workers=workers)
     tally = verdict_counts(records)
-    if out_path.endswith(".jsonl"):
-        export_jsonl(records, out_path)
-    else:
-        export_csv(records, out_path)
+    try:
+        if out_path.endswith(".jsonl"):
+            export_jsonl(records, out_path)
+        else:
+            export_csv(records, out_path)
+    except OSError as exc:
+        raise _unwritable(out_path, exc) from exc
     click.echo(
         f"family {family_name}: {len(records)} rows, {tally['T2']} T2, {tally['T1']} T1"
         f" -> {out_path}"
@@ -147,27 +164,21 @@ def enumerate_family_cmd(
     show_default=True,
     help="Ceiling on scan work units.",
 )
-@click.option(
-    "--max-jumps", type=int, default=None, help="Skip sets with more jumps."
-)
 @click.option("--workers", type=int, default=None, help="Worker processes.")
 def scan_cmd(
     n: int,
     out_path: str,
     budget: int,
-    max_jumps: Optional[int],
     workers: Optional[int],
 ) -> None:
     """Exhaustively scan one order and write a JSON report to --out."""
     click.echo(f"scanning n={n}...", err=True)
     try:
         workers = worker_count(workers)
-        report = full_scan(n, max_jump_count=max_jumps, budget=budget, workers=workers)
+        report = full_scan(n, budget=budget, workers=workers)
     except CircioError as exc:
         raise click.UsageError(str(exc)) from exc
-    with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_json(), fh, indent=2)
-        fh.write("\n")
+    _write_json(report.to_json(), out_path)
     parts = ", ".join(f"{k}={v}" for k, v in sorted(report.counts.items()))
     click.echo(f"n={n}: {parts} -> {out_path}")
 
@@ -235,9 +246,7 @@ def probe_open_cmd(budget: int, out_path: Optional[str]) -> None:
     report = probe_open_problems(budget=budget)
     click.echo(report.summary())
     if out_path is not None:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            json.dump(report.to_json(), fh, indent=2)
-            fh.write("\n")
+        _write_json(report.to_json(), out_path)
 
 
 @main.command("verify-goldens")

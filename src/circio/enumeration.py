@@ -214,15 +214,12 @@ def _mask_jumps(extension_pool: Sequence[int], mask: int) -> tuple[int, ...]:
     return tuple(j for i, j in enumerate(extension_pool) if mask >> i & 1)
 
 
-def _admissible_masks(
-    core_size: int, popcounts: Sequence[int], max_jump_count: Optional[int]
-) -> list[int]:
-    """Nonempty extension masks giving core + extension 3 to max_jump_count jumps."""
-    top = math.inf if max_jump_count is None else max_jump_count
+def _admissible_masks(core_size: int, popcounts: Sequence[int]) -> list[int]:
+    """Nonempty extension masks giving core + extension at least 3 jumps."""
     return [
         mask
         for mask in range(1, len(popcounts))
-        if 3 <= core_size + popcounts[mask] <= top
+        if core_size + popcounts[mask] >= 3
     ]
 
 
@@ -264,7 +261,6 @@ _SCAN_CONVENTION = (
 
 def full_scan(
     n: int,
-    max_jump_count: Optional[int] = None,
     budget: int = DEFAULT_SCAN_BUDGET,
     workers: Optional[int] = None,
 ) -> ScanReport:
@@ -282,7 +278,7 @@ def full_scan(
     }
     records: list[TupleRecord] = []
     for m in valid_block_moduli(n):
-        _scan_one_modulus(n, m, max_jump_count, budget, workers, counts, records)
+        _scan_one_modulus(n, m, budget, workers, counts, records)
     records.sort(key=lambda r: tuple(c.jumps for c in r.members))
     return ScanReport(
         n=n, convention=_SCAN_CONVENTION, counts=counts, records=records
@@ -292,7 +288,6 @@ def full_scan(
 def _scan_one_modulus(
     n: int,
     m: int,
-    max_jump_count: Optional[int],
     budget: int,
     workers: Optional[int],
     counts: dict[str, int],
@@ -300,6 +295,7 @@ def _scan_one_modulus(
 ) -> None:
     extension_pool = tuple(j for j in range(m, n // 2 + 1, m))
     levels = _levels(n, m)
+    all_atoms: set[tuple[int, ...]] = set()
     cores: set[tuple[int, ...]] = set()
     for h in sorted(levels):
         atoms = _nonmultiple_atoms(n, m, h)
@@ -307,14 +303,13 @@ def _scan_one_modulus(
             raise Intractable(
                 f"level {h} of n={n}, m={m} has {len(atoms)} atoms"
             )
+        all_atoms.update(atoms)
         atom_sets = [set(a) for a in atoms]
         for r in range(1, len(atoms) + 1):
             for combo in combinations(range(len(atoms)), r):
                 merged: set[int] = set()
                 for i in combo:
                     merged |= atom_sets[i]
-                if max_jump_count is not None and len(merged) > max_jump_count:
-                    continue
                 cores.add(tuple(sorted(merged)))
     core_list = sorted(cores)
     t_range = n // m - 1
@@ -361,7 +356,7 @@ def _scan_one_modulus(
         src, dst, t = linked[key]
         xs = cosets[key]
         tables = [mask_tables[x] for x in xs]
-        for mask in _admissible_masks(len(src), popcounts, max_jump_count):
+        for mask in _admissible_masks(len(src), popcounts):
             if any(table[mask] == mask for table in tables):
                 continue
             counts["type2_pairs_raw"] += 1
@@ -374,11 +369,15 @@ def _scan_one_modulus(
                     t,
                 )
 
-    # Primitive tuples: classes chased from minimal cores only.
+    # Primitive tuples: classes chased from minimal cores only. Atoms of one
+    # level are disjoint and every core is a union of them, so a core of two
+    # or more atoms strictly contains an atom: the minimal cores are the
+    # minimal atoms.
+    atom_list = sorted(all_atoms)
     minimal = [
         a
-        for a in core_list
-        if not any(b != a and set(b) < set(a) for b in core_list)
+        for a in atom_list
+        if not any(b != a and set(b) < set(a) for b in atom_list)
     ]
     minimal_set = set(minimal)
     visited: set[tuple[int, ...]] = set()
@@ -419,7 +418,7 @@ def _scan_one_modulus(
             if img is not None and img in group and img != base_core
         ]
         first_t = base_hits[0][0]
-        for mask in _admissible_masks(len(base_core), popcounts, max_jump_count):
+        for mask in _admissible_masks(len(base_core), popcounts):
             if all(
                 any(table[mask] == mask for table in tables)
                 for tables in pair_tables

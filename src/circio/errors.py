@@ -25,10 +25,6 @@ class InvalidParams(CircioError):
     """Transform parameters violate a precondition."""
 
 
-class NotMultipleOfM(CircioError):
-    """An extension jump was required to be a multiple of m and is not."""
-
-
 class BudgetExceeded(CircioError):
     """Search exceeded its node/refinement budget."""
 

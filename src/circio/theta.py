@@ -20,10 +20,10 @@ edges of the jump-level image.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .core import CirculantGraph, ConnectionSet, reflexive_reduce
-from .errors import InvalidParams, NotMultipleOfM, WitnessMismatch
+from .core import CirculantGraph, ConnectionSet
+from .errors import InvalidParams, WitnessMismatch
 
 
 @dataclass(frozen=True)
@@ -60,15 +60,6 @@ def valid_block_moduli(n: int) -> list[int]:
     return out
 
 
-def theta_params_valid(n: int, m: int, cs: ConnectionSet) -> bool:
-    """True iff m^3 | n and cs carries at least one multiple of m."""
-    if m < 2:
-        raise InvalidParams(f"m must be >= 2, got {m}")
-    if n % (m ** 3) != 0:
-        return False
-    return any(j % m == 0 for j in cs.jumps)
-
-
 def theta_vertex_map(params: ThetaParams) -> tuple[int, ...]:
     """The permutation x -> x + (x mod m)*t*m mod n.
 
@@ -79,10 +70,15 @@ def theta_vertex_map(params: ThetaParams) -> tuple[int, ...]:
     return tuple((x + (x % m) * t * m) % n for x in range(n))
 
 
+def _has_multiple(cs: ConnectionSet, m: int) -> bool:
+    return any(j % m == 0 for j in cs.jumps)
+
+
 def _check_params(cs: ConnectionSet, m: int, t: int) -> ThetaParams:
-    if not theta_params_valid(cs.n, m, cs):
+    params = ThetaParams(cs.n, m, t)
+    if not _has_multiple(cs, m):
         raise InvalidParams(f"theta is undefined for n={cs.n}, m={m}, jumps={cs.jumps}")
-    return ThetaParams(cs.n, m, t)
+    return params
 
 
 def _jump_image(
@@ -91,7 +87,9 @@ def _jump_image(
     """Image of C_n(jumps) under theta_{n,m,t} by the D'_r rule, or None.
 
     Needs no multiple of m in jumps and does not validate its arguments;
-    callers check eligibility first.
+    callers check eligibility first. A circulant image's D'_0 is the
+    neighbour set of vertex 0 in a loopless undirected graph, so it holds
+    no 0 and is closed under negation: its reduced jumps are the d <= n/2.
     """
     diffs = [d for s in jumps for d in (s, n - s)]
     shift = t * m
@@ -99,7 +97,7 @@ def _jump_image(
     for r in range(1, m):
         if {(d + ((r + d) % m - r) * shift) % n for d in diffs} != first:
             return None
-    return reflexive_reduce(first, n)
+    return ConnectionSet(n, tuple(sorted(d for d in first if 2 * d <= n)))
 
 
 def theta_image(cs: ConnectionSet, m: int, t: int) -> Optional[ConnectionSet]:
@@ -148,23 +146,3 @@ def theta_scan(cs: ConnectionSet, m: int) -> list[tuple[int, ConnectionSet]]:
                 )
             hits.append((t, img))
     return hits
-
-
-def union_shift(
-    cs: ConnectionSet, extra: Iterable[int], m: int, t: int
-) -> Optional[ConnectionSet]:
-    """theta_image(cs + extra, m, t) where extra holds reduced multiples of m.
-
-    Raises NotMultipleOfM for an extension jump that is not a multiple of m,
-    not reduced, or already in cs.
-    """
-    extra = tuple(sorted(set(extra)))
-    half = cs.n // 2
-    for e in extra:
-        if e % m != 0:
-            raise NotMultipleOfM(f"extension jump {e} is not a multiple of {m}")
-        if not (1 <= e <= half):
-            raise NotMultipleOfM(f"extension jump {e} is not reduced for n={cs.n}")
-        if e in cs.jumps:
-            raise NotMultipleOfM(f"extension jump {e} already present in {cs}")
-    return theta_image(ConnectionSet(cs.n, tuple(sorted(cs.jumps + extra))), m, t)

@@ -9,7 +9,7 @@ from click.testing import CliRunner
 
 import circio.cli as cli_mod
 from circio.cli import export_csv, export_jsonl, main
-from circio import GoldenReport, enumerate_family, family
+from circio import GoldenReport, ProbeReport, enumerate_family, family
 
 ROW1 = (
     '1,C54(1,3,17,19),C54(3,7,11,25),C54(3,5,13,23),'
@@ -25,6 +25,13 @@ def runner():
 @pytest.fixture(scope="module")
 def family_a_records():
     return enumerate_family(family("a"))
+
+
+def assert_unwritable(result, path):
+    """An output path under a missing directory is exit 2 naming the path."""
+    assert result.exit_code == 2
+    assert f"cannot write {path}" in result.output
+    assert not isinstance(result.exception, OSError)
 
 
 class TestOrbitCommand:
@@ -131,6 +138,13 @@ class TestEnumerateFamilyCommand:
         )
         assert result.exit_code == 2
 
+    def test_unwritable_out_exit_2(self, runner, tmp_path):
+        out = tmp_path / "missing" / "fam.csv"
+        result = runner.invoke(
+            main, ["enumerate-family", "--family", "a", "--out", str(out)]
+        )
+        assert_unwritable(result, out)
+
 
 class TestScanCommand:
     def test_writes_report(self, runner, tmp_path):
@@ -145,6 +159,11 @@ class TestScanCommand:
             main, ["scan", "--n", "60", "--out", str(tmp_path / "x.json")]
         )
         assert result.exit_code == 2
+
+    def test_unwritable_out_exit_2(self, runner, tmp_path):
+        out = tmp_path / "missing" / "scan16.json"
+        result = runner.invoke(main, ["scan", "--n", "16", "--out", str(out)])
+        assert_unwritable(result, out)
 
 
 class TestWorkersEnvironment:
@@ -202,6 +221,14 @@ class TestProbeOpenCommand:
         ]
         assert len(entry_lines) == 35
         assert len(json.loads(out.read_text())["entries"]) == 35
+
+    def test_unwritable_out_exit_2(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setattr(
+            cli_mod, "probe_open_problems", lambda budget: ProbeReport(entries=())
+        )
+        out = tmp_path / "missing" / "probes.json"
+        result = runner.invoke(main, ["probe-open", "--out", str(out)])
+        assert_unwritable(result, out)
 
 
 class TestVerifyGoldensCommand:

@@ -26,7 +26,6 @@ from circio import (
     is_adam_equivalent,
     probe_open_problems,
     theta_image,
-    union_shift,
     valid_block_moduli,
     worker_count,
 )
@@ -156,8 +155,6 @@ class TestEnumerateFamily:
                     seed_img = theta_image(seed, 3, t)
                     expected = set(seed_img.jumps) | set(rest)
                     assert set(rec.theta_images[t].jumps) == expected
-                    if rest:
-                        assert union_shift(seed, rest, 3, t) == rec.theta_images[t]
 
 
 class TestWorkerCount:
@@ -322,11 +319,6 @@ class TestFullScan:
     def test_budget_ceiling(self):
         with pytest.raises(Intractable):
             full_scan(54, budget=10)
-
-    def test_max_jump_count_filters(self):
-        rep = full_scan(16, max_jump_count=3)
-        assert all(len(r.members[0].jumps) <= 3 for r in rep.records)
-        assert rep.counts["type2_pairs_raw"] < 8
 
     def test_worker_determinism_n54(self, monkeypatch):
         seq = full_scan(54)

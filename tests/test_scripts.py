@@ -34,3 +34,14 @@ class TestReproduceTables:
         assert "CIRCIO_WORKERS" in err
         assert "Traceback" not in err
         assert not out_dir.exists()
+
+    def test_out_dir_that_is_a_file_is_exit_2(self, monkeypatch, tmp_path, capsys):
+        script = load_script("reproduce_tables")
+        out_dir = tmp_path / "taken"
+        out_dir.write_text("")
+        monkeypatch.setattr(sys, "argv", ["reproduce_tables.py", "--out-dir", str(out_dir)])
+        monkeypatch.delenv("CIRCIO_WORKERS", raising=False)
+        assert script.main() == 2
+        err = capsys.readouterr().err
+        assert f"cannot write {out_dir}" in err
+        assert "Traceback" not in err

@@ -1,24 +1,22 @@
-"""The block-shift transform: worked images, parameter law, union shortcut,
+"""The block-shift transform: worked images, parameter law, fixed multiples,
 and agreement of the jump-level image with the edge-level definition."""
 
 from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import circio.theta as theta_mod
 from circio import (
     ConnectionSet,
     InvalidParams,
-    NotMultipleOfM,
     ThetaParams,
     WitnessMismatch,
     theta_image,
-    theta_params_valid,
     theta_scan,
     theta_vertex_map,
     theta_witness,
-    union_shift,
     valid_block_moduli,
 )
 from circio.enumeration import _core_image
@@ -63,11 +61,13 @@ class TestParams:
         assert valid_block_moduli(216) == [2, 3, 6]
 
     def test_theta_params_valid_needs_multiple(self):
-        assert theta_params_valid(54, 3, cs("C54(1,3,17,19)"))
-        assert not theta_params_valid(54, 3, cs("C54(1,17,19)"))
-        assert not theta_params_valid(16, 3, cs("C16(3,6)"))
-        with pytest.raises(InvalidParams):
-            theta_params_valid(54, 1, cs("C54(1,3)"))
+        assert theta_image(cs("C54(1,3,17,19)"), 3, 2) == cs("C54(3,7,11,25)")
+        with pytest.raises(InvalidParams, match="theta is undefined"):
+            theta_image(cs("C54(1,17,19)"), 3, 2)
+        with pytest.raises(InvalidParams, match="must divide"):
+            theta_image(cs("C16(3,6)"), 3, 0)
+        with pytest.raises(InvalidParams, match="m must be >= 2"):
+            theta_image(cs("C54(1,3)"), 1, 0)
 
 
 class TestVertexMap:
@@ -159,23 +159,27 @@ class TestThetaScan:
 
 
 class TestUnionShift:
-    def test_matches_direct_image(self):
-        probe = cs("C54(1,3,17,19)")
-        assert union_shift(probe, (6, 9), 3, 2) == theta_image(
-            cs("C54(1,3,6,9,17,19)"), 3, 2
-        )
+    """theta fixes multiples of m in every D'_r, so for any set E of them
+    theta(R + E) = theta(R) + E, and both sides are None together."""
 
-    def test_extension_validation(self):
-        base = cs("C54(1,3,17,19)")
-        with pytest.raises(NotMultipleOfM):
-            union_shift(base, (5,), 3, 2)  # not a multiple
-        with pytest.raises(NotMultipleOfM):
-            union_shift(base, (30,), 3, 2)  # not reduced
-        with pytest.raises(NotMultipleOfM):
-            union_shift(base, (3,), 3, 2)  # already present
+    @settings(max_examples=60)
+    @given(theta_inputs(), st.data())
+    def test_matches_direct_image(self, inp, data):
+        a, m, t = inp
+        pool = list(range(m, a.n // 2 + 1, m))
+        extra = set(data.draw(st.lists(st.sampled_from(pool), max_size=len(pool))))
+        union = ConnectionSet(a.n, tuple(sorted(set(a.jumps) | extra)))
+        image = theta_image(a, m, t)
+        expected = (
+            None
+            if image is None
+            else ConnectionSet(a.n, tuple(sorted(set(image.jumps) | extra)))
+        )
+        assert theta_image(union, m, t) == expected
 
     def test_none_propagates(self):
-        assert union_shift(cs("C54(1,3,17,19)"), (6,), 3, 1) is None
+        assert theta_image(cs("C54(1,3,17,19)"), 3, 1) is None
+        assert theta_image(cs("C54(1,3,6,17,19)"), 3, 1) is None
 
 
 class TestJumpLevelImage:
@@ -184,11 +188,6 @@ class TestJumpLevelImage:
     def test_agrees_with_edge_level_definition(self, inp):
         a, m, t = inp
         assert theta_image(a, m, t) == edge_level_theta_image(a, m, t)
-
-        pool = [j for j in range(m, a.n // 2 + 1, m) if j not in a.jumps]
-        extra = tuple(pool[:2])
-        union = ConnectionSet(a.n, tuple(sorted(a.jumps + extra)))
-        assert union_shift(a, extra, m, t) == theta_image(union, m, t)
 
         # A bare core (no multiple of m) against the edge-level image of the
         # core with m adjoined, m stripped again.
