@@ -10,6 +10,7 @@ paths that cannot be written).
 from __future__ import annotations
 
 import json
+import os
 from typing import Optional
 
 import click
@@ -43,6 +44,20 @@ def _parse_set(text: str) -> ConnectionSet:
 
 def _unwritable(path: str, exc: OSError) -> click.UsageError:
     return click.UsageError(f"cannot write {path}: {exc.strerror or exc}")
+
+
+def _check_writable(path: str) -> None:
+    """Raise the usage error for path now, before any work is done.
+
+    An existing file is opened without truncation; a new one is removed again.
+    """
+    existed = os.path.exists(path)
+    try:
+        open(path, "a", encoding="utf-8").close()
+    except OSError as exc:
+        raise _unwritable(path, exc) from exc
+    if not existed:
+        os.remove(path)
 
 
 def _write_json(data: dict, path: str) -> None:
@@ -131,6 +146,7 @@ def enumerate_family_cmd(
         workers = worker_count(workers)
     except CircioError as exc:
         raise click.UsageError(str(exc)) from exc
+    _check_writable(out_path)
     spec = family(family_name)
     click.echo(f"enumerating family {family_name} (511 rows)...", err=True)
     records = enumerate_family(spec, workers=workers)
@@ -175,10 +191,15 @@ def scan_cmd(
     click.echo(f"scanning n={n}...", err=True)
     try:
         workers = worker_count(workers)
+        _check_writable(out_path)
         report = full_scan(n, budget=budget, workers=workers)
     except CircioError as exc:
         raise click.UsageError(str(exc)) from exc
-    _write_json(report.to_json(), out_path)
+    try:
+        with open(out_path, "w", encoding="utf-8") as fh:
+            report.write_json(fh)
+    except OSError as exc:
+        raise _unwritable(out_path, exc) from exc
     parts = ", ".join(f"{k}={v}" for k, v in sorted(report.counts.items()))
     click.echo(f"n={n}: {parts} -> {out_path}")
 

@@ -13,13 +13,14 @@ a multiple-of-m extension that rides along unchanged.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, TextIO
 
 from .classify import TYPE2, Classification, TupleRecord, type1_verdict
 from .core import CirculantGraph, ConnectionSet, reflexive_reduce
@@ -192,10 +193,15 @@ def _core_images(
 def _unit_mask_tables(
     n: int, extension_pool: Sequence[int]
 ) -> dict[int, list[int]]:
-    """For each unit x, mask -> image mask of the multiple-of-m pool."""
+    """For each unit x <= n/2, mask -> image mask of the multiple-of-m pool.
+
+    n - x maps every mask as x does; _coset_tables looks both up here.
+    """
     index = {j: i for i, j in enumerate(extension_pool)}
     tables: dict[int, list[int]] = {}
     for x in units(n):
+        if 2 * x > n:
+            break
         shift = [index[min(x * j % n, n - x * j % n)] for j in extension_pool]
         table = [0] * (1 << len(extension_pool))
         for mask in range(1 << len(extension_pool)):
@@ -208,6 +214,13 @@ def _unit_mask_tables(
             table[mask] = out
         tables[x] = table
     return tables
+
+
+def _coset_tables(
+    n: int, coset: Sequence[int], mask_tables: dict[int, list[int]]
+) -> list[list[int]]:
+    """The mask tables of a coset of carrying units, one per pair {x, n - x}."""
+    return [mask_tables[x] for x in coset if 2 * x <= n]
 
 
 def _mask_jumps(extension_pool: Sequence[int], mask: int) -> tuple[int, ...]:
@@ -240,13 +253,31 @@ class ScanReport:
     counts: dict[str, int]
     records: list[TupleRecord]
 
+    def _header(self) -> dict:
+        return {"n": self.n, "convention": self.convention, "counts": dict(self.counts)}
+
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "convention": self.convention,
-            "counts": dict(self.counts),
-            "records": [r.to_json() for r in self.records],
-        }
+        return {**self._header(), "records": [r.to_json() for r in self.records]}
+
+    def write_json(self, fh: TextIO) -> None:
+        """Write to_json() as json.dump(..., indent=2) and a newline would,
+        one record at a time, so the whole report is never held as JSON."""
+        fh.write("{\n")
+        for key, value in self._header().items():
+            fh.write(f"  {json.dumps(key)}: {_indented_json(value, 2)},\n")
+        if not self.records:
+            fh.write('  "records": []\n}\n')
+            return
+        fh.write('  "records": [\n')
+        for i, record in enumerate(self.records):
+            fh.write(",\n    " if i else "    ")
+            fh.write(_indented_json(record.to_json(), 4))
+        fh.write("\n  ]\n}\n")
+
+
+def _indented_json(value: object, depth: int) -> str:
+    """json.dumps(value, indent=2) as it reads nested depth spaces deep."""
+    return json.dumps(value, indent=2).replace("\n", "\n" + " " * depth)
 
 
 _SCAN_CONVENTION = (
@@ -355,7 +386,7 @@ def _scan_one_modulus(
     for key in sorted(linked):
         src, dst, t = linked[key]
         xs = cosets[key]
-        tables = [mask_tables[x] for x in xs]
+        tables = _coset_tables(n, xs, mask_tables)
         for mask in _admissible_masks(len(src), popcounts):
             if any(table[mask] == mask for table in tables):
                 continue
@@ -410,7 +441,7 @@ def _scan_one_modulus(
             for i in range(len(group))
             for j in range(i + 1, len(group))
         ]
-        pair_tables = [[mask_tables[x] for x in xs] for xs in pair_cosets]
+        pair_tables = [_coset_tables(n, xs, mask_tables) for xs in pair_cosets]
         base_core = group[0]
         base_hits = [
             (t, img)

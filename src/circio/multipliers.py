@@ -3,13 +3,18 @@
 Multiplying every jump by a unit x (then reducing) is the first way two
 connection sets on the same order can describe isomorphic graphs. The orbit
 of a set under all units is the equivalence class for that mechanism.
+
+x and n - x reduce every jump alike, so the orbit needs only the units
+x <= n/2. Their reduced products with each jump j are cached per (n, j) as
+one column; the images of a set are the rows of its jumps' columns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from functools import lru_cache
+from typing import Iterable, Iterator, Optional
 
 from .core import ConnectionSet, reflexive_reduce
 from .errors import NotAUnit, OrderMismatch, WitnessMismatch
@@ -53,10 +58,51 @@ def multiply_set(cs: ConnectionSet, x: int) -> ConnectionSet:
     return out
 
 
+# Columns kept at once: every (n, j) of all orders up to 80 fits.
+_COLUMN_CACHE_SIZE = 2048
+
+
+@lru_cache(maxsize=64)
+def _half_units(n: int) -> tuple[int, ...]:
+    """The units x <= n/2, ascending."""
+    return tuple(x for x in range(1, n // 2 + 1) if math.gcd(x, n) == 1)
+
+
+@lru_cache(maxsize=_COLUMN_CACHE_SIZE)
+def _column(n: int, j: int) -> tuple[int, ...]:
+    """x*j reduced to [1, n//2], for each x in _half_units(n)."""
+    out = []
+    for x in _half_units(n):
+        v = x * j % n
+        out.append(min(v, n - v))
+    return tuple(out)
+
+
+def _images(cs: ConnectionSet) -> list[tuple[int, ...]]:
+    """The jumps of x*cs for each x in _half_units(cs.n), in that order."""
+    n = cs.n
+    columns = [_column(n, j) for j in cs.jumps]
+    if not columns:
+        return [()] * len(_half_units(n))
+    return list(map(tuple, map(sorted, zip(*columns))))
+
+
+def _same_size(cs: ConnectionSet, images: Iterable[tuple[int, ...]]) -> None:
+    """Raise WitnessMismatch unless every image has as many jumps as cs."""
+    # Units permute the difference residues, so the size never changes.
+    for img in images:
+        if len(set(img)) != len(cs.jumps):
+            raise WitnessMismatch(f"a unit multiple of {cs} reduced to {img}, another size")
+
+
 def adam_orbit(cs: ConnectionSet) -> AdamOrbit:
-    """All unit multiples of cs. Always contains cs itself."""
-    seen = {multiply_set(cs, x) for x in units(cs.n)}
-    return AdamOrbit(cs.n, tuple(sorted(seen, key=lambda c: c.jumps)))
+    """All unit multiples of cs, sorted by jumps. Always contains cs itself."""
+    n = cs.n
+    distinct = set(_images(cs))
+    _same_size(cs, distinct)
+    return AdamOrbit(
+        n, tuple([cs if img == cs.jumps else ConnectionSet(n, img) for img in sorted(distinct)])
+    )
 
 
 def carrying_units(a: ConnectionSet, b: ConnectionSet) -> Iterator[int]:
@@ -65,9 +111,13 @@ def carrying_units(a: ConnectionSet, b: ConnectionSet) -> Iterator[int]:
         raise OrderMismatch(f"orders differ: {a.n} vs {b.n}")
     if len(a.jumps) != len(b.jumps):
         return
-    for x in units(a.n):
-        if multiply_set(a, x) == b:
-            yield x
+    n = a.n
+    images = _images(a)
+    _same_size(a, images)
+    low = [x for x, img in zip(_half_units(n), images) if img == b.jumps]
+    yield from low
+    # n - x carries a onto b too; x = n/2 = n - x happens only at n = 2.
+    yield from (n - x for x in reversed(low) if 2 * x != n)
 
 
 def is_adam_equivalent(a: ConnectionSet, b: ConnectionSet) -> Optional[int]:

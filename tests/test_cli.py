@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -164,6 +165,79 @@ class TestScanCommand:
         out = tmp_path / "missing" / "scan16.json"
         result = runner.invoke(main, ["scan", "--n", "16", "--out", str(out)])
         assert_unwritable(result, out)
+
+
+class TestUnwritableOutBeforeWork:
+    """A bad --out fails before the work starts, and a failed scan leaves the
+    file alone."""
+
+    @staticmethod
+    def refuse(*args, **kwargs):
+        pytest.fail("the work ran before --out was checked")
+
+    def test_scan(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli_mod, "full_scan", self.refuse)
+        out = tmp_path / "missing" / "scan48.json"
+        result = runner.invoke(main, ["scan", "--n", "48", "--out", str(out)])
+        assert_unwritable(result, out)
+
+    def test_enumerate_family(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli_mod, "enumerate_family", self.refuse)
+        out = tmp_path / "missing" / "fam.csv"
+        result = runner.invoke(
+            main, ["enumerate-family", "--family", "a", "--out", str(out)]
+        )
+        assert_unwritable(result, out)
+
+    def test_intractable_scan_creates_no_file(self, runner, tmp_path):
+        out = tmp_path / "x.json"
+        result = runner.invoke(main, ["scan", "--n", "60", "--out", str(out)])
+        assert result.exit_code == 2
+        assert not out.exists()
+
+    def test_intractable_scan_keeps_an_existing_file(self, runner, tmp_path):
+        out = tmp_path / "x.json"
+        out.write_text("earlier report\n")
+        result = runner.invoke(main, ["scan", "--n", "60", "--out", str(out)])
+        assert result.exit_code == 2
+        assert out.read_text() == "earlier report\n"
+
+
+# Pinned sha256 of each output file. They guard the order of the orbit
+# members and the streamed scan report byte for byte.
+SCAN_REPORT_SHA256 = {
+    16: "2c3674385590c4fcbdd87ac6aca833779320b01707bc92429835444e84fa6b93",
+    27: "63e09f7260c173a1e6e1be9cb552de02cfa92bc34dc4c54164a96a520b7c6f01",
+    32: "047c1f4b5b5b189466a9b739f59d14afc3e3124dd32b5c9b475bb211be54c0b5",
+    48: "85122074b64375cee90e35fe3ea64b61d59f27acd418ce51413a2c3ab911be68",
+    54: "d219bea46771901238577a43d67440ea9b4ebf87b382c5ddc0b5872e3d094822",
+}
+FAMILY_SHA256 = {
+    ("a", "csv"): "24d74a98eb4a1ee230081ab4990aa4a8c9fd466311e2494e02c6039070a665c8",
+    ("b", "jsonl"): "223bdaecba98dd687f095527fc1b3db632340bd3c04929b08fa2744b42e973d5",
+}
+
+
+def sha256_of(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestOutputBytes:
+    @pytest.mark.parametrize("n", sorted(SCAN_REPORT_SHA256))
+    def test_scan_report(self, runner, tmp_path, n):
+        out = tmp_path / f"scan{n}.json"
+        result = runner.invoke(main, ["scan", "--n", str(n), "--out", str(out)])
+        assert result.exit_code == 0
+        assert sha256_of(out) == SCAN_REPORT_SHA256[n]
+
+    @pytest.mark.parametrize("name,suffix", sorted(FAMILY_SHA256))
+    def test_family_export(self, runner, tmp_path, name, suffix):
+        out = tmp_path / f"family_{name}.{suffix}"
+        result = runner.invoke(
+            main, ["enumerate-family", "--family", name, "--out", str(out)]
+        )
+        assert result.exit_code == 0
+        assert sha256_of(out) == FAMILY_SHA256[name, suffix]
 
 
 class TestWorkersEnvironment:

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import io
+import json
 import os
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -53,8 +56,14 @@ def family_b():
 
 
 @pytest.fixture(scope="module")
-def scan54():
-    return full_scan(54)
+def scan_of():
+    """full_scan(n), run once per order in this module."""
+    return lru_cache(maxsize=None)(full_scan)
+
+
+@pytest.fixture(scope="module")
+def scan54(scan_of):
+    return scan_of(54)
 
 
 def scan_counts(pairs: int, type2: int, type1: int) -> dict[str, int]:
@@ -266,8 +275,8 @@ class TestFullScan:
     def test_n32(self):
         assert full_scan(32).counts == scan_counts(1392, 384, 126)
 
-    def test_n48(self):
-        assert full_scan(48).counts == scan_counts(105728, 10624, 9851)
+    def test_n48(self, scan_of):
+        assert scan_of(48).counts == scan_counts(105728, 10624, 9851)
 
     def test_n54(self, scan54):
         assert scan54.counts == scan_counts(28800, 960, 1595)
@@ -310,6 +319,13 @@ class TestFullScan:
         }
         assert len(out["records"]) == 8
 
+    @pytest.mark.parametrize("n", [8, 16, 27])
+    def test_streamed_report_is_the_json_dump(self, n):
+        report = full_scan(n)
+        fh = io.StringIO()
+        report.write_json(fh)
+        assert fh.getvalue() == json.dumps(report.to_json(), indent=2) + "\n"
+
     def test_order_ceiling(self):
         with pytest.raises(Intractable):
             full_scan(55)
@@ -326,6 +342,37 @@ class TestFullScan:
         par = full_scan(54)
         assert seq.counts == par.counts
         assert [r.members for r in seq.records] == [r.members for r in par.records]
+
+
+def records_holding(report, sets) -> list:
+    """The records of a scan report whose members include every set in sets."""
+    return [rec for rec in report.records if set(sets) <= set(rec.members)]
+
+
+class TestScanHoldsTheConstructions:
+    """The exhaustive scan re-derives both constructions: each output lies
+    inside one scan record."""
+
+    def test_every_a17c_pair(self, scan_of):
+        pairs = []
+        for k in range(2, 7):
+            for s in range(1, k + 1):
+                if 2 * s - 1 != k:
+                    pairs.append((k, generate_a17c(k, s)))
+        assert len(pairs) == 18
+        for k, pair in pairs:
+            assert len(records_holding(scan_of(8 * k), pair)) == 1
+
+    @pytest.mark.parametrize("base,ys", [(1, 3), (2, 6)], ids=["n27", "n54"])
+    def test_every_c1_chain(self, scan_of, base, ys):
+        chains = [
+            [generate_c1(base, 3, x, y, i) for i in range(1, 4)]
+            for x in (1, 2)
+            for y in range(ys)
+        ]
+        assert len(chains) == 2 * ys
+        for chain in chains:
+            assert len(records_holding(scan_of(27 * base), chain)) == 1
 
 
 def brute_force_pair_count(n: int) -> int:

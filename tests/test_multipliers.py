@@ -147,6 +147,83 @@ class TestIsAdamEquivalent:
         assert is_adam_equivalent(cs("C54(1,3)"), cs("C54(1)")) is None
 
 
+@st.composite
+def same_order_pairs(draw) -> tuple[ConnectionSet, ConnectionSet]:
+    """(a, b) on one order; b is a unit multiple of a about half the time."""
+    a = draw(connection_sets(max_n=60))
+    if draw(st.booleans()):
+        us = units(a.n)
+        return a, multiply_set(a, us[draw(st.integers(0, len(us) - 1))])
+    jumps = draw(st.sets(st.integers(1, a.n // 2), min_size=1))
+    return a, ConnectionSet(a.n, tuple(sorted(jumps)))
+
+
+def every_set(n: int) -> list[ConnectionSet]:
+    half = range(1, n // 2 + 1)
+    return [ConnectionSet(n, c) for k in range(1, len(half) + 1) for c in combinations(half, k)]
+
+
+def orbit_by_definition(a: ConnectionSet) -> tuple[ConnectionSet, ...]:
+    return tuple(sorted({multiply_set(a, x) for x in units(a.n)}))
+
+
+def carrying_by_definition(a: ConnectionSet, b: ConnectionSet) -> list[int]:
+    return [x for x in units(a.n) if multiply_set(a, x) == b]
+
+
+class TestUnitTables:
+    """The cached per-order tables agree with multiply_set over every unit."""
+
+    @given(connection_sets(max_n=60))
+    def test_orbit_is_every_unit_multiple(self, a):
+        assert adam_orbit(a).members == orbit_by_definition(a)
+
+    @given(same_order_pairs())
+    def test_carrying_units_by_definition(self, pair):
+        a, b = pair
+        expected = carrying_by_definition(a, b)
+        assert list(carrying_units(a, b)) == expected
+        assert is_adam_equivalent(a, b) == (expected[0] if expected else None)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_smallest_orders_exhaustive(self, n):
+        sets = every_set(n)
+        for a in sets:
+            assert adam_orbit(a).members == orbit_by_definition(a)
+            for b in sets:
+                expected = carrying_by_definition(a, b)
+                assert list(carrying_units(a, b)) == expected
+                assert is_adam_equivalent(a, b) == (expected[0] if expected else None)
+
+    def test_off_the_multiply_set_path(self, monkeypatch):
+        def refuse(cs, x):
+            pytest.fail("multiply_set called")
+
+        monkeypatch.setattr(multipliers_mod, "multiply_set", refuse)
+        a = cs("C54(1,3,9,15,17,19,21,27)")
+        assert len(adam_orbit(a).members) == 3
+        assert is_adam_equivalent(a, a) == 1
+
+    def test_size_change_raises_witness_mismatch(self, monkeypatch):
+        # Every jump sent to 1: the images lose jumps.
+        monkeypatch.setattr(
+            multipliers_mod,
+            "_column",
+            lambda n, j: tuple(1 for _ in multipliers_mod._half_units(n)),
+        )
+        a = cs("C54(1,3,17,19)")
+        with pytest.raises(WitnessMismatch):
+            adam_orbit(a)
+        with pytest.raises(WitnessMismatch):
+            list(carrying_units(a, cs("C54(5,13,15,23)")))
+        with pytest.raises(WitnessMismatch):
+            is_adam_equivalent(a, a)
+
+    def test_caches_are_bounded(self):
+        for cached in (multipliers_mod._half_units, multipliers_mod._column):
+            assert cached.cache_info().maxsize is not None
+
+
 class TestCarryingUnits:
     @given(connection_sets(max_n=50), st.integers(1, 200))
     def test_exactly_the_carrying_units_ascending(self, a, k):
