@@ -3,9 +3,8 @@
 
 Writes family_a.csv and family_b.csv into --out-dir (default: cwd), prints
 per-family verdict tallies, then runs the golden-row recomputation and
-prints its report. Exits 1 if any golden verdict disagrees, 2 on bad input
-(such as a CIRCIO_WORKERS value that is not an integer) or an output path
-that cannot be written.
+prints its report. Exits 1 if any golden verdict disagrees, 2 when the
+library rejects its input or an output path cannot be written.
 """
 
 from __future__ import annotations
@@ -14,21 +13,19 @@ import argparse
 import sys
 from pathlib import Path
 
-from circio import CircioError, enumerate_family, family, verify_goldens, worker_count
+from circio import CircioError, enumerate_family, family, verify_goldens
 from circio.export import export_csv, verdict_counts
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", type=Path, default=Path("."))
-    parser.add_argument("--workers", type=int, default=None)
     args = parser.parse_args()
     try:
-        workers = worker_count(args.workers)
         args.out_dir.mkdir(parents=True, exist_ok=True)
         total_t2 = 0
         for name in ("a", "b"):
-            records = enumerate_family(family(name), workers=workers)
+            records = enumerate_family(family(name))
             path = args.out_dir / f"family_{name}.csv"
             export_csv(records, path)
             tally = verdict_counts(records)

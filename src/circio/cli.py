@@ -26,7 +26,6 @@ from .enumeration import (
     generate_a17c,
     generate_c1,
     probe_open_problems,
-    worker_count,
 )
 from .errors import CircioError
 from .export import export_csv, export_jsonl, verdict_counts
@@ -67,6 +66,11 @@ def _write_json(data: dict, path: str) -> None:
             fh.write("\n")
     except OSError as exc:
         raise _unwritable(path, exc) from exc
+
+
+# Accepted and ignored: circio runs in one process. Kept only until perfbench
+# stops passing --workers 1.
+_IGNORED_WORKERS = click.option("--workers", type=int, hidden=True, expose_value=False)
 
 
 @click.group()
@@ -137,19 +141,13 @@ def classify_cmd(budget: int, connection_sets: tuple[str, ...]) -> None:
     required=True,
     help="Output file; a .jsonl suffix selects JSON-lines, anything else CSV.",
 )
-@click.option("--workers", type=int, default=None, help="Worker processes.")
-def enumerate_family_cmd(
-    family_name: str, out_path: str, workers: Optional[int]
-) -> None:
+@_IGNORED_WORKERS
+def enumerate_family_cmd(family_name: str, out_path: str) -> None:
     """Enumerate all 511 rows of one family and write them to --out."""
-    try:
-        workers = worker_count(workers)
-    except CircioError as exc:
-        raise click.UsageError(str(exc)) from exc
     _check_writable(out_path)
     spec = family(family_name)
     click.echo(f"enumerating family {family_name} (511 rows)...", err=True)
-    records = enumerate_family(spec, workers=workers)
+    records = enumerate_family(spec)
     tally = verdict_counts(records)
     try:
         if out_path.endswith(".jsonl"):
@@ -180,19 +178,13 @@ def enumerate_family_cmd(
     show_default=True,
     help="Ceiling on scan work units.",
 )
-@click.option("--workers", type=int, default=None, help="Worker processes.")
-def scan_cmd(
-    n: int,
-    out_path: str,
-    budget: int,
-    workers: Optional[int],
-) -> None:
+@_IGNORED_WORKERS
+def scan_cmd(n: int, out_path: str, budget: int) -> None:
     """Exhaustively scan one order and write a JSON report to --out."""
     click.echo(f"scanning n={n}...", err=True)
     try:
-        workers = worker_count(workers)
         _check_writable(out_path)
-        report = full_scan(n, budget=budget, workers=workers)
+        report = full_scan(n, budget=budget)
     except CircioError as exc:
         raise click.UsageError(str(exc)) from exc
     try:

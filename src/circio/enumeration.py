@@ -15,12 +15,9 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from itertools import combinations
-from typing import Callable, Optional, Sequence, TextIO
+from typing import Sequence, TextIO
 
 from .classify import TYPE2, Classification, TupleRecord, type1_verdict
 from .core import CirculantGraph, ConnectionSet, reflexive_reduce
@@ -39,34 +36,10 @@ DEFAULT_SCAN_BUDGET = 20_000_000
 _MAX_ATOMS_PER_LEVEL = 14
 
 
-def worker_count(workers: Optional[int] = None) -> int:
-    """Explicit argument wins, then CIRCIO_WORKERS, then 1.
-
-    Raises InvalidParams when CIRCIO_WORKERS is not an integer.
-    """
-    if workers is not None:
-        return max(1, workers)
-    raw = os.environ.get("CIRCIO_WORKERS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise InvalidParams(f"CIRCIO_WORKERS must be an integer, got {raw!r}") from None
-
-
-def _chunked_map(fn: Callable[[list], list], items: list, workers: int) -> list:
-    """fn over contiguous chunks of items, results concatenated in order.
-
-    The pool never has more processes than chunks or than os.cpu_count():
-    with the fork start method every requested process starts on the first
-    submit. One process left means no pool at all.
-    """
-    nworkers = min(workers, len(items), os.cpu_count() or 1)
-    if nworkers <= 1:
-        return fn(items)
-    size = math.ceil(len(items) / nworkers)
-    chunks = [items[i : i + size] for i in range(0, len(items), size)]
-    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-        return [out for part in pool.map(fn, chunks) for out in part]
+def worker_count(workers: int | None = None) -> int:
+    """circio runs in one process, so this is always 1. It stays only until
+    perfbench stops reading it."""
+    return 1
 
 
 # ---------------------------------------------------------------------------
@@ -127,20 +100,13 @@ def family_row(source: ConnectionSet) -> TupleRecord:
     return TupleRecord(members=members, theta_images={2: img2, 4: img4}, verdict=verdict)
 
 
-def _family_rows(sources: list[ConnectionSet]) -> list[TupleRecord]:
-    return [family_row(source) for source in sources]
-
-
-def enumerate_family(
-    spec: FamilySpec, workers: Optional[int] = None
-) -> list[TupleRecord]:
+def enumerate_family(spec: FamilySpec) -> list[TupleRecord]:
     """All 511 rows of one family, in table order."""
-    nworkers = worker_count(workers)
     sources = [
         ConnectionSet(spec.n, tuple(sorted(spec.base.jumps + ext)))
         for ext in _pool_subsets(spec.pool)
     ]
-    return _chunked_map(_family_rows, sources, nworkers)
+    return [family_row(source) for source in sources]
 
 
 # ---------------------------------------------------------------------------
@@ -178,18 +144,6 @@ def _levels(n: int, m: int) -> dict[int, list[int]]:
     return out
 
 
-def _core_image(n: int, m: int, core: tuple[int, ...], t: int) -> Optional[tuple[int, ...]]:
-    img = _jump_image(n, m, t, core)
-    return None if img is None else img.jumps
-
-
-def _core_images(
-    n: int, m: int, cores: list[tuple[int, ...]]
-) -> list[dict[int, Optional[tuple[int, ...]]]]:
-    """Per core, t -> its jump-level image (None when not circulant)."""
-    return [{t: _core_image(n, m, core, t) for t in range(1, n // m)} for core in cores]
-
-
 def _unit_mask_tables(
     n: int, extension_pool: Sequence[int]
 ) -> dict[int, list[int]]:
@@ -204,14 +158,9 @@ def _unit_mask_tables(
             break
         shift = [index[min(x * j % n, n - x * j % n)] for j in extension_pool]
         table = [0] * (1 << len(extension_pool))
-        for mask in range(1 << len(extension_pool)):
-            out = 0
-            rest = mask
-            while rest:
-                low = rest & -rest
-                out |= 1 << shift[low.bit_length() - 1]
-                rest ^= low
-            table[mask] = out
+        for mask in range(1, 1 << len(extension_pool)):
+            low = mask & -mask
+            table[mask] = table[mask ^ low] | 1 << shift[low.bit_length() - 1]
         tables[x] = table
     return tables
 
@@ -290,11 +239,7 @@ _SCAN_CONVENTION = (
 )
 
 
-def full_scan(
-    n: int,
-    budget: int = DEFAULT_SCAN_BUDGET,
-    workers: Optional[int] = None,
-) -> ScanReport:
+def full_scan(n: int, budget: int = DEFAULT_SCAN_BUDGET) -> ScanReport:
     """Count and list the non-multiplier isomorphisms at one order.
 
     Reports both counting conventions (see ScanReport.convention). Raises
@@ -309,7 +254,7 @@ def full_scan(
     }
     records: list[TupleRecord] = []
     for m in valid_block_moduli(n):
-        _scan_one_modulus(n, m, budget, workers, counts, records)
+        _scan_one_modulus(n, m, budget, counts, records)
     records.sort(key=lambda r: tuple(c.jumps for c in r.members))
     return ScanReport(
         n=n, convention=_SCAN_CONVENTION, counts=counts, records=records
@@ -320,7 +265,6 @@ def _scan_one_modulus(
     n: int,
     m: int,
     budget: int,
-    workers: Optional[int],
     counts: dict[str, int],
     records: list[TupleRecord],
 ) -> None:
@@ -349,13 +293,14 @@ def _scan_one_modulus(
             f"core image phase needs {len(core_list) * t_range} image tests"
         )
 
-    # Image map, in parallel only for 64 cores or more. Deterministic
-    # regardless of split.
-    nworkers = worker_count(workers)
-    if len(core_list) < 64:
-        nworkers = 1
-    image_list = _chunked_map(partial(_core_images, n, m), core_list, nworkers)
-    images = dict(zip(core_list, image_list))
+    # Per core, t -> its jump-level image (None when not circulant).
+    images = {
+        core: {
+            t: None if (img := _jump_image(n, m, t, core)) is None else img.jumps
+            for t in range(1, n // m)
+        }
+        for core in core_list
+    }
 
     core_set = set(core_list)
     linked: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple] = {}

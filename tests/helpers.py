@@ -62,7 +62,7 @@ def edge_level_theta_image(cs: ConnectionSet, m: int, t: int) -> Optional[Connec
 @lru_cache(maxsize=None)
 def family_records(name: str) -> tuple[TupleRecord, ...]:
     """All 511 rows of family a or b, in table order."""
-    return tuple(enumerate_family(family(name), workers=1))
+    return tuple(enumerate_family(family(name)))
 
 
 def type2_family_records() -> list[TupleRecord]:

@@ -222,38 +222,34 @@ def sha256_of(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+# Accepted and ignored; perfbench passes it to both commands.
+WORKERS_1 = ["--workers", "1"]
+
+
 class TestOutputBytes:
-    @pytest.mark.parametrize("n", sorted(SCAN_REPORT_SHA256))
-    def test_scan_report(self, runner, tmp_path, n):
+    @pytest.mark.parametrize(
+        "n,extra",
+        [pytest.param(n, [], id=str(n)) for n in sorted(SCAN_REPORT_SHA256)]
+        + [pytest.param(16, WORKERS_1, id="16-workers-1")],
+    )
+    def test_scan_report(self, runner, tmp_path, n, extra):
         out = tmp_path / f"scan{n}.json"
-        result = runner.invoke(main, ["scan", "--n", str(n), "--out", str(out)])
+        result = runner.invoke(main, ["scan", "--n", str(n), "--out", str(out)] + extra)
         assert result.exit_code == 0
         assert sha256_of(out) == SCAN_REPORT_SHA256[n]
 
-    @pytest.mark.parametrize("name,suffix", sorted(FAMILY_SHA256))
-    def test_family_export(self, runner, tmp_path, name, suffix):
+    @pytest.mark.parametrize(
+        "name,suffix,extra",
+        [pytest.param(*key, [], id="-".join(key)) for key in sorted(FAMILY_SHA256)]
+        + [pytest.param("a", "csv", WORKERS_1, id="a-csv-workers-1")],
+    )
+    def test_family_export(self, runner, tmp_path, name, suffix, extra):
         out = tmp_path / f"family_{name}.{suffix}"
         result = runner.invoke(
-            main, ["enumerate-family", "--family", name, "--out", str(out)]
+            main, ["enumerate-family", "--family", name, "--out", str(out)] + extra
         )
         assert result.exit_code == 0
         assert sha256_of(out) == FAMILY_SHA256[name, suffix]
-
-
-class TestWorkersEnvironment:
-    @pytest.mark.parametrize(
-        "args",
-        [["scan", "--n", "16"], ["enumerate-family", "--family", "a"]],
-        ids=["scan", "enumerate-family"],
-    )
-    def test_non_integer_is_usage_error(self, runner, tmp_path, args):
-        out = tmp_path / "x.json"
-        result = runner.invoke(
-            main, args + ["--out", str(out)], env={"CIRCIO_WORKERS": "abc"}
-        )
-        assert result.exit_code == 2
-        assert "CIRCIO_WORKERS" in result.output
-        assert not out.exists()
 
 
 class TestGenerateCommand:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import io
 import json
-import os
 from functools import lru_cache
 from itertools import combinations
 
@@ -126,14 +125,6 @@ class TestEnumerateFamily:
         )
         assert rec.theta_images == {2: rec.members[1], 4: rec.members[2]}
 
-    def test_worker_merge_matches_sequential(self, family_a):
-        parallel = enumerate_family(family("a"), workers=3)
-        assert len(parallel) == len(family_a)
-        for seq, par in zip(family_a, parallel):
-            assert seq.members == par.members
-            assert seq.theta_images == par.theta_images
-            assert seq.verdict == par.verdict
-
     def test_family_row_is_the_enumerated_row(self, family_a):
         for rec in family_a[:20]:
             row = family_row(rec.members[0])
@@ -166,89 +157,28 @@ class TestEnumerateFamily:
                     assert set(rec.theta_images[t].jumps) == expected
 
 
-class TestWorkerCount:
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv("CIRCIO_WORKERS", "7")
-        assert worker_count(2) == 2
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("CIRCIO_WORKERS", "5")
-        assert worker_count() == 5
-
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("CIRCIO_WORKERS", raising=False)
-        assert worker_count() == 1
-
-    def test_floor_one(self):
-        assert worker_count(0) == 1
-
-    def test_non_integer_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("CIRCIO_WORKERS", "abc")
-        with pytest.raises(InvalidParams, match="CIRCIO_WORKERS"):
-            worker_count()
-
-
-class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
-
-    sizes: list[int] = []
-
-    def __init__(self, max_workers: int):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, chunks):
-        return [fn(chunk) for chunk in chunks]
-
-
-class TestWorkerPool:
-    @pytest.fixture()
-    def pool_sizes(self, monkeypatch):
-        monkeypatch.setattr(enumeration_mod, "ProcessPoolExecutor", _RecordingPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        _RecordingPool.sizes = []
-        return _RecordingPool.sizes
-
-    def test_family_pool_clamped_to_cpu_count(self, pool_sizes, family_a):
-        records = enumerate_family(family("a"), workers=5000)
-        assert pool_sizes == [3]
-        assert [r.members for r in records] == [r.members for r in family_a]
-
-    def test_scan_pool_clamped_to_cpu_count(self, pool_sizes):
-        rep = full_scan(54, workers=5000)
-        assert pool_sizes == [3]
-        assert rep.counts["type2_pairs_raw"] == 28800
-
-    def test_pool_clamped_to_chunk_count(self, pool_sizes):
-        assert enumeration_mod._chunked_map(list, [1, 2], 5000) == [1, 2]
-        assert pool_sizes == [2]
-
-    def test_one_cpu_means_no_pool(self, pool_sizes, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        assert enumeration_mod._chunked_map(list, [1, 2, 3], 5000) == [1, 2, 3]
-        assert pool_sizes == []
+def test_worker_count_is_one():
+    # circio runs in one process; perfbench still records this value.
+    assert worker_count(None) == 1
 
 
 class TestScanLatticeChecks:
     """The core-lattice invariants raise WitnessMismatch, not assert."""
 
     def test_image_escaping_the_lattice(self, monkeypatch):
-        monkeypatch.setattr(enumeration_mod, "_core_image", lambda n, m, core, t: (2, 4))
+        monkeypatch.setattr(
+            enumeration_mod, "_jump_image", lambda n, m, t, core: cs("C16(2,4)")
+        )
         with pytest.raises(WitnessMismatch, match="escaped the core lattice"):
             full_scan(16)
 
     def test_minimal_core_with_a_non_minimal_image(self, monkeypatch):
         # At n = 16 the cores are (1,7), (3,5) and (1,3,5,7); send (1,7) to
         # the non-minimal one and skip the pair re-check it would fail.
-        def images(n, m, core, t):
-            return (1, 3, 5, 7) if core == (1, 7) else None
+        def images(n, m, t, core):
+            return cs("C16(1,3,5,7)") if core == (1, 7) else None
 
-        monkeypatch.setattr(enumeration_mod, "_core_image", images)
+        monkeypatch.setattr(enumeration_mod, "_jump_image", images)
         monkeypatch.setattr(enumeration_mod, "_verify_theta_pair", lambda *args: None)
         with pytest.raises(WitnessMismatch, match="is not minimal"):
             full_scan(16)
@@ -335,13 +265,6 @@ class TestFullScan:
     def test_budget_ceiling(self):
         with pytest.raises(Intractable):
             full_scan(54, budget=10)
-
-    def test_worker_determinism_n54(self, monkeypatch):
-        seq = full_scan(54)
-        monkeypatch.setenv("CIRCIO_WORKERS", "2")
-        par = full_scan(54)
-        assert seq.counts == par.counts
-        assert [r.members for r in seq.records] == [r.members for r in par.records]
 
 
 def records_holding(report, sets) -> list:

@@ -1,4 +1,5 @@
-"""circio runs on the standard library and click alone; numpy is a test extra."""
+"""circio runs on the standard library and click alone, in one process;
+numpy is a test extra."""
 
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ PROGRAM = textwrap.dedent(
     import sys
     sys.modules["numpy"] = None
     from circio import CirculantGraph, ConnectionSet, isomorphic
+    import circio.cli
 
     def graph(text):
         return CirculantGraph(ConnectionSet.parse(text))
@@ -25,7 +27,8 @@ PROGRAM = textwrap.dedent(
     reject = isomorphic(graph("C8(1,2)"), graph("C8(1,3)"))
     iso = isomorphic(graph("C54(1,3,17,19)"), graph("C54(3,7,11,25)"))
     numpy = [m for m in sys.modules if m.split(".")[0] == "numpy"]
-    print(reject.kind, reject.certificate, iso.kind, sys.modules["numpy"], numpy)
+    pools = [m for m in ("concurrent.futures", "multiprocessing") if m in sys.modules]
+    print(reject.kind, reject.certificate, iso.kind, sys.modules["numpy"], numpy, pools)
     """
 )
 
@@ -50,4 +53,5 @@ def test_import_and_oracle_without_numpy():
         "isomorphic",
         "None",
         "['numpy']",
+        "[]",  # no process-pool module was imported either
     ]

@@ -6,6 +6,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+from circio import CircioError
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -17,30 +19,27 @@ def load_script(name: str):
 
 
 class TestReproduceTables:
-    def test_bad_workers_env_is_exit_2_without_traceback(
+    def test_library_error_is_exit_2_without_traceback(
         self, monkeypatch, tmp_path, capsys
     ):
         script = load_script("reproduce_tables")
 
-        def no_enumeration(*args, **kwargs):
-            raise AssertionError("enumeration started despite bad input")
+        def failing_enumeration(spec):
+            raise CircioError("enumeration refused")
 
-        monkeypatch.setattr(script, "enumerate_family", no_enumeration)
+        monkeypatch.setattr(script, "enumerate_family", failing_enumeration)
         out_dir = tmp_path / "out"
         monkeypatch.setattr(sys, "argv", ["reproduce_tables.py", "--out-dir", str(out_dir)])
-        monkeypatch.setenv("CIRCIO_WORKERS", "abc")
         assert script.main() == 2
         err = capsys.readouterr().err
-        assert "CIRCIO_WORKERS" in err
+        assert "error: enumeration refused" in err
         assert "Traceback" not in err
-        assert not out_dir.exists()
 
     def test_out_dir_that_is_a_file_is_exit_2(self, monkeypatch, tmp_path, capsys):
         script = load_script("reproduce_tables")
         out_dir = tmp_path / "taken"
         out_dir.write_text("")
         monkeypatch.setattr(sys, "argv", ["reproduce_tables.py", "--out-dir", str(out_dir)])
-        monkeypatch.delenv("CIRCIO_WORKERS", raising=False)
         assert script.main() == 2
         err = capsys.readouterr().err
         assert f"cannot write {out_dir}" in err
