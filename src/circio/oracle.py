@@ -14,10 +14,10 @@ to the algebra it is checking.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .core import CirculantGraph, adjacency_spectrum, first_spectral_gap
-from .errors import BudgetExceeded, OrderMismatch, WitnessMismatch
+from .errors import BudgetExceeded, InvalidParams, OrderMismatch, WitnessMismatch
 
 DEFAULT_BUDGET = 10 ** 7
 
@@ -49,30 +49,68 @@ class IsoVerdict:
         return "timeout"
 
 
-def _refine(n: int, adj: Sequence[Sequence[int]], colors: list[int]) -> list[int]:
-    """Equitable refinement. Signatures are label-free, so the final coloring
-    is invariant under input relabeling."""
+def _refine(
+    adj: Sequence[Sequence[int]],
+    colors: list[int],
+    cells: list[Optional[list[int]]],
+    moved: Iterable[int],
+) -> None:
+    """Equitable refinement, in place.
+
+    colors[v] is the first slot of v's cell in the ordered partition, and
+    cells[c] is the sorted cell of colour c (None where no cell starts), so a
+    discrete coloring is the labeling itself. Each round splits every cell by
+    its vertices' sorted neighbour colours, parts in ascending order, using
+    the colours the round started with. Signatures are label-free, so the
+    final coloring is invariant under input relabeling.
+
+    A round examines only the cells that hold a neighbour of a vertex that
+    moved in the last round: in any other cell every vertex still sees the
+    same neighbour counts, so it would not split. One largest part of each
+    split cell does not count as moved, since its neighbour counts are the
+    cell's minus the other parts'. The result is the same as splitting
+    every cell in every round. moved names the vertices to start from:
+    every vertex unless the coloring was equitable before they moved.
+    """
     while True:
-        sigs = [
-            (colors[v], tuple(sorted(colors[u] for u in adj[v]))) for v in range(n)
-        ]
-        remap = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [remap[s] for s in sigs]
-        if new == colors:
-            return colors
-        colors = new
+        splits = []
+        for start in {colors[u] for w in moved for u in adj[w]}:
+            cell = cells[start]
+            if len(cell) == 1:
+                continue
+            parts: dict[tuple[int, ...], list[int]] = {}
+            for v in cell:
+                key = tuple(sorted(map(colors.__getitem__, adj[v])))
+                parts.setdefault(key, []).append(v)
+            if len(parts) > 1:
+                splits.append((start, [parts[key] for key in sorted(parts)]))
+        if not splits:
+            return
+        moved = []
+        for start, parts in splits:
+            largest = max(parts, key=len)
+            for part in parts:
+                if part is not largest:
+                    moved += part
+                cells[start] = part
+                for v in part:
+                    colors[v] = start
+                start += len(part)
 
 
-def _cells(n: int, colors: list[int]) -> dict[int, list[int]]:
-    out: dict[int, list[int]] = {}
-    for v in range(n):
-        out.setdefault(colors[v], []).append(v)
-    return out
-
-
-def _individualize(colors: list[int], v: int) -> list[int]:
-    # Split v off its class; _refine renormalizes the ids.
-    return [2 * c + (0 if u == v else 1) for u, c in enumerate(colors)]
+def _individualize(
+    colors: list[int], cells: list[Optional[list[int]]], v: int
+) -> tuple[list[int], list[Optional[list[int]]]]:
+    """Copies of colors and cells with v split off just before the rest of
+    its cell. Cells are shared, never changed in place."""
+    colors, cells = colors[:], cells[:]
+    start = colors[v]
+    rest = [u for u in cells[start] if u != v]
+    cells[start] = [v]
+    cells[start + 1] = rest
+    for u in rest:
+        colors[u] = start + 1
+    return colors, cells
 
 
 def _close(orbit: set[int], todo: list[int], gens: Sequence[Sequence[int]]) -> None:
@@ -96,6 +134,7 @@ class _Search:
         self.best_cert: Optional[tuple[tuple[int, int], ...]] = None
         self.best_lab: Optional[list[int]] = None
         self.auts: list[tuple[int, ...]] = []
+        self.fixed: list[frozenset[int]] = []  # fixed points of auts[i]
 
     @property
     def nodes(self) -> int:
@@ -125,6 +164,7 @@ class _Search:
         """Keep a verified automorphism unless it is the identity or known."""
         if any(gamma[v] != v for v in range(self.n)) and gamma not in self.auts:
             self.auts.append(gamma)
+            self.fixed.append(frozenset(v for v in range(self.n) if gamma[v] == v))
 
     def _leaf(self, colors: list[int]) -> None:
         lab = colors  # discrete coloring is the labeling itself
@@ -140,18 +180,17 @@ class _Search:
             if self._is_automorphism(gamma):
                 self._store(gamma)
 
-    def run(self, colors: list[int], path: tuple[int, ...]) -> None:
+    def run(
+        self, colors: list[int], cells: list[Optional[list[int]]], path: tuple[int, ...]
+    ) -> None:
         if self.remaining <= 0:
             raise BudgetExceeded("canonical search budget exhausted")
         self.remaining -= 1
-        colors = _refine(self.n, self.adj, colors)
-        cells = _cells(self.n, colors)
-        target: Optional[list[int]] = None
-        for color in sorted(cells):
-            cell = cells[color]
-            if len(cell) > 1 and (target is None or len(cell) > len(target)):
-                target = cell
-        if target is None:
+        # The parent coloring is equitable, so only the last individualized
+        # vertex has moved; the root starts from every vertex.
+        _refine(self.adj, colors, cells, path[-1:] if path else range(self.n))
+        target = max(filter(None, cells), key=len, default=None)  # first largest
+        if target is None or len(target) == 1:
             self._leaf(colors)
             return
         # Orbit pruning: skip a candidate that a known automorphism fixing
@@ -160,15 +199,20 @@ class _Search:
         gens: list[tuple[int, ...]] = []
         seen_auts = 0
         forbidden: set[int] = set()
-        for v in sorted(target):
-            fresh = [g for g in self.auts[seen_auts:] if all(g[p] == p for p in path)]
+        on_path = set(path)
+        for v in target:
+            fresh = [
+                g
+                for g, fixed in zip(self.auts[seen_auts:], self.fixed[seen_auts:])
+                if on_path <= fixed
+            ]
             seen_auts = len(self.auts)
             if fresh:
                 gens += fresh
                 _close(forbidden, list(forbidden), gens)
             if v in forbidden:
                 continue
-            self.run(_individualize(colors, v), path + (v,))
+            self.run(*_individualize(colors, cells, v), path + (v,))
             forbidden.add(v)
             _close(forbidden, [v], gens)
 
@@ -194,7 +238,7 @@ def _canonical_search(
     search = _Search(n, adj, budget)
     for gamma in _dihedral_seeds(n, search):
         search._store(gamma)
-    search.run([0] * n, ())
+    search.run([0] * n, [list(range(n))] + [None] * (n - 1) if n else [], ())
     if search.best_cert is None:
         raise WitnessMismatch("canonical search reached no leaf")
     return search.best_cert, tuple(search.best_lab), search.nodes
@@ -206,8 +250,22 @@ def canonical_edges_of(
     """Canonical certificate and labeling for a plain edge list.
 
     Exposed separately from canonical_form so label-invariance can be tested
-    on arbitrarily relabeled inputs.
+    on arbitrarily relabeled inputs. Raises InvalidParams unless n is an
+    int >= 0 and edges is a simple graph on range(n): every endpoint an int
+    in range(n), no loop and no repeated edge.
     """
+    if not isinstance(n, int) or n < 0:
+        raise InvalidParams(f"n must be an int >= 0, got {n!r}")
+    seen: set[tuple[int, int]] = set()
+    for a, b in edges:
+        if not (isinstance(a, int) and isinstance(b, int) and 0 <= a < n and 0 <= b < n):
+            raise InvalidParams(f"edge ({a}, {b}) has an endpoint outside range({n})")
+        if a == b:
+            raise InvalidParams(f"edge ({a}, {b}) is a loop")
+        edge = (a, b) if a < b else (b, a)
+        if edge in seen:
+            raise InvalidParams(f"edge ({a}, {b}) is repeated")
+        seen.add(edge)
     cert, lab, _ = _canonical_search(n, edges, budget)
     return cert, lab
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional
+from typing import Optional, Sequence
 
 from hypothesis import strategies as st
 
@@ -68,3 +68,23 @@ def family_records(name: str) -> tuple[TupleRecord, ...]:
 def type2_family_records() -> list[TupleRecord]:
     """The 960 Type-2 rows of both families."""
     return [r for r in family_records("a") + family_records("b") if r.verdict.kind == TYPE2]
+
+
+def reference_refine(n: int, adj: Sequence[Sequence[int]], colors: list[int]) -> list[int]:
+    """Equitable refinement that re-sorts every vertex's neighbour colours in
+    every round, colours renumbered 0, 1, ... in cell order. The oracle's
+    refinement must give the same ordered partition."""
+    while True:
+        sigs = [
+            (colors[v], tuple(sorted(colors[u] for u in adj[v]))) for v in range(n)
+        ]
+        remap = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        new = [remap[s] for s in sigs]
+        if new == colors:
+            return colors
+        colors = new
+
+
+def reference_individualize(colors: list[int], v: int) -> list[int]:
+    """Split v off its class, just before the rest of it."""
+    return [2 * c + (0 if u == v else 1) for u, c in enumerate(colors)]

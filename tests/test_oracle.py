@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from circio import (
     BudgetExceeded,
     CirculantGraph,
     ConnectionSet,
+    InvalidParams,
     OrderMismatch,
     WitnessMismatch,
     canonical_edges_of,
@@ -18,10 +20,18 @@ from circio import (
     generate_c1,
     isomorphic,
     multiply_set,
+    probe_open_problems,
     units,
     verify_permutation,
 )
-from helpers import CATALOGUE_T1, cs, family_records, type2_family_records
+from helpers import (
+    CATALOGUE_T1,
+    cs,
+    family_records,
+    reference_individualize,
+    reference_refine,
+    type2_family_records,
+)
 
 
 def graph(text: str) -> CirculantGraph:
@@ -60,6 +70,27 @@ class TestCanonicalForm:
     def test_budget_exhaustion_raises(self):
         with pytest.raises(BudgetExceeded):
             canonical_form(graph("C54(1,3,17,19)"), budget=3)
+
+    def test_tiny_orders(self):
+        assert canonical_edges_of(0, []) == ((), ())
+        assert canonical_edges_of(1, []) == ((), (0,))
+
+    @pytest.mark.parametrize(
+        "n, edges",
+        [
+            (3, [(1, 1)]),
+            (3, [(-1, 0)]),
+            (3, [(0, 5)]),
+            (3, [(0, 1.0)]),
+            (3, [(0, 1), (0, 1)]),
+            (3, [(0, 1), (1, 0)]),
+            (-1, []),
+            (2.0, []),
+        ],
+    )
+    def test_rejects_what_is_not_a_simple_graph(self, n, edges):
+        with pytest.raises(InvalidParams):
+            canonical_edges_of(n, edges)
 
 
 class TestVerifyPermutation:
@@ -137,7 +168,7 @@ class TestCertificateChecks:
     """Each check raises WitnessMismatch, so python -O cannot skip it."""
 
     def test_search_without_a_leaf(self, monkeypatch):
-        monkeypatch.setattr(oracle_mod._Search, "run", lambda self, colors, path: None)
+        monkeypatch.setattr(oracle_mod._Search, "run", lambda self, *args: None)
         with pytest.raises(WitnessMismatch):
             canonical_edges_of(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
 
@@ -219,6 +250,75 @@ class TestDihedralSeeds:
                 self.assert_same_with_both_seeds(monkeypatch, CirculantGraph(member))
 
 
+def sample_graphs(seed: int, count: int):
+    """(n, adjacency lists) of circulants, relabeled circulants and random
+    graphs that are mostly not regular, n <= 54."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n = rng.randint(3, 54)
+        if i % 3 == 2:
+            p = rng.choice((0.1, 0.3, 0.6))
+            edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p]
+        else:
+            jumps = rng.sample(range(1, n // 2 + 1), rng.randint(1, min(4, n // 2)))
+            edges = sorted(CirculantGraph(ConnectionSet(n, tuple(sorted(jumps)))).edges)
+            if i % 3 == 1:
+                perm = list(range(n))
+                rng.shuffle(perm)
+                edges = [(perm[a], perm[b]) for a, b in edges]
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for a, b in edges:
+            adj[a].append(b)
+            adj[b].append(a)
+        yield n, [sorted(row) for row in adj]
+
+
+def slot_coloring(n: int, reference: list[int]) -> tuple[list[int], list]:
+    """A 0, 1, ... coloring in the oracle's form: each vertex coloured by its
+    cell's first slot, and the sorted cells at those slots."""
+    by_color: dict[int, list[int]] = {}
+    for v, c in enumerate(reference):
+        by_color.setdefault(c, []).append(v)
+    colors, cells = [0] * n, [None] * n
+    start = 0
+    for c in sorted(by_color):
+        cells[start] = by_color[c]
+        for v in by_color[c]:
+            colors[v] = start
+        start += len(by_color[c])
+    return colors, cells
+
+
+class TestRefinement:
+    """Refining only the cells a split touches gives the ordered partition
+    that re-sorting every vertex in every round gives."""
+
+    def test_matches_reference(self):
+        rng = random.Random(12)
+        for n, adj in sample_graphs(seed=11, count=36):
+            colors, cells = [0] * n, [list(range(n))] + [None] * (n - 1)
+            oracle_mod._refine(adj, colors, cells, range(n))
+            reference = reference_refine(n, adj, [0] * n)
+            # Every individualization of each equitable coloring on a random
+            # path from the root down to a discrete coloring.
+            while True:
+                assert (colors, cells) == slot_coloring(n, reference), n
+                target = [v for v in range(n) if len(cells[colors[v]]) > 1]
+                if not target:
+                    break
+                for v in target:
+                    child = oracle_mod._individualize(colors, cells, v)
+                    oracle_mod._refine(adj, *child, (v,))
+                    expected = reference_refine(n, adj, reference_individualize(reference, v))
+                    assert child == slot_coloring(n, expected), (n, v)
+                # The children are copies: the parent coloring is unchanged.
+                assert (colors, cells) == slot_coloring(n, reference), n
+                v = rng.choice(target)
+                colors, cells = oracle_mod._individualize(colors, cells, v)
+                oracle_mod._refine(adj, colors, cells, (v,))
+                reference = reference_refine(n, adj, reference_individualize(reference, v))
+
+
 class TestNodeCounts:
     def test_cycle_needs_three_nodes(self):
         # Root, one child, one leaf: the rotation prunes the root's other
@@ -230,6 +330,15 @@ class TestNodeCounts:
     def test_costliest_catalogue_graph_fits_in_1000(self):
         form = canonical_form(graph("C54(2,6,12,16,18,20,24)"), budget=1000)
         assert 0 < form.nodes <= 1000
+
+    def test_catalogue_t1_pairs(self):
+        # The same counts as the search that re-sorted every vertex in every
+        # refinement round: the tree it walks is unchanged.
+        expected = {("a", 3): 184, ("b", 30): 771, ("a", 206): 768, ("b", 206): 831}
+        for (name, row), nodes in expected.items():
+            record = family_records(name)[row - 1]
+            for member in (record.members[0], record.theta_images[2]):
+                assert canonical_form(CirculantGraph(member)).nodes == nodes, (name, row)
 
     def test_isomorphic_sums_both_sides(self):
         a, b = graph("C54(1,3,17,19)"), graph("C54(3,7,11,25)")
@@ -253,3 +362,26 @@ class TestNodeCounts:
         v = isomorphic(graph("C8(1,2)"), graph("C8(2,3)"))
         assert v.nodes > 0
         assert v.serialize() == "isomorphic " + " ".join(map(str, v.permutation))
+
+
+def test_pinned_certificates_labelings_and_nodes():
+    """One sha256 over (certificate, labeling, nodes) of C54(1), both sides of
+    the 35 probe_open_problems pairs and 20 relabelings of C54(1,3,17,19),
+    taken from the search that re-sorted every vertex in every round."""
+    lines = []
+
+    def add(n, edges):
+        lines.append(repr(oracle_mod._canonical_search(n, edges, oracle_mod.DEFAULT_BUDGET)))
+
+    cycle = graph("C54(1)")
+    add(cycle.n, sorted(cycle.edges))
+    for entry in probe_open_problems().entries:
+        for side in (entry.left, entry.right):
+            g = CirculantGraph(side)
+            add(g.n, sorted(g.edges))
+    g = graph("C54(1,3,17,19)")
+    for seed in range(20):
+        add(g.n, relabeled(g, seed))
+    assert len(lines) == 91
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "a5e92b834c55ec6a81e927bf5afac8e83ab3ada2e76088e218543500eaa7ecc0"

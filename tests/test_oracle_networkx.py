@@ -1,7 +1,7 @@
 """The oracle's verdicts against a third-party isomorphism test.
 
-networkx is not a dependency of circio; these checks run only where it is
-installed. vf2pp shares no code with the oracle's individualization-refinement
+networkx is in the dev extra only, not a runtime dependency of circio;
+these checks run only where it is installed. vf2pp shares no code with the oracle's individualization-refinement
 search or with the multiplier and theta algebra.
 """
 
