@@ -28,12 +28,11 @@ from .errors import (
     InvalidParams,
     WitnessMismatch,
 )
-from .multipliers import adam_orbit, carrying_units, is_adam_equivalent, units
+from .multipliers import adam_orbit, carrying_half_units, is_adam_equivalent
 from .oracle import DEFAULT_BUDGET, IsoVerdict, isomorphic
 from .theta import _jump_image, theta_image, theta_witness, valid_block_moduli
 
 DEFAULT_SCAN_BUDGET = 20_000_000
-_MAX_ATOMS_PER_LEVEL = 14
 
 
 def worker_count(workers: int | None = None) -> int:
@@ -144,45 +143,28 @@ def _levels(n: int, m: int) -> dict[int, list[int]]:
     return out
 
 
-def _unit_mask_tables(
-    n: int, extension_pool: Sequence[int]
-) -> dict[int, list[int]]:
-    """For each unit x <= n/2, mask -> image mask of the multiple-of-m pool.
-
-    n - x maps every mask as x does; _coset_tables looks both up here.
-    """
-    index = {j: i for i, j in enumerate(extension_pool)}
-    tables: dict[int, list[int]] = {}
-    for x in units(n):
-        if 2 * x > n:
-            break
-        shift = [index[min(x * j % n, n - x * j % n)] for j in extension_pool]
-        table = [0] * (1 << len(extension_pool))
-        for mask in range(1, 1 << len(extension_pool)):
-            low = mask & -mask
-            table[mask] = table[mask ^ low] | 1 << shift[low.bit_length() - 1]
-        tables[x] = table
-    return tables
-
-
-def _coset_tables(
-    n: int, coset: Sequence[int], mask_tables: dict[int, list[int]]
-) -> list[list[int]]:
-    """The mask tables of a coset of carrying units, one per pair {x, n - x}."""
-    return [mask_tables[x] for x in coset if 2 * x <= n]
+def _fixed_masks(n: int, pool: Sequence[int], x: int) -> set[int]:
+    """The masks of pool that the unit x maps onto themselves: the unions of
+    x's cycles on pool. x and n - x reduce every jump alike, so they fix the
+    same masks."""
+    index = {j: i for i, j in enumerate(pool)}
+    image = [index[min(x * j % n, n - x * j % n)] for j in pool]
+    masks = [0]
+    seen = 0
+    for start in range(len(pool)):
+        if seen >> start & 1:
+            continue
+        cycle, i = 0, start
+        while not cycle >> i & 1:
+            cycle |= 1 << i
+            i = image[i]
+        seen |= cycle
+        masks += [mask | cycle for mask in masks]
+    return set(masks)
 
 
 def _mask_jumps(extension_pool: Sequence[int], mask: int) -> tuple[int, ...]:
     return tuple(j for i, j in enumerate(extension_pool) if mask >> i & 1)
-
-
-def _admissible_masks(core_size: int, popcounts: Sequence[int]) -> list[int]:
-    """Nonempty extension masks giving core + extension at least 3 jumps."""
-    return [
-        mask
-        for mask in range(1, len(popcounts))
-        if core_size + popcounts[mask] >= 3
-    ]
 
 
 def _verify_theta_pair(left: ConnectionSet, right: ConnectionSet, m: int, t: int) -> None:
@@ -274,10 +256,6 @@ def _scan_one_modulus(
     cores: set[tuple[int, ...]] = set()
     for h in sorted(levels):
         atoms = _nonmultiple_atoms(n, m, h)
-        if len(atoms) > _MAX_ATOMS_PER_LEVEL:
-            raise Intractable(
-                f"level {h} of n={n}, m={m} has {len(atoms)} atoms"
-            )
         all_atoms.update(atoms)
         atom_sets = [set(a) for a in atoms]
         for r in range(1, len(atoms) + 1):
@@ -315,35 +293,46 @@ def _scan_one_modulus(
             if key not in linked:
                 linked[key] = (core, img, t)
 
-    mask_tables = _unit_mask_tables(n, extension_pool)
-    pool_size = len(extension_pool)
-    full_mask = (1 << pool_size) - 1
-    cosets = {
-        key: list(carrying_units(ConnectionSet(n, src), ConnectionSet(n, dst)))
-        for key, (src, dst, _) in sorted(linked.items())
-    }
-    mask_work = sum(max(1, len(x)) for x in cosets.values()) * (full_mask + 1)
+    mask_work = len(linked) << len(extension_pool)
     if mask_work > budget:
         raise Intractable(f"pair counting phase needs {mask_work} mask tests")
 
+    # Many core pairs share one coset of carrying units, so each coset's
+    # set is built once.
+    fixed_by: dict[tuple[int, ...], frozenset[int]] = {}
+
+    def carried_fixed(src: tuple[int, ...], dst: tuple[int, ...]) -> frozenset[int]:
+        """The masks fixed by some unit carrying core src onto core dst."""
+        coset = carrying_half_units(ConnectionSet(n, src), ConnectionSet(n, dst))
+        if coset not in fixed_by:
+            fixed_by[coset] = frozenset().union(
+                *(_fixed_masks(n, extension_pool, x) for x in coset)
+            )
+        return fixed_by[coset]
+
+    # Nonempty extension masks giving core + extension at least 3 jumps.
+    popcounts = [bin(mask).count("1") for mask in range(1 << len(extension_pool))]
+    admissible = {
+        size: [mask for mask in range(1, len(popcounts)) if size + popcounts[mask] >= 3]
+        for size in {len(core) for core in core_list}
+    }
+
     verify_all = n <= 32
-    popcounts = [bin(mask).count("1") for mask in range(full_mask + 1)]
     for key in sorted(linked):
         src, dst, t = linked[key]
-        xs = cosets[key]
-        tables = _coset_tables(n, xs, mask_tables)
-        for mask in _admissible_masks(len(src), popcounts):
-            if any(table[mask] == mask for table in tables):
-                continue
-            counts["type2_pairs_raw"] += 1
-            if verify_all:
-                ext = _mask_jumps(extension_pool, mask)
-                _verify_theta_pair(
-                    ConnectionSet(n, tuple(sorted(src + ext))),
-                    ConnectionSet(n, tuple(sorted(dst + ext))),
-                    m,
-                    t,
-                )
+        fixed = carried_fixed(src, dst)
+        counted = [mask for mask in admissible[len(src)] if mask not in fixed]
+        counts["type2_pairs_raw"] += len(counted)
+        if not verify_all:
+            continue
+        for mask in counted:
+            ext = _mask_jumps(extension_pool, mask)
+            _verify_theta_pair(
+                ConnectionSet(n, tuple(sorted(src + ext))),
+                ConnectionSet(n, tuple(sorted(dst + ext))),
+                m,
+                t,
+            )
 
     # Primitive tuples: classes chased from minimal cores only. Atoms of one
     # level are disjoint and every core is a union of them, so a core of two
@@ -380,25 +369,21 @@ def _scan_one_modulus(
     for group in classes:
         if len(group) < 2:
             continue
-        group_sets = [ConnectionSet(n, core) for core in group]
-        pair_cosets = [
-            list(carrying_units(group_sets[i], group_sets[j]))
-            for i in range(len(group))
-            for j in range(i + 1, len(group))
-        ]
-        pair_tables = [_coset_tables(n, xs, mask_tables) for xs in pair_cosets]
+        # A tuple is T1 when units carry group[0] onto every other member
+        # and fix the extension. Their quotients then link any two members
+        # the same way, since the units that fix a mask form a group.
         base_core = group[0]
+        type1_masks = frozenset.intersection(
+            *(carried_fixed(base_core, core) for core in group[1:])
+        )
         base_hits = [
             (t, img)
             for t, img in sorted(images[base_core].items())
             if img is not None and img in group and img != base_core
         ]
         first_t = base_hits[0][0]
-        for mask in _admissible_masks(len(base_core), popcounts):
-            if all(
-                any(table[mask] == mask for table in tables)
-                for tables in pair_tables
-            ):
+        for mask in admissible[len(base_core)]:
+            if mask in type1_masks:
                 counts["type1_tuples_primitive"] += 1
                 continue
             counts["type2_tuples_primitive"] += 1

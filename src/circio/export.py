@@ -40,20 +40,14 @@ def export_csv(records: Sequence[TupleRecord], path: str | os.PathLike) -> None:
                 rec.verdict.table_verdict,
             )
         )
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise OSError(f"writing {path}: {exc}") from exc
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def export_jsonl(records: Sequence[TupleRecord], path: str | os.PathLike) -> None:
     """One record per line as JSON, in enumeration order."""
     if not records:
         raise ValueError("refusing to export an empty record list")
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            for rec in records:
-                fh.write(json.dumps(rec.to_json()) + "\n")
-    except OSError as exc:
-        raise OSError(f"writing {path}: {exc}") from exc
+    with open(path, "w", encoding="utf-8") as fh:
+        for rec in records:
+            fh.write(json.dumps(rec.to_json()) + "\n")

@@ -105,19 +105,23 @@ def adam_orbit(cs: ConnectionSet) -> AdamOrbit:
     )
 
 
-def carrying_units(a: ConnectionSet, b: ConnectionSet) -> Iterator[int]:
-    """The units x with x*a = b, ascending."""
+def carrying_half_units(a: ConnectionSet, b: ConnectionSet) -> tuple[int, ...]:
+    """The units x <= n/2 with x*a = b, ascending."""
     if a.n != b.n:
         raise OrderMismatch(f"orders differ: {a.n} vs {b.n}")
     if len(a.jumps) != len(b.jumps):
-        return
-    n = a.n
+        return ()
     images = _images(a)
     _same_size(a, images)
-    low = [x for x, img in zip(_half_units(n), images) if img == b.jumps]
+    return tuple(x for x, img in zip(_half_units(a.n), images) if img == b.jumps)
+
+
+def carrying_units(a: ConnectionSet, b: ConnectionSet) -> Iterator[int]:
+    """The units x with x*a = b, ascending."""
+    low = carrying_half_units(a, b)
     yield from low
     # n - x carries a onto b too; x = n/2 = n - x happens only at n = 2.
-    yield from (n - x for x in reversed(low) if 2 * x != n)
+    yield from (a.n - x for x in reversed(low) if 2 * x != a.n)
 
 
 def is_adam_equivalent(a: ConnectionSet, b: ConnectionSet) -> Optional[int]:

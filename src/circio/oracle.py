@@ -168,17 +168,21 @@ class _Search:
 
     def _leaf(self, colors: list[int]) -> None:
         lab = colors  # discrete coloring is the labeling itself
+        if self.best_lab is not None:
+            # lab's certificate equals the best one exactly when the map
+            # onto the best leaf is an automorphism; only otherwise is the
+            # certificate worth building.
+            inv_best = [0] * self.n
+            for v in range(self.n):
+                inv_best[self.best_lab[v]] = v
+            gamma = tuple(inv_best[c] for c in lab)
+            if self._is_automorphism(gamma):
+                self._store(gamma)
+                return
         cert = self._certificate(lab)
         if self.best_cert is None or cert < self.best_cert:
             self.best_cert = cert
             self.best_lab = list(lab)
-        elif cert == self.best_cert:
-            inv_prev = [0] * self.n
-            for v in range(self.n):
-                inv_prev[self.best_lab[v]] = v
-            gamma = tuple(inv_prev[lab[v]] for v in range(self.n))
-            if self._is_automorphism(gamma):
-                self._store(gamma)
 
     def run(
         self, colors: list[int], cells: list[Optional[list[int]]], path: tuple[int, ...]
@@ -201,15 +205,16 @@ class _Search:
         forbidden: set[int] = set()
         on_path = set(path)
         for v in target:
-            fresh = [
-                g
-                for g, fixed in zip(self.auts[seen_auts:], self.fixed[seen_auts:])
-                if on_path <= fixed
-            ]
-            seen_auts = len(self.auts)
-            if fresh:
-                gens += fresh
-                _close(forbidden, list(forbidden), gens)
+            if len(self.auts) > seen_auts:
+                fresh = [
+                    g
+                    for g, fixed in zip(self.auts[seen_auts:], self.fixed[seen_auts:])
+                    if on_path <= fixed
+                ]
+                seen_auts = len(self.auts)
+                if fresh:
+                    gens += fresh
+                    _close(forbidden, list(forbidden), gens)
             if v in forbidden:
                 continue
             self.run(*_individualize(colors, cells, v), path + (v,))

@@ -28,10 +28,11 @@ from circio import (
     is_adam_equivalent,
     probe_open_problems,
     theta_image,
+    units,
     valid_block_moduli,
     worker_count,
 )
-from circio.enumeration import family_row
+from circio.enumeration import _fixed_masks, family_row
 from helpers import cs
 
 # Rows (1-based, ordered by extension size then lexicographically) whose
@@ -182,6 +183,29 @@ class TestScanLatticeChecks:
         monkeypatch.setattr(enumeration_mod, "_verify_theta_pair", lambda *args: None)
         with pytest.raises(WitnessMismatch, match="is not minimal"):
             full_scan(16)
+
+
+class TestFixedMasks:
+    """A unit fixes an extension mask exactly when the mask is a union of
+    the unit's cycles on the multiple-of-m pool."""
+
+    def test_matches_brute_force(self):
+        checked = 0
+        for n in range(2, 55):
+            for m in valid_block_moduli(n):
+                pool = tuple(range(m, n // 2 + 1, m))
+                for x in units(n):
+                    if 2 * x > n:
+                        break
+                    expected = set()
+                    for mask in range(1 << len(pool)):
+                        jumps = {j for i, j in enumerate(pool) if mask >> i & 1}
+                        if {min(x * j % n, n - x * j % n) for j in jumps} == jumps:
+                            expected.add(mask)
+                    assert _fixed_masks(n, pool, x) == expected, (n, m, x)
+                    checked += 1
+        # Units x <= n/2 at n = 8, 16, 24, 27, 32, 40, 48, 54.
+        assert checked == 2 + 4 + 4 + 9 + 8 + 8 + 8 + 9
 
 
 class TestFullScan:

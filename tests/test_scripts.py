@@ -44,3 +44,13 @@ class TestReproduceTables:
         err = capsys.readouterr().err
         assert f"cannot write {out_dir}" in err
         assert "Traceback" not in err
+
+    def test_unwritable_table_names_the_file(self, monkeypatch, tmp_path, capsys):
+        script = load_script("reproduce_tables")
+        out_dir = tmp_path / "out"
+        (out_dir / "family_a.csv").mkdir(parents=True)
+        monkeypatch.setattr(sys, "argv", ["reproduce_tables.py", "--out-dir", str(out_dir)])
+        assert script.main() == 2
+        err = capsys.readouterr().err
+        assert f"cannot write {out_dir / 'family_a.csv'}: Is a directory" in err
+        assert "Traceback" not in err
