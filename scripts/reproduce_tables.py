@@ -13,7 +13,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from circio import CircioError, enumerate_family, family, verify_goldens
+from circio import CircioError, enumerate_family, verify_goldens
 from circio.export import export_csv, verdict_counts
 
 
@@ -25,7 +25,7 @@ def main() -> int:
         args.out_dir.mkdir(parents=True, exist_ok=True)
         total_t2 = 0
         for name in ("a", "b"):
-            records = enumerate_family(family(name))
+            records = enumerate_family(name)
             path = args.out_dir / f"family_{name}.csv"
             export_csv(records, path)
             tally = verdict_counts(records)

@@ -19,22 +19,16 @@ from .classify import (
 from .core import (
     CirculantGraph,
     ConnectionSet,
-    EdgeImage,
     adjacency_spectrum,
     first_spectral_gap,
-    full_difference_set,
-    is_circulant,
     reflexive_reduce,
-    spectra_equal,
 )
 from .enumeration import (
     DEFAULT_SCAN_BUDGET,
-    FamilySpec,
     ProbeEntry,
     ProbeReport,
     ScanReport,
     enumerate_family,
-    family,
     full_scan,
     generate_a17c,
     generate_c1,
@@ -59,8 +53,6 @@ from .multipliers import (
     adam_orbit,
     carrying_units,
     is_adam_equivalent,
-    multiply_set,
-    units,
 )
 from .oracle import (
     DEFAULT_BUDGET,
@@ -94,8 +86,6 @@ __all__ = [
     "DEFAULT_BUDGET",
     "DEFAULT_SCAN_BUDGET",
     "DegeneratePair",
-    "EdgeImage",
-    "FamilySpec",
     "GoldenReport",
     "GoldenRow",
     "Intractable",
@@ -124,25 +114,19 @@ __all__ = [
     "classify_pair",
     "classify_tuple",
     "enumerate_family",
-    "family",
     "first_spectral_gap",
-    "full_difference_set",
     "full_scan",
     "generate_a17c",
     "generate_c1",
     "is_adam_equivalent",
-    "is_circulant",
     "isomorphic",
     "load_golden_rows",
-    "multiply_set",
     "probe_open_problems",
     "reflexive_reduce",
-    "spectra_equal",
     "theta_image",
     "theta_scan",
     "theta_vertex_map",
     "theta_witness",
-    "units",
     "valid_block_moduli",
     "verify_goldens",
     "verify_permutation",

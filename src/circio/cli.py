@@ -4,7 +4,7 @@ The CSV/JSONL writers live in circio.export; this module binds them too.
 
 Exit codes: 0 on success, 1 when verify-goldens finds a verdict mismatch,
 2 on usage errors (including parameter values the library rejects and output
-paths that cannot be written).
+paths that cannot be written; every --out is checked before any work).
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .core import ConnectionSet
 from .enumeration import (
     DEFAULT_SCAN_BUDGET,
     enumerate_family,
-    family,
     full_scan,
     generate_a17c,
     generate_c1,
@@ -145,9 +144,8 @@ def classify_cmd(budget: int, connection_sets: tuple[str, ...]) -> None:
 def enumerate_family_cmd(family_name: str, out_path: str) -> None:
     """Enumerate all 511 rows of one family and write them to --out."""
     _check_writable(out_path)
-    spec = family(family_name)
     click.echo(f"enumerating family {family_name} (511 rows)...", err=True)
-    records = enumerate_family(spec)
+    records = enumerate_family(family_name)
     tally = verdict_counts(records)
     try:
         if out_path.endswith(".jsonl"):
@@ -255,6 +253,8 @@ def generate_cmd(
 )
 def probe_open_cmd(budget: int, out_path: Optional[str]) -> None:
     """Run the oracle over the undecided pair/triple questions."""
+    if out_path is not None:
+        _check_writable(out_path)
     click.echo("probing open questions (35 oracle runs)...", err=True)
     report = probe_open_problems(budget=budget)
     click.echo(report.summary())

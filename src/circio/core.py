@@ -165,11 +165,6 @@ def adjacency_spectrum(cs: ConnectionSet) -> list[float]:
     return lam
 
 
-def spectra_equal(a: Sequence[float], b: Sequence[float], tol: float = 1e-9) -> bool:
-    """Sorted-multiset equality with absolute tolerance."""
-    return first_spectral_gap(a, b, tol) is None
-
-
 def first_spectral_gap(a: Sequence[float], b: Sequence[float], tol: float = 1e-9) -> Optional[int]:
     """Index of the first eigenvalue disagreement, or None if cospectral."""
     if len(a) != len(b):

@@ -48,40 +48,6 @@ FAMILY_POOL = (3, 6, 9, 12, 15, 18, 21, 24, 27)
 FAMILY_BASES = {"a": (1, 17, 19), "b": (2, 16, 20)}
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    name: str
-    n: int
-    base: ConnectionSet
-    pool: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(j % 3 == 0 for j in self.base.jumps):
-            raise InvalidParams("family base must avoid multiples of 3")
-        if any(j % 3 != 0 for j in self.pool):
-            raise InvalidParams("family pool must hold multiples of 3")
-
-
-def family(name: str) -> FamilySpec:
-    if name not in FAMILY_BASES:
-        raise InvalidParams(f"unknown family {name!r}, expected 'a' or 'b'")
-    return FamilySpec(
-        name=name,
-        n=54,
-        base=ConnectionSet(54, FAMILY_BASES[name]),
-        pool=FAMILY_POOL,
-    )
-
-
-def _pool_subsets(pool: Sequence[int]) -> list[tuple[int, ...]]:
-    # Row order: by subset size, then lexicographic. Row 1 is {pool[0]},
-    # row 511 the full pool.
-    out: list[tuple[int, ...]] = []
-    for k in range(1, len(pool) + 1):
-        out.extend(combinations(pool, k))
-    return out
-
-
 def family_row(source: ConnectionSet) -> TupleRecord:
     """One table row: source, its images at t=2 and t=4 under m=3, verdict.
 
@@ -99,13 +65,18 @@ def family_row(source: ConnectionSet) -> TupleRecord:
     return TupleRecord(members=members, theta_images={2: img2, 4: img4}, verdict=verdict)
 
 
-def enumerate_family(spec: FamilySpec) -> list[TupleRecord]:
-    """All 511 rows of one family, in table order."""
-    sources = [
-        ConnectionSet(spec.n, tuple(sorted(spec.base.jumps + ext)))
-        for ext in _pool_subsets(spec.pool)
+def enumerate_family(name: str) -> list[TupleRecord]:
+    """All 511 rows of family "a" or "b", in table order."""
+    if name not in FAMILY_BASES:
+        raise InvalidParams(f"unknown family {name!r}, expected 'a' or 'b'")
+    base = FAMILY_BASES[name]
+    # Row order: by subset size, then lexicographic. Row 1 adjoins {3}, row
+    # 511 the whole pool.
+    return [
+        family_row(ConnectionSet(54, tuple(sorted(base + ext))))
+        for k in range(1, len(FAMILY_POOL) + 1)
+        for ext in combinations(FAMILY_POOL, k)
     ]
-    return [family_row(source) for source in sources]
 
 
 # ---------------------------------------------------------------------------
@@ -132,15 +103,12 @@ def _nonmultiple_atoms(n: int, m: int, h: int) -> list[tuple[int, ...]]:
     return sorted(atoms)
 
 
-def _levels(n: int, m: int) -> dict[int, list[int]]:
-    """Map gcd(m^2 t, n) -> shifts t producing it; degenerate shifts omitted."""
-    out: dict[int, list[int]] = {}
-    for t in range(1, n // m):
-        g = (m * m * t) % n
-        if g == 0:
-            continue
-        out.setdefault(math.gcd(g, n), []).append(t)
-    return out
+def _levels(n: int, m: int) -> list[int]:
+    """The distinct gcd(m^2 t, n) over the shifts t in [1, n/m - 1], ascending;
+    degenerate shifts (m^2 t = 0 mod n) omitted."""
+    return sorted(
+        {math.gcd(m * m * t, n) for t in range(1, n // m) if m * m * t % n}
+    )
 
 
 def _fixed_masks(n: int, pool: Sequence[int], x: int) -> set[int]:
@@ -251,10 +219,9 @@ def _scan_one_modulus(
     records: list[TupleRecord],
 ) -> None:
     extension_pool = tuple(j for j in range(m, n // 2 + 1, m))
-    levels = _levels(n, m)
     all_atoms: set[tuple[int, ...]] = set()
     cores: set[tuple[int, ...]] = set()
-    for h in sorted(levels):
+    for h in _levels(n, m):
         atoms = _nonmultiple_atoms(n, m, h)
         all_atoms.update(atoms)
         atom_sets = [set(a) for a in atoms]

@@ -12,9 +12,9 @@ y = r (mod m) has neighbour set z + D'_r, where
 
 The image is circulant iff D'_0 = D'_1 = ... = D'_{m-1}, and it is then
 reduce(D'_0). That is O(m*|R|) work instead of O(n*|R|). theta_witness is
-the only place that builds the edge-level image: it maps every edge of the
-source through the vertex permutation and checks the result against the
-edges of the jump-level image.
+the only edge-level certificate: it checks with oracle.verify_permutation
+that the vertex permutation carries every edge of the source onto an edge
+of the jump-level image.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from typing import Optional, Sequence
 
 from .core import CirculantGraph, ConnectionSet
 from .errors import InvalidParams, WitnessMismatch
+from .oracle import verify_permutation
 
 
 @dataclass(frozen=True)
@@ -119,12 +120,8 @@ def theta_witness(cs: ConnectionSet, m: int, t: int) -> Optional[ThetaWitness]:
     if image is None:
         return None
     perm = theta_vertex_map(params)
-    mapped = set()
-    for a, b in CirculantGraph(cs).edges:
-        pa, pb = perm[a], perm[b]
-        mapped.add((pa, pb) if pa < pb else (pb, pa))
     # The witness must certify a genuine isomorphism, not just a jump match.
-    if mapped != CirculantGraph(image).edges:
+    if not verify_permutation(CirculantGraph(cs), CirculantGraph(image), perm):
         raise WitnessMismatch(
             f"vertex map of {params} does not carry {cs} onto {image}"
         )

@@ -11,14 +11,12 @@ from circio import (
     TYPE2,
     CirculantGraph,
     ConnectionSet,
-    EdgeImage,
     ThetaParams,
     TupleRecord,
     enumerate_family,
-    family,
-    is_circulant,
     theta_vertex_map,
 )
+from circio.core import EdgeImage, is_circulant
 
 # Four Type-1 family rows (family, row from 1) whose canonical search is the
 # costliest part of the pair queries; their costs span a sixfold range.
@@ -62,7 +60,7 @@ def edge_level_theta_image(cs: ConnectionSet, m: int, t: int) -> Optional[Connec
 @lru_cache(maxsize=None)
 def family_records(name: str) -> tuple[TupleRecord, ...]:
     """All 511 rows of family a or b, in table order."""
-    return tuple(enumerate_family(family(name)))
+    return tuple(enumerate_family(name))
 
 
 def type2_family_records() -> list[TupleRecord]:

@@ -10,7 +10,7 @@ from click.testing import CliRunner
 
 import circio.cli as cli_mod
 from circio.cli import export_csv, export_jsonl, main
-from circio import GoldenReport, ProbeReport, enumerate_family, family
+from circio import GoldenReport, ProbeReport, enumerate_family
 
 ROW1 = (
     '1,C54(1,3,17,19),C54(3,7,11,25),C54(3,5,13,23),'
@@ -25,7 +25,7 @@ def runner():
 
 @pytest.fixture(scope="module")
 def family_a_records():
-    return enumerate_family(family("a"))
+    return enumerate_family("a")
 
 
 def assert_unwritable(result, path):
@@ -187,6 +187,12 @@ class TestUnwritableOutBeforeWork:
         result = runner.invoke(
             main, ["enumerate-family", "--family", "a", "--out", str(out)]
         )
+        assert_unwritable(result, out)
+
+    def test_probe_open(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli_mod, "probe_open_problems", self.refuse)
+        out = tmp_path / "missing" / "probes.json"
+        result = runner.invoke(main, ["probe-open", "--out", str(out)])
         assert_unwritable(result, out)
 
     def test_intractable_scan_creates_no_file(self, runner, tmp_path):

@@ -21,18 +21,17 @@ from circio import (
     WitnessMismatch,
     classify_pair,
     enumerate_family,
-    family,
     full_scan,
     generate_a17c,
     generate_c1,
     is_adam_equivalent,
     probe_open_problems,
     theta_image,
-    units,
     valid_block_moduli,
     worker_count,
 )
-from circio.enumeration import _fixed_masks, family_row
+from circio.enumeration import FAMILY_BASES, _fixed_masks, family_row
+from circio.multipliers import units
 from helpers import cs
 
 # Rows (1-based, ordered by extension size then lexicographically) whose
@@ -47,12 +46,12 @@ T1_ROWS = [
 
 @pytest.fixture(scope="module")
 def family_a():
-    return enumerate_family(family("a"))
+    return enumerate_family("a")
 
 
 @pytest.fixture(scope="module")
 def family_b():
-    return enumerate_family(family("b"))
+    return enumerate_family("b")
 
 
 @pytest.fixture(scope="module")
@@ -74,24 +73,18 @@ def scan_counts(pairs: int, type2: int, type1: int) -> dict[str, int]:
     }
 
 
-class TestFamilySpec:
-    def test_specs(self):
-        a = family("a")
-        assert (a.n, a.base.jumps, len(a.pool)) == (54, (1, 17, 19), 9)
-        b = family("b")
-        assert b.base.jumps == (2, 16, 20)
+class TestFamilies:
+    def test_first_and_last_rows(self, family_a, family_b):
+        # Row 1 adjoins {3} to the base, row 511 every multiple of 3 up to 27.
+        pool = (3, 6, 9, 12, 15, 18, 21, 24, 27)
+        for records, base in ((family_a, (1, 17, 19)), (family_b, (2, 16, 20))):
+            first, last = records[0].members[0], records[-1].members[0]
+            assert first == ConnectionSet(54, tuple(sorted(base + (3,))))
+            assert last == ConnectionSet(54, tuple(sorted(base + pool)))
 
     def test_unknown_family(self):
         with pytest.raises(InvalidParams):
-            family("z")
-
-    def test_base_pool_validation(self):
-        from circio import ConnectionSet, FamilySpec
-
-        with pytest.raises(InvalidParams):
-            FamilySpec("x", 54, ConnectionSet(54, (3,)), (3,))
-        with pytest.raises(InvalidParams):
-            FamilySpec("x", 54, ConnectionSet(54, (1,)), (4,))
+            enumerate_family("z")
 
 
 class TestEnumerateFamily:
@@ -145,7 +138,7 @@ class TestEnumerateFamily:
         # every row's images are the one-extension seed images with the rest
         # of the extension riding along unchanged
         for spec_name, records in (("a", family_a), ("b", family_b)):
-            base = family(spec_name).base
+            base = ConnectionSet(54, FAMILY_BASES[spec_name])
             for rec in records:
                 ext = tuple(
                     j for j in rec.members[0].jumps if j not in base.jumps

@@ -17,9 +17,8 @@ from circio import (
     adam_orbit,
     carrying_units,
     is_adam_equivalent,
-    multiply_set,
-    units,
 )
+from circio.multipliers import multiply_set, units
 from helpers import connection_sets, cs
 
 # Each entry: source text, then (x, product text) twice. These are the six

@@ -19,11 +19,10 @@ from circio import (
     canonical_form,
     generate_c1,
     isomorphic,
-    multiply_set,
     probe_open_problems,
-    units,
     verify_permutation,
 )
+from circio.multipliers import multiply_set, units
 from helpers import (
     CATALOGUE_T1,
     cs,

@@ -24,7 +24,7 @@ class TestReproduceTables:
     ):
         script = load_script("reproduce_tables")
 
-        def failing_enumeration(spec):
+        def failing_enumeration(name):
             raise CircioError("enumeration refused")
 
         monkeypatch.setattr(script, "enumerate_family", failing_enumeration)
