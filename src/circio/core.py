@@ -96,17 +96,6 @@ class CirculantGraph:
         return 2 * len(jumps) - (1 if n % 2 == 0 and n // 2 in jumps else 0)
 
     @cached_property
-    def edges(self) -> frozenset[tuple[int, int]]:
-        """Unordered edges as (min, max) pairs."""
-        n = self.cs.n
-        out = set()
-        for x in range(n):
-            for s in self.cs.jumps:
-                y = (x + s) % n
-                out.add((x, y) if x < y else (y, x))
-        return frozenset(out)
-
-    @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Sorted neighbor lists, indexed by vertex."""
         n = self.cs.n

@@ -311,25 +311,22 @@ def _scan_one_modulus(
         for a in atom_list
         if not any(b != a and set(b) < set(a) for b in atom_list)
     ]
+    # theta_s after theta_t is theta_{s+t}, t taken mod n/m, so a seed's
+    # class is the seed and its circulant images. Every member must be a
+    # minimal core whose images stay in the class.
     minimal_set = set(minimal)
-    visited: set[tuple[int, ...]] = set()
+    placed: set[tuple[int, ...]] = set()
     classes: list[list[tuple[int, ...]]] = []
     for seed in minimal:
-        if seed in visited:
+        if seed in placed:
             continue
-        group = {seed}
-        frontier = [seed]
-        while frontier:
-            cur = frontier.pop()
-            for t in range(1, n // m):
-                img = images[cur][t]
-                if img is None or img in group:
-                    continue
-                if img not in minimal_set:
-                    raise WitnessMismatch(f"image {img} of a minimal core is not minimal")
-                group.add(img)
-                frontier.append(img)
-        visited |= group
+        group = {seed} | {img for img in images[seed].values() if img is not None}
+        for core in sorted(group):
+            if core not in minimal_set:
+                raise WitnessMismatch(f"image {core} of a minimal core is not minimal")
+            if any(img not in group for img in images[core].values() if img is not None):
+                raise WitnessMismatch(f"an image of {core} leaves its theta class")
+        placed |= group
         classes.append(sorted(group))
 
     sample_budget = 0 if verify_all else 100
@@ -346,7 +343,7 @@ def _scan_one_modulus(
         base_hits = [
             (t, img)
             for t, img in sorted(images[base_core].items())
-            if img is not None and img in group and img != base_core
+            if img is not None and img != base_core
         ]
         first_t = base_hits[0][0]
         for mask in admissible[len(base_core)]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .core import CirculantGraph, adjacency_spectrum, first_spectral_gap
+from .core import CirculantGraph, adjacency_spectrum, first_spectral_gap, full_difference_set
 from .errors import BudgetExceeded, InvalidParams, OrderMismatch, WitnessMismatch
 
 DEFAULT_BUDGET = 10 ** 7
@@ -113,6 +113,19 @@ def _individualize(
     return colors, cells
 
 
+def _certificate(adj: Sequence[Sequence[int]], lab: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """The edges relabeled by lab, each as (low, high), in sorted order."""
+    out = []
+    for v, row in enumerate(adj):
+        lv = lab[v]
+        for u in row:
+            if v < u:
+                lu = lab[u]
+                out.append((lv, lu) if lv < lu else (lu, lv))
+    out.sort()
+    return tuple(out)
+
+
 def _close(orbit: set[int], todo: list[int], gens: Sequence[Sequence[int]]) -> None:
     """Add to orbit the images of todo under the group gens generate."""
     while todo:
@@ -139,17 +152,6 @@ class _Search:
     @property
     def nodes(self) -> int:
         return self.budget - self.remaining
-
-    def _certificate(self, lab: list[int]) -> tuple[tuple[int, int], ...]:
-        out = []
-        for v in range(self.n):
-            lv = lab[v]
-            for u in self.adj[v]:
-                if v < u:
-                    lu = lab[u]
-                    out.append((lv, lu) if lv < lu else (lu, lv))
-        out.sort()
-        return tuple(out)
 
     def _is_automorphism(self, gamma: Sequence[int]) -> bool:
         nbr = self.nbr
@@ -179,7 +181,7 @@ class _Search:
             if self._is_automorphism(gamma):
                 self._store(gamma)
                 return
-        cert = self._certificate(lab)
+        cert = _certificate(self.adj, lab)
         if self.best_cert is None or cert < self.best_cert:
             self.best_cert = cert
             self.best_lab = list(lab)
@@ -231,15 +233,9 @@ def _dihedral_seeds(n: int, search: _Search) -> list[tuple[int, ...]]:
 
 
 def _canonical_search(
-    n: int, edges: Sequence[tuple[int, int]], budget: int
+    n: int, adj: Sequence[Sequence[int]], budget: int
 ) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...], int]:
-    """Certificate, labeling and search nodes used for a plain edge list."""
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    for row in adj:
-        row.sort()
+    """Certificate, labeling and search nodes used for sorted adjacency lists."""
     search = _Search(n, adj, budget)
     for gamma in _dihedral_seeds(n, search):
         search._store(gamma)
@@ -261,28 +257,28 @@ def canonical_edges_of(
     """
     if not isinstance(n, int) or n < 0:
         raise InvalidParams(f"n must be an int >= 0, got {n!r}")
-    seen: set[tuple[int, int]] = set()
+    adj: list[list[int]] = [[] for _ in range(n)]
     for a, b in edges:
         if not (isinstance(a, int) and isinstance(b, int) and 0 <= a < n and 0 <= b < n):
             raise InvalidParams(f"edge ({a}, {b}) has an endpoint outside range({n})")
         if a == b:
             raise InvalidParams(f"edge ({a}, {b}) is a loop")
-        edge = (a, b) if a < b else (b, a)
-        if edge in seen:
+        if b in adj[a]:
             raise InvalidParams(f"edge ({a}, {b}) is repeated")
-        seen.add(edge)
-    cert, lab, _ = _canonical_search(n, edges, budget)
+        adj[a].append(b)
+        adj[b].append(a)
+    for row in adj:
+        row.sort()
+    cert, lab, _ = _canonical_search(n, adj, budget)
     return cert, lab
 
 
 def canonical_form(g: CirculantGraph, budget: int = DEFAULT_BUDGET) -> CanonicalForm:
     """Canonical form of a circulant graph. Raises BudgetExceeded on blowup."""
-    cert, lab, nodes = _canonical_search(g.n, sorted(g.edges), budget)
+    adj = g.adjacency
+    cert, lab, nodes = _canonical_search(g.n, adj, budget)
     # The labeling must reproduce the certificate exactly.
-    relabeled = sorted(
-        (min(lab[a], lab[b]), max(lab[a], lab[b])) for a, b in g.edges
-    )
-    if tuple(relabeled) != cert:
+    if _certificate(adj, lab) != cert:
         raise WitnessMismatch(f"the canonical labeling of {g.cs} misses its certificate")
     return CanonicalForm(g.n, cert, lab, nodes)
 
@@ -290,16 +286,22 @@ def canonical_form(g: CirculantGraph, budget: int = DEFAULT_BUDGET) -> Canonical
 def verify_permutation(
     a: CirculantGraph, b: CirculantGraph, perm: Sequence[int]
 ) -> bool:
-    """True iff perm maps a's edge set exactly onto b's."""
-    if a.n != b.n or len(perm) != a.n or len(set(perm)) != a.n:
+    """True iff perm maps a's edge set exactly onto b's.
+
+    perm must be a bijection of range(n) and the degrees must agree. A
+    bijection maps distinct edges to distinct pairs, so with equal edge
+    counts it is enough that every edge {x, x+s} of a lands on one of b:
+    that perm[x+s] - perm[x] is a difference of b.
+    """
+    n = a.n
+    if b.n != n or a.degree != b.degree or len(perm) != n or set(perm) != set(range(n)):
         return False
-    be = b.edges
-    if len(a.edges) != len(be):
-        return False
-    for x, y in a.edges:
-        px, py = perm[x], perm[y]
-        if ((px, py) if px < py else (py, px)) not in be:
-            return False
+    diffs = set(full_difference_set(b.cs))
+    for x in range(n):
+        px = perm[x]
+        for s in a.cs.jumps:
+            if (perm[(x + s) % n] - px) % n not in diffs:
+                return False
     return True
 
 

@@ -104,8 +104,6 @@ def _jump_image(
 def theta_image(cs: ConnectionSet, m: int, t: int) -> Optional[ConnectionSet]:
     """Image connection set, or None when the image graph is not circulant."""
     _check_params(cs, m, t)
-    if t == 0:
-        return cs
     return _jump_image(cs.n, m, t, cs.jumps)
 
 

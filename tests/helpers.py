@@ -1,4 +1,5 @@
-"""Parsing shorthand and hypothesis strategies shared across the suite."""
+"""Parsing shorthand, hypothesis strategies and edge-level references
+shared across the suite."""
 
 from __future__ import annotations
 
@@ -47,11 +48,47 @@ def theta_inputs(draw) -> tuple[ConnectionSet, int, int]:
     return ConnectionSet(n, tuple(sorted(others | {mult}))), m, t
 
 
+def edge_list(g: CirculantGraph) -> list[tuple[int, int]]:
+    """The edges of g as (low, high) pairs, sorted, built from its jumps."""
+    n = g.n
+    pairs = set()
+    for x in range(n):
+        for s in g.cs.jumps:
+            y = (x + s) % n
+            pairs.add((x, y) if x < y else (y, x))
+    return sorted(pairs)
+
+
+def adjacency_lists(n: int, edges: Sequence[tuple[int, int]]) -> list[list[int]]:
+    """Sorted neighbour lists of a simple graph on range(n)."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    return [sorted(row) for row in adj]
+
+
+def reference_verify_permutation(
+    a: CirculantGraph, b: CirculantGraph, perm: Sequence[int]
+) -> bool:
+    """True iff perm maps a's edge set exactly onto b's, by edge sets."""
+    if a.n != b.n or len(perm) != a.n or len(set(perm)) != a.n:
+        return False
+    ae, be = set(edge_list(a)), set(edge_list(b))
+    if len(ae) != len(be):
+        return False
+    for x, y in ae:
+        px, py = perm[x], perm[y]
+        if ((px, py) if px < py else (py, px)) not in be:
+            return False
+    return True
+
+
 def edge_level_theta_image(cs: ConnectionSet, m: int, t: int) -> Optional[ConnectionSet]:
     """The definitional image: permute every edge of C_n(cs), test circulancy."""
     perm = theta_vertex_map(ThetaParams(cs.n, m, t))
     pairs = set()
-    for a, b in CirculantGraph(cs).edges:
+    for a, b in edge_list(CirculantGraph(cs)):
         pa, pb = perm[a], perm[b]
         pairs.add((pa, pb) if pa < pb else (pb, pa))
     return is_circulant(EdgeImage(cs.n, frozenset(pairs)))

@@ -177,6 +177,18 @@ class TestScanLatticeChecks:
         with pytest.raises(WitnessMismatch, match="is not minimal"):
             full_scan(16)
 
+    def test_minimal_core_with_an_image_outside_its_class(self, monkeypatch):
+        # At n = 27 the minimal cores are (1,8,10), (2,7,11) and (4,5,13).
+        # Chained one to the next, the class of (1,8,10) is its own image
+        # set, which misses the image of (2,7,11).
+        chain = {(1, 8, 10): cs("C27(2,7,11)"), (2, 7, 11): cs("C27(4,5,13)")}
+        monkeypatch.setattr(
+            enumeration_mod, "_jump_image", lambda n, m, t, core: chain.get(core)
+        )
+        monkeypatch.setattr(enumeration_mod, "_verify_theta_pair", lambda *args: None)
+        with pytest.raises(WitnessMismatch, match="leaves its theta class"):
+            full_scan(27)
+
 
 class TestFixedMasks:
     """A unit fixes an extension mask exactly when the mask is a union of

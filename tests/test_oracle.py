@@ -6,6 +6,8 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import circio.oracle as oracle_mod
 from circio import (
@@ -14,21 +16,29 @@ from circio import (
     ConnectionSet,
     InvalidParams,
     OrderMismatch,
+    ThetaParams,
     WitnessMismatch,
     canonical_edges_of,
     canonical_form,
     generate_c1,
     isomorphic,
     probe_open_problems,
+    theta_image,
+    theta_vertex_map,
     verify_permutation,
 )
 from circio.multipliers import multiply_set, units
 from helpers import (
     CATALOGUE_T1,
+    adjacency_lists,
+    connection_sets,
     cs,
+    edge_list,
     family_records,
     reference_individualize,
     reference_refine,
+    reference_verify_permutation,
+    theta_inputs,
     type2_family_records,
 )
 
@@ -49,19 +59,19 @@ class TestCanonicalForm:
         form = canonical_form(g)
         lab = form.labeling
         relabeled = sorted(
-            (min(lab[a], lab[b]), max(lab[a], lab[b])) for a, b in g.edges
+            (min(lab[a], lab[b]), max(lab[a], lab[b])) for a, b in edge_list(g)
         )
         assert tuple(relabeled) == form.canonical_edges
 
     def test_relabeling_invariance(self):
         g = graph("C16(1,2,7)")
-        base_cert, _ = canonical_edges_of(g.n, sorted(g.edges))
+        base_cert, _ = canonical_edges_of(g.n, edge_list(g))
         rng = random.Random(7)
         for _ in range(10):
             perm = list(range(g.n))
             rng.shuffle(perm)
             edges = [
-                (min(perm[a], perm[b]), max(perm[a], perm[b])) for a, b in g.edges
+                (min(perm[a], perm[b]), max(perm[a], perm[b])) for a, b in edge_list(g)
             ]
             cert, _ = canonical_edges_of(g.n, edges)
             assert cert == base_cert
@@ -92,7 +102,53 @@ class TestCanonicalForm:
             canonical_edges_of(n, edges)
 
 
+@st.composite
+def permutation_cases(draw) -> tuple[CirculantGraph, CirculantGraph, tuple]:
+    """(a, b, perm) with n in 2..60: theta vertex maps, oracle permutations,
+    rotations of a into a superset of its jumps and random shuffles, each
+    possibly spoiled into a non-bijection."""
+    kind = draw(st.sampled_from(("theta", "oracle", "superset", "shuffle")))
+    if kind == "theta":
+        a, m, t = draw(theta_inputs())
+        image = theta_image(a, m, t)
+        b = a if image is None else image
+        perm = list(theta_vertex_map(ThetaParams(a.n, m, t)))
+    else:
+        a = draw(connection_sets())
+        n = a.n
+        if kind == "oracle":
+            b = multiply_set(a, draw(st.sampled_from(units(n))))
+            perm = list(isomorphic(CirculantGraph(a), CirculantGraph(b)).permutation)
+        elif kind == "superset":
+            # Every edge of a lands on an edge of b; onto only when b == a.
+            extra = draw(st.sets(st.integers(1, n // 2), max_size=2))
+            b = ConnectionSet(n, tuple(sorted(set(a.jumps) | extra)))
+            shift = draw(st.integers(0, n - 1))
+            perm = [(x + shift) % n for x in range(n)]
+        else:
+            b = draw(connection_sets(min_n=n, max_n=n))
+            perm = draw(st.permutations(range(n)))
+    n = a.n
+    spoil = draw(st.sampled_from((None, "repeat", "n", "-1", "short")))
+    if spoil == "repeat":
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        perm[i] = perm[j]
+    elif spoil == "n":
+        perm[perm.index(0)] = n  # n and 0 agree mod n
+    elif spoil == "-1":
+        perm[perm.index(n - 1)] = -1
+    elif spoil == "short":
+        perm = perm[:-1]
+    return CirculantGraph(a), CirculantGraph(b), tuple(perm)
+
+
 class TestVerifyPermutation:
+    @settings(max_examples=200, deadline=None)
+    @given(permutation_cases())
+    def test_agrees_with_edge_set_reference(self, case):
+        a, b, perm = case
+        assert verify_permutation(a, b, perm) == reference_verify_permutation(a, b, perm)
+
     def test_accepts_rotation(self):
         g = graph("C16(1,2,7)")
         rot = tuple((v + 1) % 16 for v in range(16))
@@ -174,8 +230,8 @@ class TestCertificateChecks:
     def test_labeling_that_misses_its_certificate(self, monkeypatch):
         real = oracle_mod._canonical_search
 
-        def wrong_certificate(n, edges, budget):
-            cert, lab, nodes = real(n, edges, budget)
+        def wrong_certificate(n, adj, budget):
+            cert, lab, nodes = real(n, adj, budget)
             return cert[1:], lab, nodes
 
         monkeypatch.setattr(oracle_mod, "_canonical_search", wrong_certificate)
@@ -191,7 +247,7 @@ class TestCertificateChecks:
 def relabeled(g: CirculantGraph, seed: int) -> list[tuple[int, int]]:
     perm = list(range(g.n))
     random.Random(seed).shuffle(perm)
-    return [(min(perm[a], perm[b]), max(perm[a], perm[b])) for a, b in g.edges]
+    return [(min(perm[a], perm[b]), max(perm[a], perm[b])) for a, b in edge_list(g)]
 
 
 class TestDihedralSeeds:
@@ -217,7 +273,7 @@ class TestDihedralSeeds:
         return seeded, unseeded, len(used)
 
     def assert_same_with_both_seeds(self, monkeypatch, g: CirculantGraph):
-        seeded, unseeded, used = self.seeded_and_unseeded(monkeypatch, g.n, sorted(g.edges))
+        seeded, unseeded, used = self.seeded_and_unseeded(monkeypatch, g.n, edge_list(g))
         assert used == 2, g.cs
         assert seeded == unseeded, g.cs
 
@@ -239,7 +295,7 @@ class TestDihedralSeeds:
         seeded, unseeded, used = self.seeded_and_unseeded(monkeypatch, g.n, relabeled(g, 5))
         assert used == 0
         assert seeded == unseeded
-        assert seeded[0] == canonical_edges_of(g.n, sorted(g.edges))[0]
+        assert seeded[0] == canonical_edges_of(g.n, edge_list(g))[0]
 
     @pytest.mark.slow
     def test_catalogue_t1_rows(self, monkeypatch):
@@ -260,16 +316,12 @@ def sample_graphs(seed: int, count: int):
             edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p]
         else:
             jumps = rng.sample(range(1, n // 2 + 1), rng.randint(1, min(4, n // 2)))
-            edges = sorted(CirculantGraph(ConnectionSet(n, tuple(sorted(jumps)))).edges)
+            edges = edge_list(CirculantGraph(ConnectionSet(n, tuple(sorted(jumps)))))
             if i % 3 == 1:
                 perm = list(range(n))
                 rng.shuffle(perm)
                 edges = [(perm[a], perm[b]) for a, b in edges]
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for a, b in edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        yield n, [sorted(row) for row in adj]
+        yield n, adjacency_lists(n, edges)
 
 
 def slot_coloring(n: int, reference: list[int]) -> tuple[list[int], list]:
@@ -370,14 +422,15 @@ def test_pinned_certificates_labelings_and_nodes():
     lines = []
 
     def add(n, edges):
-        lines.append(repr(oracle_mod._canonical_search(n, edges, oracle_mod.DEFAULT_BUDGET)))
+        adj = adjacency_lists(n, edges)
+        lines.append(repr(oracle_mod._canonical_search(n, adj, oracle_mod.DEFAULT_BUDGET)))
 
     cycle = graph("C54(1)")
-    add(cycle.n, sorted(cycle.edges))
+    add(cycle.n, edge_list(cycle))
     for entry in probe_open_problems().entries:
         for side in (entry.left, entry.right):
             g = CirculantGraph(side)
-            add(g.n, sorted(g.edges))
+            add(g.n, edge_list(g))
     g = graph("C54(1,3,17,19)")
     for seed in range(20):
         add(g.n, relabeled(g, seed))

@@ -19,7 +19,7 @@ from circio import (
     probe_open_problems,
     verify_permutation,
 )
-from helpers import CATALOGUE_T1, family_records, type2_family_records
+from helpers import CATALOGUE_T1, edge_list, family_records, type2_family_records
 
 nx = pytest.importorskip("networkx")
 
@@ -27,7 +27,7 @@ nx = pytest.importorskip("networkx")
 def nx_graph(g: CirculantGraph):
     out = nx.Graph()
     out.add_nodes_from(range(g.n))
-    out.add_edges_from(g.edges)
+    out.add_edges_from(edge_list(g))
     return out
 
 

@@ -6,7 +6,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from circio import CircioError
+from circio import CircioError, ScanReport
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -19,6 +19,38 @@ def load_script(name: str):
 
 
 class TestReproduceTables:
+    def test_tables_scan_and_goldens_agree(self, monkeypatch, tmp_path, capsys):
+        script = load_script("reproduce_tables")
+        out_dir = tmp_path / "out"
+        monkeypatch.setattr(sys, "argv", ["reproduce_tables.py", "--out-dir", str(out_dir)])
+        assert script.main() == 0
+        assert (out_dir / "family_a.csv").is_file()
+        assert (out_dir / "family_b.csv").is_file()
+        lines = capsys.readouterr().out.splitlines()
+        assert "combined Type-2 triples: 960" in lines
+        assert (
+            "the exhaustive order-54 scan finds 960 Type-2 triples, all of them family rows"
+            in lines
+        )
+
+    def test_scan_that_misses_family_rows_is_exit_1(self, monkeypatch, tmp_path, capsys):
+        script = load_script("reproduce_tables")
+        real = script.full_scan
+
+        def scan_without_first_record(n):
+            report = real(n)
+            return ScanReport(report.n, report.convention, report.counts, report.records[1:])
+
+        monkeypatch.setattr(script, "full_scan", scan_without_first_record)
+        monkeypatch.setattr(sys, "argv", ["reproduce_tables.py", "--out-dir", str(tmp_path)])
+        assert script.main() == 1
+        captured = capsys.readouterr()
+        assert "all of them family rows" not in captured.out
+        assert (
+            "error: the exhaustive order-54 scan finds 959 Type-2 triples, 0 of them "
+            "not family rows, and misses 1 of the 960 family T2 rows" in captured.err
+        )
+
     def test_library_error_is_exit_2_without_traceback(
         self, monkeypatch, tmp_path, capsys
     ):
