@@ -5,10 +5,13 @@ every nonempty subset of the nine reduced multiples of 3. Each row's triple
 is (R, image at t=2, image at t=4) under m=3.
 
 full_scan avoids the 2^(n/2) subset space by working on the non-multiple
-"core" structure: for a shift t, the permuted edge set can only be circulant
+"core" structure: for a shift t, the jump-level image can only be circulant
 when the non-multiple difference residues fall into orbits of the induced
 shift, so candidate cores are unions of those orbits and everything else is
-a multiple-of-m extension that rides along unchanged.
+a multiple-of-m extension that rides along unchanged. The cores fall into
+theta classes (a core and its circulant images): the raw pairs are the
+pairs inside a class, and the primitive tuples are the classes of minimal
+cores, each with one extension.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Sequence, TextIO
 
 from .classify import TYPE2, Classification, TupleRecord, type1_verdict
@@ -224,13 +227,10 @@ def _scan_one_modulus(
     for h in _levels(n, m):
         atoms = _nonmultiple_atoms(n, m, h)
         all_atoms.update(atoms)
-        atom_sets = [set(a) for a in atoms]
+        # Atoms of one level are disjoint: a union of them is their concatenation.
         for r in range(1, len(atoms) + 1):
-            for combo in combinations(range(len(atoms)), r):
-                merged: set[int] = set()
-                for i in combo:
-                    merged |= atom_sets[i]
-                cores.add(tuple(sorted(merged)))
+            for combo in combinations(atoms, r):
+                cores.add(tuple(sorted(chain.from_iterable(combo))))
     core_list = sorted(cores)
     t_range = n // m - 1
     if len(core_list) * t_range > budget:
@@ -238,29 +238,38 @@ def _scan_one_modulus(
             f"core image phase needs {len(core_list) * t_range} image tests"
         )
 
-    # Per core, t -> its jump-level image (None when not circulant).
+    # Per core, t -> its jump-level image, for the t where it is circulant.
     images = {
         core: {
-            t: None if (img := _jump_image(n, m, t, core)) is None else img.jumps
+            t: img.jumps
             for t in range(1, n // m)
+            if (img := _jump_image(n, m, t, core)) is not None
         }
         for core in core_list
     }
 
-    core_set = set(core_list)
-    linked: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple] = {}
-    for core in core_list:
-        for t in range(1, n // m):
-            img = images[core][t]
-            if img is None or img == core:
-                continue
-            if img not in core_set:
-                raise WitnessMismatch(f"image {img} of {core} escaped the core lattice")
-            key = (core, img) if core < img else (img, core)
-            if key not in linked:
-                linked[key] = (core, img, t)
+    # theta_s after theta_t is theta_{s+t}, t taken mod n/m, so a seed's
+    # class is the seed and its circulant images, and theta at
+    # shift[b] - shift[a] carries member a onto member b. Every member must
+    # be a core whose images stay in the class.
+    placed: set[tuple[int, ...]] = set()
+    classes: list[dict[tuple[int, ...], int]] = []
+    for seed in core_list:
+        if seed in placed:
+            continue
+        shift = {seed: 0}
+        for t, img in images[seed].items():
+            shift.setdefault(img, t)
+        for core in shift:
+            if core not in images:
+                raise WitnessMismatch(f"image {core} of {seed} escaped the core lattice")
+            if any(img not in shift for img in images[core].values()):
+                raise WitnessMismatch(f"an image of {core} leaves its theta class")
+        placed.update(shift)
+        classes.append(shift)
 
-    mask_work = len(linked) << len(extension_pool)
+    pair_count = sum(len(shift) * (len(shift) - 1) // 2 for shift in classes)
+    mask_work = pair_count << len(extension_pool)
     if mask_work > budget:
         raise Intractable(f"pair counting phase needs {mask_work} mask tests")
 
@@ -284,55 +293,37 @@ def _scan_one_modulus(
         for size in {len(core) for core in core_list}
     }
 
+    # Every core is a union of atoms of one level, so a core of two or more
+    # atoms strictly contains an atom: the minimal cores are the minimal atoms.
+    minimal = {a for a in all_atoms if not any(set(b) < set(a) for b in all_atoms)}
     verify_all = n <= 32
-    for key in sorted(linked):
-        src, dst, t = linked[key]
-        fixed = carried_fixed(src, dst)
-        counted = [mask for mask in admissible[len(src)] if mask not in fixed]
-        counts["type2_pairs_raw"] += len(counted)
-        if not verify_all:
-            continue
-        for mask in counted:
-            ext = _mask_jumps(extension_pool, mask)
-            _verify_theta_pair(
-                ConnectionSet(n, tuple(sorted(src + ext))),
-                ConnectionSet(n, tuple(sorted(dst + ext))),
-                m,
-                t,
-            )
-
-    # Primitive tuples: classes chased from minimal cores only. Atoms of one
-    # level are disjoint and every core is a union of them, so a core of two
-    # or more atoms strictly contains an atom: the minimal cores are the
-    # minimal atoms.
-    atom_list = sorted(all_atoms)
-    minimal = [
-        a
-        for a in atom_list
-        if not any(b != a and set(b) < set(a) for b in atom_list)
-    ]
-    # theta_s after theta_t is theta_{s+t}, t taken mod n/m, so a seed's
-    # class is the seed and its circulant images. Every member must be a
-    # minimal core whose images stay in the class.
-    minimal_set = set(minimal)
-    placed: set[tuple[int, ...]] = set()
-    classes: list[list[tuple[int, ...]]] = []
-    for seed in minimal:
-        if seed in placed:
-            continue
-        group = {seed} | {img for img in images[seed].values() if img is not None}
-        for core in sorted(group):
-            if core not in minimal_set:
-                raise WitnessMismatch(f"image {core} of a minimal core is not minimal")
-            if any(img not in group for img in images[core].values() if img is not None):
-                raise WitnessMismatch(f"an image of {core} leaves its theta class")
-        placed |= group
-        classes.append(sorted(group))
-
     sample_budget = 0 if verify_all else 100
-    for group in classes:
-        if len(group) < 2:
+    for shift in classes:
+        group = sorted(shift)
+        # Raw pairs: two members of the class and an admissible extension
+        # that no unit carrying one core onto the other fixes.
+        for src, dst in combinations(group, 2):
+            fixed = carried_fixed(src, dst)
+            counted = [mask for mask in admissible[len(src)] if mask not in fixed]
+            counts["type2_pairs_raw"] += len(counted)
+            if not verify_all:
+                continue
+            t = (shift[dst] - shift[src]) % (n // m)
+            for mask in counted:
+                ext = _mask_jumps(extension_pool, mask)
+                _verify_theta_pair(
+                    ConnectionSet(n, tuple(sorted(src + ext))),
+                    ConnectionSet(n, tuple(sorted(dst + ext))),
+                    m,
+                    t,
+                )
+
+        # Primitive tuples: the classes of minimal cores, one per extension.
+        if len(group) < 2 or minimal.isdisjoint(group):
             continue
+        for core in group:
+            if core not in minimal:
+                raise WitnessMismatch(f"{core} in a class of minimal cores is not minimal")
         # A tuple is T1 when units carry group[0] onto every other member
         # and fix the extension. Their quotients then link any two members
         # the same way, since the units that fix a mask form a group.
@@ -341,9 +332,7 @@ def _scan_one_modulus(
             *(carried_fixed(base_core, core) for core in group[1:])
         )
         base_hits = [
-            (t, img)
-            for t, img in sorted(images[base_core].items())
-            if img is not None and img != base_core
+            (t, img) for t, img in images[base_core].items() if img != base_core
         ]
         first_t = base_hits[0][0]
         for mask in admissible[len(base_core)]:

@@ -212,9 +212,12 @@ class TestUnwritableOutBeforeWork:
 # Pinned sha256 of each output file. They guard the order of the orbit
 # members and the streamed scan report byte for byte.
 SCAN_REPORT_SHA256 = {
+    8: "8b4b76f08d295ba51826a117cc1f89d5f9d2ed66ad8cb7f721cf2588c004f371",
     16: "2c3674385590c4fcbdd87ac6aca833779320b01707bc92429835444e84fa6b93",
+    24: "ffaf49f559cd54b7e071f61bb89c2a44700146fb5945c659490c0d954bf80bbd",
     27: "63e09f7260c173a1e6e1be9cb552de02cfa92bc34dc4c54164a96a520b7c6f01",
     32: "047c1f4b5b5b189466a9b739f59d14afc3e3124dd32b5c9b475bb211be54c0b5",
+    40: "dea77c46467386dbe4c80c6ff0ec2109037e58e00ca7c285fd7d23baa1260f34",
     48: "85122074b64375cee90e35fe3ea64b61d59f27acd418ce51413a2c3ab911be68",
     54: "d219bea46771901238577a43d67440ea9b4ebf87b382c5ddc0b5872e3d094822",
 }

@@ -32,6 +32,7 @@ from circio import (
 )
 from circio.enumeration import FAMILY_BASES, _fixed_masks, family_row
 from circio.multipliers import units
+from circio.theta import _jump_image
 from helpers import cs
 
 # Rows (1-based, ordered by extension size then lexicographically) whose
@@ -234,6 +235,9 @@ class TestFullScan:
     def test_n32(self):
         assert full_scan(32).counts == scan_counts(1392, 384, 126)
 
+    def test_n40(self):
+        assert full_scan(40).counts == scan_counts(9216, 1536, 1533)
+
     def test_n48(self, scan_of):
         assert scan_of(48).counts == scan_counts(105728, 10624, 9851)
 
@@ -294,6 +298,26 @@ class TestFullScan:
     def test_budget_ceiling(self):
         with pytest.raises(Intractable):
             full_scan(54, budget=10)
+
+    # (n, image-phase work, pair-phase work). The pair-phase work is the
+    # number of core pairs inside theta classes shifted left by the size of
+    # the multiple-of-m pool: 564 << 9 at n = 54.
+    @pytest.mark.parametrize(
+        "n,images,masks",
+        [
+            (24, 99, 192),
+            (27, 56, 96),
+            (32, 225, 1792),
+            (40, 627, 13312),
+            (48, 1725, 147456),
+            (54, 9639, 288768),
+        ],
+    )
+    def test_phase_budgets(self, n, images, masks):
+        with pytest.raises(Intractable, match=f"core image phase needs {images} image"):
+            full_scan(n, budget=images - 1)
+        with pytest.raises(Intractable, match=f"pair counting phase needs {masks} mask"):
+            full_scan(n, budget=images)
 
 
 def records_holding(report, sets) -> list:
@@ -364,6 +388,36 @@ class TestBruteForceScanCounts:
     def test_matches_full_scan(self, n, expected):
         assert brute_force_pair_count(n) == expected
         assert full_scan(n).counts["type2_pairs_raw"] == expected
+
+
+@pytest.mark.slow
+def test_order54_core_lattice_brute_force(scan54):
+    """Every core at n = 54 at every shift, with no atoms or classes: the
+    pairs {core, theta(core)} with their extensions give the raw pairs."""
+    n, m = 54, 3
+    nonmultiples = [j for j in range(1, 28) if j % 3]
+    multiples = list(range(3, 28, 3))
+    # At 9t = 0 (mod 54), that is t = 6 and 12, theta_t multiplies each jump
+    # by the unit 1 + 3t and fixes every multiple of 3, so none of its pairs
+    # can be a raw pair.
+    shifts = [t for t in range(1, 18) if 9 * t % 54]
+    pairs = set()
+    for size in range(1, len(nonmultiples) + 1):
+        for core in combinations(nonmultiples, size):
+            for t in shifts:
+                image = _jump_image(n, m, t, core)
+                if image is not None and image.jumps != core:
+                    pairs.add(tuple(sorted((core, image.jumps))))
+    assert len(pairs) == 564
+    raw = 0
+    for core, image in pairs:
+        for k in range(max(1, 3 - len(core)), len(multiples) + 1):
+            for ext in combinations(multiples, k):
+                left = ConnectionSet(n, tuple(sorted(core + ext)))
+                right = ConnectionSet(n, tuple(sorted(image + ext)))
+                if is_adam_equivalent(left, right) is None:
+                    raw += 1
+    assert raw == scan54.counts["type2_pairs_raw"] == 28800
 
 
 class TestGenerateA17c:

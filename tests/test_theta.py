@@ -1,5 +1,6 @@
 """The block-shift transform: worked images, parameter law, fixed multiples,
-and agreement of the jump-level image with the edge-level definition."""
+the composition law, and agreement of the jump-level image with the
+edge-level definition."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import circio.theta as theta_mod
+from circio.enumeration import _levels, _nonmultiple_atoms
 from circio import (
     ConnectionSet,
     InvalidParams,
@@ -198,3 +200,47 @@ class TestJumpLevelImage:
             expected = None if probe is None else tuple(j for j in probe.jumps if j != m)
             image = theta_mod._jump_image(a.n, m, t, core)
             assert (None if image is None else image.jumps) == expected
+
+
+# (n, m) with m^3 | n up to 120, for the composition law on images.
+COMPOSITION_ORDERS = tuple(
+    (n, m) for n in range(8, 121) for m in valid_block_moduli(n)
+)
+
+
+@st.composite
+def circulant_theta_hits(draw) -> tuple[int, int, int, tuple[int, ...]]:
+    """(n, m, s, R): R a union of atoms of one scan level with some multiples
+    of m, and s a shift whose image of R is circulant."""
+    n, m = draw(st.sampled_from(COMPOSITION_ORDERS))
+    atoms = _nonmultiple_atoms(n, m, draw(st.sampled_from(_levels(n, m))))
+    chosen = draw(st.sets(st.sampled_from(atoms), min_size=1))
+    mults = draw(st.sets(st.sampled_from(range(m, n // 2 + 1, m)), max_size=3))
+    jumps = tuple(sorted({j for atom in chosen for j in atom} | mults))
+    hits = [s for s in range(n // m) if theta_mod._jump_image(n, m, s, jumps) is not None]
+    return n, m, draw(st.sampled_from(hits)), jumps
+
+
+class TestComposition:
+    """theta keeps x mod m, so theta_u after theta_s is theta_{s+u} with the
+    shift taken mod n/m. The scan's theta classes rest on this law."""
+
+    @pytest.mark.parametrize("n", [8, 16, 27, 54])
+    def test_vertex_maps_compose(self, n):
+        m = valid_block_moduli(n)[0]
+        k = n // m
+        maps = [theta_vertex_map(ThetaParams(n, m, t)) for t in range(k)]
+        for s in range(k):
+            for u in range(k):
+                composed = tuple(maps[u][maps[s][x]] for x in range(n))
+                assert composed == maps[(s + u) % k], (n, s, u)
+
+    @settings(max_examples=150)
+    @given(circulant_theta_hits(), st.data())
+    def test_images_compose(self, hit, data):
+        n, m, s, jumps = hit
+        u = data.draw(st.integers(0, n // m - 1))
+        image = theta_mod._jump_image(n, m, s, jumps)
+        assert theta_mod._jump_image(n, m, u, image.jumps) == theta_mod._jump_image(
+            n, m, (s + u) % (n // m), jumps
+        )
