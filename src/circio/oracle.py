@@ -3,16 +3,21 @@
 Spectrum first (cheap non-isomorphism certificates), then canonical labeling
 by individualization-refinement with automorphism pruning. The search starts
 from the rotation x -> x+1 and the reflection x -> -x whenever the input, as
-labeled, admits them; each is checked edge by edge before use, and the search
-adds the automorphisms it discovers at its leaves. Pruning by automorphisms
-skips only subtrees equivalent to explored ones, so the certificate and the
-labeling do not depend on the seeds. The canonical engine works on plain
+labeled, admits them, and from the transpositions of twin vertices (equal
+open or closed neighbourhoods); each is checked edge by edge before use, and
+the search adds the automorphisms it discovers at its leaves. A leaf that an
+automorphism maps onto the best leaf also jumps the search back to the node
+where their paths part, since the automorphism carries the rest of that
+subtree onto one already explored. Pruning by automorphisms skips only
+subtrees equivalent to explored ones, so the certificate and the labeling do
+not depend on the seeds or the jumps. The canonical engine works on plain
 adjacency lists and uses no multiplier or theta algebra, so it owes nothing
 to the algebra it is checking.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -146,6 +151,7 @@ class _Search:
         self.remaining = budget
         self.best_cert: Optional[tuple[tuple[int, int], ...]] = None
         self.best_lab: Optional[list[int]] = None
+        self.best_path: tuple[int, ...] = ()
         self.auts: list[tuple[int, ...]] = []
         self.fixed: list[frozenset[int]] = []  # fixed points of auts[i]
 
@@ -168,7 +174,10 @@ class _Search:
             self.auts.append(gamma)
             self.fixed.append(frozenset(v for v in range(self.n) if gamma[v] == v))
 
-    def _leaf(self, colors: list[int]) -> None:
+    def _leaf(self, colors: list[int], path: tuple[int, ...]) -> int:
+        """Compare the leaf with the best one and return the depth the search
+        resumes at: the leaf's own depth, or the depth where its path parts
+        from the best path when an automorphism maps it onto the best leaf."""
         lab = colors  # discrete coloring is the labeling itself
         if self.best_lab is not None:
             # lab's certificate equals the best one exactly when the map
@@ -180,15 +189,27 @@ class _Search:
             gamma = tuple(inv_best[c] for c in lab)
             if self._is_automorphism(gamma):
                 self._store(gamma)
-                return
+                # gamma carries path onto the best path position by position,
+                # so it fixes their common prefix and maps the subtree below
+                # path[:k + 1] onto the explored one below best_path[:k + 1].
+                k = 0
+                for v, w in zip(path, self.best_path):
+                    if v != w:
+                        break
+                    k += 1
+                return k
         cert = _certificate(self.adj, lab)
         if self.best_cert is None or cert < self.best_cert:
             self.best_cert = cert
             self.best_lab = list(lab)
+            self.best_path = path
+        return len(path)
 
     def run(
         self, colors: list[int], cells: list[Optional[list[int]]], path: tuple[int, ...]
-    ) -> None:
+    ) -> int:
+        """Search the subtree below path; return the depth to resume at,
+        below len(path) when a leaf jumped back past this node."""
         if self.remaining <= 0:
             raise BudgetExceeded("canonical search budget exhausted")
         self.remaining -= 1
@@ -197,8 +218,8 @@ class _Search:
         _refine(self.adj, colors, cells, path[-1:] if path else range(self.n))
         target = max(filter(None, cells), key=len, default=None)  # first largest
         if target is None or len(target) == 1:
-            self._leaf(colors)
-            return
+            return self._leaf(colors, path)
+        depth = len(path)
         # Orbit pruning: skip a candidate that a known automorphism fixing
         # the path pointwise carries onto an explored one. forbidden is kept
         # closed under gens, the stored automorphisms that fix the path.
@@ -219,9 +240,12 @@ class _Search:
                     _close(forbidden, list(forbidden), gens)
             if v in forbidden:
                 continue
-            self.run(*_individualize(colors, cells, v), path + (v,))
+            resume = self.run(*_individualize(colors, cells, v), path + (v,))
+            if resume < depth:
+                return resume
             forbidden.add(v)
             _close(forbidden, [v], gens)
+        return depth
 
 
 def _dihedral_seeds(n: int, search: _Search) -> list[tuple[int, ...]]:
@@ -232,12 +256,40 @@ def _dihedral_seeds(n: int, search: _Search) -> list[tuple[int, ...]]:
     return [gamma for gamma in maps if search._is_automorphism(gamma)]
 
 
+def _twin_seeds(n: int, adj: Sequence[Sequence[int]], search: _Search) -> list[tuple[int, ...]]:
+    """Transpositions of twins: vertices with the same open neighbourhood
+    (the sorted row) or the same closed one (the row with v inserted). The
+    transpositions of consecutive members of a class generate every
+    permutation of it; each is kept only if it is an automorphism. Twins are
+    a property of the adjacency lists alone, so a relabeled input gets as
+    many seeds as its natural labeling."""
+    open_keys = [tuple(row) for row in adj]
+    closed_keys = []
+    for v, row in enumerate(open_keys):
+        i = bisect(row, v)
+        closed_keys.append(row[:i] + (v,) + row[i:])
+    seeds = []
+    for keys in (open_keys, closed_keys):
+        if len(set(keys)) == n:
+            continue  # no twins of this kind, the usual case
+        classes: dict[tuple[int, ...], list[int]] = {}
+        for v, key in enumerate(keys):
+            classes.setdefault(key, []).append(v)
+        for members in classes.values():
+            for u, v in zip(members, members[1:]):
+                gamma = list(range(n))
+                gamma[u], gamma[v] = v, u
+                if search._is_automorphism(gamma):
+                    seeds.append(tuple(gamma))
+    return seeds
+
+
 def _canonical_search(
     n: int, adj: Sequence[Sequence[int]], budget: int
 ) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...], int]:
     """Certificate, labeling and search nodes used for sorted adjacency lists."""
     search = _Search(n, adj, budget)
-    for gamma in _dihedral_seeds(n, search):
+    for gamma in _dihedral_seeds(n, search) + _twin_seeds(n, adj, search):
         search._store(gamma)
     search.run([0] * n, [list(range(n))] + [None] * (n - 1) if n else [], ())
     if search.best_cert is None:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 import circio.oracle as oracle_mod
 from circio import (
+    TYPE1,
     BudgetExceeded,
     CirculantGraph,
     ConnectionSet,
@@ -251,8 +253,9 @@ def relabeled(g: CirculantGraph, seed: int) -> list[tuple[int, int]]:
 
 
 class TestDihedralSeeds:
-    """The rotation and reflection seeds prune the search but change no byte:
-    certificate and labeling are the same with the seeds and without them."""
+    """The rotation, reflection and twin seeds prune the search but change no
+    byte: certificate and labeling are the same with the seeds and without
+    them. used counts the rotation and reflection seeds."""
 
     @staticmethod
     def seeded_and_unseeded(monkeypatch, n, edges):
@@ -269,6 +272,7 @@ class TestDihedralSeeds:
             seeded = canonical_edges_of(n, edges)
         with monkeypatch.context() as patch:
             patch.setattr(oracle_mod, "_dihedral_seeds", lambda n, search: [])
+            patch.setattr(oracle_mod, "_twin_seeds", lambda n, adj, search: [])
             unseeded = canonical_edges_of(n, edges)
         return seeded, unseeded, len(used)
 
@@ -278,7 +282,8 @@ class TestDihedralSeeds:
         assert seeded == unseeded, g.cs
 
     def test_sampled_family_rows(self, monkeypatch):
-        # Type-1 rows cost seconds without the seeds: see test_catalogue_t1_rows.
+        # Type-2 rows have no twins; the Type-1 rows, where the twin seeds
+        # act, are in test_catalogue_t1_rows.
         for record in random.Random(4).sample(type2_family_records(), 20):
             for member in record.members:
                 self.assert_same_with_both_seeds(monkeypatch, CirculantGraph(member))
@@ -305,6 +310,165 @@ class TestDihedralSeeds:
                 self.assert_same_with_both_seeds(monkeypatch, CirculantGraph(member))
 
 
+def seeds_of(n: int, edges) -> tuple[list, list]:
+    """The dihedral and the twin seeds of a graph as labeled."""
+    adj = adjacency_lists(n, edges)
+    search = oracle_mod._Search(n, adj, oracle_mod.DEFAULT_BUDGET)
+    return oracle_mod._dihedral_seeds(n, search), oracle_mod._twin_seeds(n, adj, search)
+
+
+def maps_edges_onto_edges(n: int, edges, gamma) -> bool:
+    """Edge-set reference for an automorphism test."""
+    pairs = {(min(a, b), max(a, b)) for a, b in edges}
+    return {(min(gamma[a], gamma[b]), max(gamma[a], gamma[b])) for a, b in pairs} == pairs
+
+
+def catalogue_t1_graphs() -> list[CirculantGraph]:
+    """Both sides of the CATALOGUE_T1 rows' theta links."""
+    graphs = []
+    for name, row in CATALOGUE_T1:
+        record = family_records(name)[row - 1]
+        graphs += [CirculantGraph(record.members[0]), CirculantGraph(record.theta_images[2])]
+    return graphs
+
+
+class TestTwinSeeds:
+    """Twin transpositions are found from the adjacency lists alone and are
+    automorphisms."""
+
+    def test_relabeled_input_gets_the_same_twin_seeds(self):
+        # The difference set is invariant under +18, so x, x + 18 and x + 36
+        # share their neighbourhood: 18 classes of three, two seeds each.
+        g = graph("C54(2,9,16,20,27)")
+        dihedral, twins = seeds_of(g.n, edge_list(g))
+        assert (len(dihedral), len(twins)) == (2, 36)
+        for seed in range(3):
+            dihedral, twins = seeds_of(g.n, relabeled(g, seed))
+            assert (len(dihedral), len(twins)) == (0, 36)
+
+    def test_no_twins_in_a_type2_graph(self):
+        g = graph("C54(1,3,17,19)")
+        assert seeds_of(g.n, edge_list(g))[1] == []
+
+    def test_every_seed_is_an_automorphism(self):
+        graphs = list(small_graphs())
+        for g in catalogue_t1_graphs():
+            graphs += [(g.n, edge_list(g)), (g.n, relabeled(g, 1))]
+        for n, adj in sample_graphs(seed=5, count=30):
+            graphs.append((n, [(v, u) for v in range(n) for u in adj[v] if v < u]))
+        total = 0
+        for n, edges in graphs:
+            adj = adjacency_lists(n, edges)
+            search = oracle_mod._Search(n, adj, oracle_mod.DEFAULT_BUDGET)
+            for gamma in sum(seeds_of(n, edges), []):
+                assert search._is_automorphism(gamma), n
+                assert maps_edges_onto_edges(n, edges, gamma), n
+                total += 1
+        assert total > 0
+
+    def test_consecutive_transpositions_of_each_class(self):
+        # Two disjoint 4-cliques: each is a class of closed twins.
+        n = 8
+        edges = [(a, b) for a, b in combinations(range(n), 2) if (a < 4) == (b < 4)]
+        _, twins = seeds_of(n, edges)
+        swaps = sorted(tuple(v for v in range(n) if gamma[v] != v) for gamma in twins)
+        assert swaps == [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)]
+
+
+class TestBackjump:
+    """Jumping back from a leaf that an automorphism maps onto the best leaf
+    prunes the search but changes no byte."""
+
+    @staticmethod
+    def without_backjump(monkeypatch, n, adj):
+        real = oracle_mod._Search._leaf
+
+        def leaf_without_jump(self, colors, path):
+            real(self, colors, path)
+            return len(path)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle_mod._Search, "_leaf", leaf_without_jump)
+            return oracle_mod._canonical_search(n, adj, oracle_mod.DEFAULT_BUDGET)
+
+    def assert_same_bytes(self, monkeypatch, n, adj):
+        with_jump = oracle_mod._canonical_search(n, adj, oracle_mod.DEFAULT_BUDGET)
+        without = self.without_backjump(monkeypatch, n, adj)
+        assert with_jump[:2] == without[:2], n
+        return with_jump[2], without[2]
+
+    def test_sample_graphs(self, monkeypatch):
+        for n, adj in sample_graphs(seed=13, count=150):
+            self.assert_same_bytes(monkeypatch, n, adj)
+
+    def test_copies_of_regular_graphs(self, monkeypatch):
+        # Many leaves, some equivalent and some not: jumping back further
+        # than the common prefix of the two paths changes certificates here.
+        for n, adj in copies_of_regular_graphs(seed=2, count=30):
+            self.assert_same_bytes(monkeypatch, n, adj)
+
+    def test_catalogue_t1_rows(self, monkeypatch):
+        saved = 0
+        for g in catalogue_t1_graphs():
+            with_jump, without = self.assert_same_bytes(monkeypatch, g.n, g.adjacency)
+            saved += without - with_jump
+        assert saved > 0
+
+
+def small_graphs():
+    """(n, edges) of the edgeless graph, the complete graph and, at even n,
+    two disjoint cliques on n/2 vertices, for n in 0, 1, 2, 8, 24."""
+    for n in (0, 1, 2, 8, 24):
+        pairs = list(combinations(range(n), 2))
+        yield n, []
+        yield n, pairs
+        if n % 2 == 0:
+            yield n, [(a, b) for a, b in pairs if (a < n // 2) == (b < n // 2)]
+
+
+class TestEdgelessAndComplete:
+    """Graphs whose twin classes are everything: the seeds generate the whole
+    automorphism group, so the search walks one path."""
+
+    def test_certificates(self):
+        for n, edges in small_graphs():
+            cert, lab = canonical_edges_of(n, edges)
+            assert sorted(lab) == list(range(n))
+            relabeled_edges = sorted((min(lab[a], lab[b]), max(lab[a], lab[b])) for a, b in edges)
+            assert list(cert) == relabeled_edges
+            if len(edges) == n * (n - 1) // 2:
+                assert cert == tuple(combinations(range(n), 2))
+            elif not edges:
+                assert cert == ()
+            else:
+                half = n // 2  # two cliques, the first at the labels 0..half-1
+                assert cert == tuple(
+                    (a, b) for a, b in combinations(range(n), 2) if (a < half) == (b < half)
+                )
+            perm = list(range(n))
+            random.Random(n).shuffle(perm)
+            shuffled = [(perm[a], perm[b]) for a, b in edges]
+            assert canonical_edges_of(n, shuffled)[0] == cert
+
+    def test_node_counts(self):
+        # Edgeless, complete, two cliques (even n only). The search without
+        # twin seeds and backjumps used 1,795 nodes on both n = 24 graphs.
+        expected = {
+            0: (1, 1, 1),
+            1: (1, 1),
+            2: (2, 2, 2),
+            8: (8, 8, 13),
+            24: (24, 24, 45),
+        }
+        counts: dict[int, tuple] = {}
+        for n, edges in small_graphs():
+            nodes = oracle_mod._canonical_search(
+                n, adjacency_lists(n, edges), oracle_mod.DEFAULT_BUDGET
+            )[2]
+            counts[n] = counts.get(n, ()) + (nodes,)
+        assert counts == expected
+
+
 def sample_graphs(seed: int, count: int):
     """(n, adjacency lists) of circulants, relabeled circulants and random
     graphs that are mostly not regular, n <= 54."""
@@ -321,6 +485,24 @@ def sample_graphs(seed: int, count: int):
                 perm = list(range(n))
                 rng.shuffle(perm)
                 edges = [(perm[a], perm[b]) for a, b in edges]
+        yield n, adjacency_lists(n, edges)
+
+
+def copies_of_regular_graphs(seed: int, count: int):
+    """(n, adjacency lists) of two or three disjoint copies of a random 2- or
+    3-regular graph on 6 to 12 vertices, relabeled at random."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        size, degree, copies = rng.choice((6, 8, 10, 12)), rng.choice((2, 3)), rng.choice((2, 3))
+        pairs: set[tuple[int, int]] = set()
+        while len(pairs) < size * degree // 2:  # a union of perfect matchings
+            pairs = set()
+            for _ in range(degree):
+                order = rng.sample(range(size), size)
+                pairs |= {tuple(sorted(order[i : i + 2])) for i in range(0, size, 2)}
+        n = size * copies
+        perm = rng.sample(range(n), n)
+        edges = [(perm[a + c * size], perm[b + c * size]) for c in range(copies) for a, b in pairs]
         yield n, adjacency_lists(n, edges)
 
 
@@ -378,14 +560,11 @@ class TestNodeCounts:
         with pytest.raises(BudgetExceeded):
             canonical_form(graph("C54(1)"), budget=2)
 
-    def test_costliest_catalogue_graph_fits_in_1000(self):
-        form = canonical_form(graph("C54(2,6,12,16,18,20,24)"), budget=1000)
-        assert 0 < form.nodes <= 1000
-
     def test_catalogue_t1_pairs(self):
-        # The same counts as the search that re-sorted every vertex in every
-        # refinement round: the tree it walks is unchanged.
-        expected = {("a", 3): 184, ("b", 30): 771, ("a", 206): 768, ("b", 206): 831}
+        # Twin seeds and backjumps took these from 184, 771, 768 and 831
+        # nodes; certificates and labelings are unchanged
+        # (test_pinned_catalogue_type1_members).
+        expected = {("a", 3): 155, ("b", 30): 37, ("a", 206): 37, ("b", 206): 104}
         for (name, row), nodes in expected.items():
             record = family_records(name)[row - 1]
             for member in (record.members[0], record.theta_images[2]):
@@ -416,14 +595,19 @@ class TestNodeCounts:
 
 
 def test_pinned_certificates_labelings_and_nodes():
-    """One sha256 over (certificate, labeling, nodes) of C54(1), both sides of
-    the 35 probe_open_problems pairs and 20 relabelings of C54(1,3,17,19),
-    taken from the search that re-sorted every vertex in every round."""
+    """One sha256 over (certificate, labeling) of C54(1), both sides of the 35
+    probe_open_problems pairs and 20 relabelings of C54(1,3,17,19), taken
+    from the search that re-sorted every vertex in every round and had no
+    twin seeds and no backjumps; the node counts are pinned apart, since
+    pruning moves them and must move nothing else."""
     lines = []
+    nodes = []
 
     def add(n, edges):
         adj = adjacency_lists(n, edges)
-        lines.append(repr(oracle_mod._canonical_search(n, adj, oracle_mod.DEFAULT_BUDGET)))
+        cert, lab, used = oracle_mod._canonical_search(n, adj, oracle_mod.DEFAULT_BUDGET)
+        lines.append(repr((cert, lab)))
+        nodes.append(used)
 
     cycle = graph("C54(1)")
     add(cycle.n, edge_list(cycle))
@@ -436,4 +620,28 @@ def test_pinned_certificates_labelings_and_nodes():
         add(g.n, relabeled(g, seed))
     assert len(lines) == 91
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "a5e92b834c55ec6a81e927bf5afac8e83ab3ada2e76088e218543500eaa7ecc0"
+    assert digest == "74317d3ec8feb684cfbf43702cc852ed18a7a4727b108c9cb2c04b696cdfa178"
+    # 923 without the twin seeds and backjumps.
+    assert sum(nodes) == 555
+
+
+def test_pinned_catalogue_type1_members():
+    """One sha256 over (member, certificate, labeling) of every member of
+    every Type-1 row of family a, then family b, in table order (186
+    graphs): the graphs the twin seeds and backjumps act on. The digest is
+    that of the search without them; with them no member needs more than
+    160 nodes (853 without)."""
+    lines = []
+    costliest = 0
+    for name in ("a", "b"):
+        for record in family_records(name):
+            if record.verdict.kind != TYPE1:
+                continue
+            for member in record.members:
+                form = canonical_form(CirculantGraph(member))
+                lines.append(repr((str(member), form.canonical_edges, form.labeling)))
+                costliest = max(costliest, form.nodes)
+    assert len(lines) == 186
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "4fea32edc2d6e9c3b42dba621463aae534bfc302a1721164ce652d2b6b6a5e3e"
+    assert costliest <= 160
