@@ -4,8 +4,9 @@ The verdict vocabulary mirrors the tables this package reproduces: a tuple
 is T1 exactly when every member lies in the unit-multiplier orbit of its
 first member (orbits are equivalence classes, so every pair is then
 multiplied), and T2 when theta witnesses link everything but at least one
-pair has no multiplier witness. type1_verdict is the one place that rule is
-decided.
+pair has no multiplier witness. type1_verdict is the one place the T1 rule
+is decided, and _verdict the one place every verdict is: classify_pair is
+its two-member case.
 """
 
 from __future__ import annotations
@@ -98,55 +99,68 @@ def type1_verdict(
     )
 
 
-def _theta_pair_witness(
-    a: ConnectionSet, b: ConnectionSet
-) -> Optional[tuple[int, int]]:
-    """Smallest (m, t) with theta_image(a, m, t) = b, honoring eligibility."""
-    if len(a.jumps) != len(b.jumps) or len(a.jumps) < 3:
-        return None
-    for m in valid_block_moduli(a.n):
-        # theta fixes multiples of m, so a and b must carry the same ones.
-        fixed = {j for j in a.jumps if j % m == 0}
-        if not fixed or fixed != {j for j in b.jumps if j % m == 0}:
-            continue
-        for t in range(1, a.n // m):
-            if theta_image(a, m, t) == b:
-                return (m, t)
-    return None
+def _theta_links(
+    a: ConnectionSet, targets: Sequence[ConnectionSet]
+) -> dict[ConnectionSet, tuple[int, int]]:
+    """Smallest (m, t) with theta_image(a, m, t) = b, for each eligible b.
 
-
-def classify_pair(
-    a: ConnectionSet, b: ConnectionSet, budget: int = DEFAULT_BUDGET
-) -> Classification:
-    """Type1, else Type2 (ascending m then t), else ask the oracle."""
-    if a.n != b.n:
-        raise OrderMismatch(f"orders differ: {a.n} vs {b.n}")
-    if a == b:
-        raise InvalidParams("classify_pair requires two distinct sets")
-    orbit = adam_orbit(a)
-    return type1_verdict((a, b), orbit) or _linked_verdict((a, b), orbit, budget)
-
-
-def _linked_verdict(
-    members: tuple[ConnectionSet, ...], orbit: AdamOrbit, budget: int
-) -> Classification:
-    """T2, non-isomorphic or unknown for members that are not T1.
-
-    Pairs without a multiplier need a theta witness (ascending m then t).
-    Pairs with neither go to the oracle in order; the first non-isomorphic
-    or timeout verdict decides, and an all-isomorphic answer is unknown.
+    b is eligible at m when a and b have as many jumps, at least three, and
+    the same nonempty set of multiples of m, which theta fixes. One search in
+    ascending (m, t) serves every target and stops once each has its link.
     """
+    links: dict[ConnectionSet, tuple[int, int]] = {}
+    targets = [b for b in targets if len(b.jumps) == len(a.jumps) >= 3]
+    for m in valid_block_moduli(a.n):
+        fixed = {j for j in a.jumps if j % m == 0}
+        if not fixed:
+            continue
+        open_targets = {
+            b for b in targets
+            if b not in links and {j for j in b.jumps if j % m == 0} == fixed
+        }
+        for t in range(1, a.n // m):
+            if not open_targets:
+                break
+            img = theta_image(a, m, t)
+            if img in open_targets:
+                links[img] = (m, t)
+                open_targets.remove(img)
+    return links
+
+
+def _verdict(members: tuple[ConnectionSet, ...], budget: int) -> Classification:
+    """The verdict on two or more pairwise distinct sets of one order.
+
+    T1 needs every member in the orbit of the first (type1_verdict). Else
+    every pair (i < j) without a multiplier needs a theta link, and the
+    first linked pair in (i, j) order gives the reported (m, t). Pairs with
+    neither go to the oracle in (i, j) order; the first non-isomorphic or
+    timeout answer decides, and an all-isomorphic answer is unknown.
+    """
+    if len(members) < 2:
+        raise InvalidParams("need at least two members")
+    n = members[0].n
+    for cs in members[1:]:
+        if cs.n != n:
+            raise OrderMismatch(f"orders differ: {n} vs {cs.n}")
+    if len(set(members)) != len(members):
+        raise InvalidParams("members must be pairwise distinct")
+    orbit = adam_orbit(members[0])
+    verdict = type1_verdict(members, orbit)
+    if verdict is not None:
+        return verdict
     first_theta: Optional[tuple[int, int]] = None
     unlinked: list[tuple[ConnectionSet, ConnectionSet]] = []
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            if is_adam_equivalent(members[i], members[j]) is not None:
-                continue
-            hit = _theta_pair_witness(members[i], members[j])
-            if hit is None:
-                unlinked.append((members[i], members[j]))
+    for i, a in enumerate(members[:-1]):
+        # Ádám equivalence of a pair is membership in the first one's orbit.
+        own_orbit = orbit if i == 0 else adam_orbit(a)
+        later = [b for b in members[i + 1:] if b not in own_orbit]
+        links = _theta_links(a, later)
+        for b in later:
+            if b not in links:
+                unlinked.append((a, b))
             elif first_theta is None:
-                first_theta = hit
+                first_theta = links[b]
     if not unlinked:
         # Not T1, so some pair has no multiplier and first_theta is set.
         m, t = first_theta
@@ -166,31 +180,26 @@ def _linked_verdict(
     )
 
 
+def classify_pair(
+    a: ConnectionSet, b: ConnectionSet, budget: int = DEFAULT_BUDGET
+) -> Classification:
+    """The two-member case of classify_tuple's verdict."""
+    return _verdict((a, b), budget)
+
+
 def classify_tuple(
     members: Sequence[ConnectionSet], budget: int = DEFAULT_BUDGET
 ) -> TupleRecord:
-    """Classify 2 or more sets the way the tables do.
-
-    T1 needs every member in the orbit of the first (type1_verdict); T2
-    needs every pair witnessed (multiplier or theta) otherwise.
-    """
+    """Classify 2 or more sets the way the tables do (see _verdict), with
+    the theta images of the first member that are other members, at the
+    smallest m that has any."""
     members = tuple(members)
-    if len(members) < 2:
-        raise InvalidParams("need at least two members")
-    n = members[0].n
-    for cs in members[1:]:
-        if cs.n != n:
-            raise OrderMismatch("tuple members must share one order")
-    if len(set(members)) != len(members):
-        raise InvalidParams("tuple members must be pairwise distinct")
-
-    orbit = adam_orbit(members[0])
-    verdict = type1_verdict(members, orbit) or _linked_verdict(members, orbit, budget)
+    verdict = _verdict(members, budget)
 
     theta_images: dict[int, ConnectionSet] = {}
     base = members[0]
     rest = set(members[1:])
-    for m in valid_block_moduli(n):
+    for m in valid_block_moduli(base.n):
         if not _has_multiple(base, m):
             continue
         for t, img in theta_scan(base, m):

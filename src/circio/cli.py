@@ -104,7 +104,7 @@ def theta_cmd(m: int, t: int, connection_set: str) -> None:
 @main.command("classify")
 @click.option(
     "--budget",
-    type=int,
+    type=click.IntRange(min=0),
     default=DEFAULT_BUDGET,
     show_default=True,
     help="Oracle search-node budget.",
@@ -112,14 +112,9 @@ def theta_cmd(m: int, t: int, connection_set: str) -> None:
 @click.argument("connection_sets", nargs=-1, required=True)
 def classify_cmd(budget: int, connection_sets: tuple[str, ...]) -> None:
     """Classify two or more sets; print the verdict and its witness."""
-    if len(connection_sets) < 2:
-        raise click.UsageError("classify needs at least two connection sets")
     sets = [_parse_set(text) for text in connection_sets]
     try:
-        if len(sets) == 2:
-            verdict = classify_pair(sets[0], sets[1], budget=budget)
-        else:
-            verdict = classify_tuple(tuple(sets), budget=budget).verdict
+        verdict = classify_tuple(sets, budget=budget).verdict
     except CircioError as exc:
         raise click.UsageError(str(exc)) from exc
     click.echo(verdict.describe())
@@ -239,7 +234,7 @@ def generate_cmd(
 @main.command("probe-open")
 @click.option(
     "--budget",
-    type=int,
+    type=click.IntRange(min=0),
     default=DEFAULT_BUDGET,
     show_default=True,
     help="Oracle search-node budget per pair.",

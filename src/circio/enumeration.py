@@ -86,24 +86,16 @@ def enumerate_family(name: str) -> list[TupleRecord]:
 # exhaustive scan machinery
 
 def _nonmultiple_atoms(n: int, m: int, h: int) -> list[tuple[int, ...]]:
-    """Orbits of non-multiple residues under +h and negation, as reduced jumps."""
-    seen: set[int] = set()
-    atoms: set[tuple[int, ...]] = set()
-    for d in range(1, n):
-        if d % m == 0 or d in seen:
-            continue
-        orbit: set[int] = set()
-        stack = [d]
-        while stack:
-            v = stack.pop()
-            if v in orbit:
-                continue
-            orbit.add(v)
-            stack.append((v + h) % n)
-            stack.append((n - v) % n)
-        seen |= orbit
-        atoms.add(tuple(sorted({min(v, n - v) for v in orbit})))
-    return sorted(atoms)
+    """Orbits of non-multiple residues under +h and negation, as reduced jumps.
+
+    h is a multiple of m that divides n, so the orbit of d is
+    (d + hZ) u (-d + hZ), and each orbit meets [1, h).
+    """
+    return sorted({
+        tuple(sorted({min(v, n - v) for s in (d, n - d) for v in range(s % h, n, h)}))
+        for d in range(1, h)
+        if d % m
+    })
 
 
 def _levels(n: int, m: int) -> list[int]:

@@ -260,9 +260,11 @@ def _twin_seeds(n: int, adj: Sequence[Sequence[int]], search: _Search) -> list[t
     """Transpositions of twins: vertices with the same open neighbourhood
     (the sorted row) or the same closed one (the row with v inserted). The
     transpositions of consecutive members of a class generate every
-    permutation of it; each is kept only if it is an automorphism. Twins are
-    a property of the adjacency lists alone, so a relabeled input gets as
-    many seeds as its natural labeling."""
+    permutation of it; each is kept only if it is an automorphism. A
+    transposition (u v) moves only the edges at u or v, so it is one exactly
+    when N(u) - {v} = N(v) - {u}. Twins are a property of the adjacency
+    lists alone, so a relabeled input gets as many seeds as its natural
+    labeling."""
     open_keys = [tuple(row) for row in adj]
     closed_keys = []
     for v, row in enumerate(open_keys):
@@ -277,9 +279,9 @@ def _twin_seeds(n: int, adj: Sequence[Sequence[int]], search: _Search) -> list[t
             classes.setdefault(key, []).append(v)
         for members in classes.values():
             for u, v in zip(members, members[1:]):
-                gamma = list(range(n))
-                gamma[u], gamma[v] = v, u
-                if search._is_automorphism(gamma):
+                if search.nbr[u] - {v} == search.nbr[v] - {u}:
+                    gamma = list(range(n))
+                    gamma[u], gamma[v] = v, u
                     seeds.append(tuple(gamma))
     return seeds
 

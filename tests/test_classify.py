@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -17,9 +20,16 @@ from circio import (
     adam_orbit,
     classify_pair,
     classify_tuple,
+    full_scan,
+    generate_a17c,
+    generate_c1,
+    probe_open_problems,
 )
 from circio.classify import type1_verdict
-from helpers import cs
+from helpers import cs, family_records
+
+# sha256 of the newline-joined json.dumps of every verdict in verdict_lines().
+VERDICT_DIGEST = "72ebba3c5c9c3045e5bd2dcb7fd2b7308fdf56f4dbf2843e8ade60d12105a3b2"
 
 
 class TestClassifyPair:
@@ -131,6 +141,15 @@ class TestClassifyTuple:
         assert rec.verdict.kind == TYPE1
         assert rec.verdict.unit == 5
 
+    def test_type2_reports_the_first_linked_pair(self):
+        # Pair (0, 1) is linked at t = 2 and pair (0, 2) at t = 1: the verdict
+        # takes the first pair in (i, j) order, not the smallest t.
+        rec = classify_tuple(
+            (cs("C27(1,3,8,9,10)"), cs("C27(2,3,7,9,11)"), cs("C27(3,4,5,9,13)"))
+        )
+        assert (rec.verdict.kind, rec.verdict.m, rec.verdict.t) == (TYPE2, 3, 2)
+        assert rec.theta_images[1] == cs("C27(3,4,5,9,13)")
+
     def test_mixed_membership_not_type2(self):
         # two block-shift partners plus one spectral stranger
         rec = classify_tuple(
@@ -158,3 +177,51 @@ class TestClassifyTuple:
         assert out["members"][0] == "C54(1,3,17,19)"
         assert out["theta_images"]["2"] == "C54(3,7,11,25)"
         assert out["verdict"]["verdict"] == TYPE2
+
+
+@lru_cache(maxsize=None)
+def pair_corpus() -> tuple[tuple[ConnectionSet, ConnectionSet], ...]:
+    """Family member pairs, scan record member pairs, construction pairs and
+    the probe pairs, in a fixed order."""
+    pairs = []
+    for row in family_records("a") + family_records("b"):
+        first, second, third = row.members
+        pairs += [(first, second), (first, third), (second, third), (third, first)]
+    for n in (16, 24, 27, 32):
+        for record in full_scan(n).records:
+            pairs += combinations(record.members, 2)
+    for k in range(2, 7):
+        for s in range(1, k + 1):
+            if 2 * s - 1 != k:
+                pairs.append(generate_a17c(k, s))
+    pairs += [(entry.left, entry.right) for entry in probe_open_problems().entries]
+    return tuple(pairs)
+
+
+def verdict_lines() -> list[str]:
+    lines = [json.dumps(classify_pair(a, b).to_json()) for a, b in pair_corpus()]
+    c16 = (cs("C16(1,2,7)"), cs("C16(1,6,7)"))
+    lines.append(json.dumps(classify_pair(*c16).to_json()))
+    lines.append(json.dumps(classify_pair(*c16, budget=3).to_json()))
+    tuples = [row.members for row in family_records("a") + family_records("b")]
+    tuples += [
+        tuple(generate_c1(1, 3, x, y, i) for i in range(1, 4))
+        for x in (1, 2)
+        for y in range(3)
+    ]
+    lines += [json.dumps(classify_tuple(members).to_json()) for members in tuples]
+    return lines
+
+
+class TestVerdictDigest:
+    """Every verdict field, over the pairs and tuples the package reproduces,
+    is locked by one digest."""
+
+    def test_digest(self):
+        lines = verdict_lines()
+        assert len(lines) == 4601 + 2 + 1028
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == VERDICT_DIGEST
+
+    def test_pair_is_the_two_member_tuple(self):
+        for a, b in pair_corpus():
+            assert classify_tuple((a, b)).verdict == classify_pair(a, b), (a, b)

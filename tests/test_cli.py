@@ -107,6 +107,25 @@ class TestClassifyCommand:
         result = runner.invoke(main, ["classify", "C54(1,3)", "C54(1,3)"])
         assert result.exit_code == 2
 
+    def test_mixed_orders_exit_2(self, runner):
+        result = runner.invoke(main, ["classify", "C54(1,3)", "C27(1,3)"])
+        assert result.exit_code == 2
+        assert "orders differ: 54 vs 27" in result.output
+
+    def test_negative_budget_exit_2(self, runner):
+        result = runner.invoke(
+            main, ["classify", "--budget", "-1", "C16(1,2,7)", "C16(1,6,7)"]
+        )
+        assert result.exit_code == 2
+        assert "--budget" in result.output
+
+    def test_zero_budget_is_unknown(self, runner):
+        result = runner.invoke(
+            main, ["classify", "--budget", "0", "C16(1,2,7)", "C16(1,6,7)"]
+        )
+        assert result.exit_code == 0
+        assert result.output.strip() == "Unknown budget"
+
 
 class TestEnumerateFamilyCommand:
     def test_csv_output(self, runner, tmp_path):
@@ -300,6 +319,14 @@ class TestProbeOpenCommand:
         ]
         assert len(entry_lines) == 35
         assert len(json.loads(out.read_text())["entries"]) == 35
+
+    def test_negative_budget_exit_2(self, runner, monkeypatch):
+        monkeypatch.setattr(
+            cli_mod, "probe_open_problems", lambda budget: ProbeReport(entries=())
+        )
+        result = runner.invoke(main, ["probe-open", "--budget", "-1"])
+        assert result.exit_code == 2
+        assert "--budget" in result.output
 
     def test_unwritable_out_exit_2(self, runner, tmp_path, monkeypatch):
         monkeypatch.setattr(

@@ -366,6 +366,30 @@ class TestTwinSeeds:
                 total += 1
         assert total > 0
 
+    def test_local_twin_check_matches_full_automorphism_check(self):
+        # A transposition (u v) is an automorphism exactly when
+        # N(u) - {v} = N(v) - {u}; _twin_seeds tests only that.
+        rng = random.Random(11)
+        graphs = [(n, edges) for n, edges in small_graphs() if n <= 8]
+        g = graph("C54(2,9,16,20,27)")
+        graphs.append((g.n, edge_list(g)))
+        for _ in range(120):
+            n = rng.randint(2, 14)
+            p = rng.choice((0.1, 0.3, 0.5, 0.8))
+            graphs.append((n, [pair for pair in combinations(range(n), 2) if rng.random() < p]))
+        agree = automorphisms = 0
+        for n, edges in graphs:
+            adj = adjacency_lists(n, edges)
+            search = oracle_mod._Search(n, adj, oracle_mod.DEFAULT_BUDGET)
+            for u, v in combinations(range(n), 2):
+                gamma = list(range(n))
+                gamma[u], gamma[v] = v, u
+                full = search._is_automorphism(gamma)
+                assert (search.nbr[u] - {v} == search.nbr[v] - {u}) == full, (n, u, v)
+                agree += 1
+                automorphisms += full
+        assert automorphisms > 0 and agree > automorphisms
+
     def test_consecutive_transpositions_of_each_class(self):
         # Two disjoint 4-cliques: each is a class of closed twins.
         n = 8
