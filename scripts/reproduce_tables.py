@@ -6,8 +6,8 @@ Writes family_a.csv and family_b.csv into --out-dir (default: cwd), prints
 per-family verdict tallies, checks that the Type-2 triples of full_scan(54)
 are, as member sets, exactly the family T2 rows, then runs the golden-row
 recomputation and prints its report. Exits 1 if the scan and the families
-disagree or any golden verdict does, 2 when the library rejects its input
-or an output path cannot be written.
+disagree, any golden verdict does or a certificate fails its self-check,
+2 when the library rejects its input or an output path cannot be written.
 """
 
 from __future__ import annotations
@@ -16,7 +16,14 @@ import argparse
 import sys
 from pathlib import Path
 
-from circio import TYPE2, CircioError, enumerate_family, full_scan, verify_goldens
+from circio import (
+    TYPE2,
+    CircioError,
+    WitnessMismatch,
+    enumerate_family,
+    full_scan,
+    verify_goldens,
+)
 from circio.export import export_csv, verdict_counts
 
 
@@ -56,6 +63,9 @@ def main() -> int:
                 file=sys.stderr,
             )
         report = verify_goldens()
+    except WitnessMismatch as exc:
+        print(f"error: not certified: {exc}", file=sys.stderr)
+        return 1
     except CircioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

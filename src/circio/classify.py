@@ -12,13 +12,14 @@ its two-member case.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from itertools import groupby
+from typing import Iterator, Optional, Sequence
 
 from .core import CirculantGraph, ConnectionSet
 from .errors import InvalidParams, OrderMismatch
 from .multipliers import AdamOrbit, adam_orbit, is_adam_equivalent
 from .oracle import DEFAULT_BUDGET, isomorphic
-from .theta import _has_multiple, theta_image, theta_scan, valid_block_moduli
+from .theta import _multiples, theta_image, valid_block_moduli
 
 TYPE1 = "type1"
 TYPE2 = "type2"
@@ -99,32 +100,39 @@ def type1_verdict(
     )
 
 
+def _theta_walk(a: ConnectionSet) -> Iterator[tuple[int, int, ConnectionSet]]:
+    """(m, t, image) for each circulant theta image of a, ascending in (m, t):
+    m over the valid moduli of which a holds a multiple, t in [1, n/m - 1]."""
+    for m in valid_block_moduli(a.n):
+        if _multiples(a, m):
+            for t in range(1, a.n // m):
+                img = theta_image(a, m, t)
+                if img is not None:
+                    yield m, t, img
+
+
 def _theta_links(
     a: ConnectionSet, targets: Sequence[ConnectionSet]
 ) -> dict[ConnectionSet, tuple[int, int]]:
     """Smallest (m, t) with theta_image(a, m, t) = b, for each eligible b.
 
-    b is eligible at m when a and b have as many jumps, at least three, and
-    the same nonempty set of multiples of m, which theta fixes. One search in
-    ascending (m, t) serves every target and stops once each has its link.
+    b is eligible when a and b have as many jumps, at least three, and at
+    some valid m the same nonempty set of multiples of m, which theta fixes.
+    One walk serves every target and stops once each has its link.
     """
+    moduli = [m for m in valid_block_moduli(a.n) if _multiples(a, m)]
+    open_targets = {
+        b for b in targets
+        if len(b.jumps) == len(a.jumps) >= 3
+        and any(_multiples(b, m) == _multiples(a, m) for m in moduli)
+    }
     links: dict[ConnectionSet, tuple[int, int]] = {}
-    targets = [b for b in targets if len(b.jumps) == len(a.jumps) >= 3]
-    for m in valid_block_moduli(a.n):
-        fixed = {j for j in a.jumps if j % m == 0}
-        if not fixed:
-            continue
-        open_targets = {
-            b for b in targets
-            if b not in links and {j for j in b.jumps if j % m == 0} == fixed
-        }
-        for t in range(1, a.n // m):
+    for m, t, img in _theta_walk(a) if open_targets else ():
+        if img in open_targets:
+            links[img] = (m, t)
+            open_targets.remove(img)
             if not open_targets:
                 break
-            img = theta_image(a, m, t)
-            if img in open_targets:
-                links[img] = (m, t)
-                open_targets.remove(img)
     return links
 
 
@@ -196,15 +204,10 @@ def classify_tuple(
     members = tuple(members)
     verdict = _verdict(members, budget)
 
-    theta_images: dict[int, ConnectionSet] = {}
-    base = members[0]
     rest = set(members[1:])
-    for m in valid_block_moduli(base.n):
-        if not _has_multiple(base, m):
-            continue
-        for t, img in theta_scan(base, m):
-            if img in rest:
-                theta_images[t] = img
+    theta_images: dict[int, ConnectionSet] = {}
+    for _, hits in groupby(_theta_walk(members[0]), key=lambda hit: hit[0]):
+        theta_images = {t: img for _, t, img in hits if img in rest}
         if theta_images:
             break
     return TupleRecord(members=members, theta_images=theta_images, verdict=verdict)

@@ -2,9 +2,10 @@
 
 The CSV/JSONL writers live in circio.export; this module binds them too.
 
-Exit codes: 0 on success, 1 when verify-goldens finds a verdict mismatch,
-2 on usage errors (including parameter values the library rejects and output
-paths that cannot be written; every --out is checked before any work).
+Exit codes: 0 on success, 1 when verify-goldens finds a verdict mismatch or
+a certificate fails its self-check (WitnessMismatch), 2 on usage errors
+(including parameter values the library rejects and output paths that cannot
+be written; every --out is checked before any work).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .enumeration import (
     generate_c1,
     probe_open_problems,
 )
-from .errors import CircioError
+from .errors import CircioError, WitnessMismatch
 from .export import export_csv, export_jsonl, verdict_counts
 from .goldens import verify_goldens
 from .multipliers import adam_orbit
@@ -72,10 +73,25 @@ def _write_json(data: dict, path: str) -> None:
 _IGNORED_WORKERS = click.option("--workers", type=int, hidden=True, expose_value=False)
 
 
+class _Command(click.Command):
+    """A failed certificate exits 1; any other CircioError is a usage error."""
+
+    def invoke(self, ctx: click.Context) -> object:
+        try:
+            return super().invoke(ctx)
+        except WitnessMismatch as exc:
+            raise click.ClickException(f"not certified: {exc}") from exc
+        except CircioError as exc:
+            raise click.UsageError(str(exc), ctx) from exc
+
+
 @click.group()
 @click.version_option(__version__, prog_name="circio")
 def main() -> None:
     """Isomorphism tooling for circulant graphs."""
+
+
+main.command_class = _Command
 
 
 @main.command("orbit")
@@ -93,11 +109,7 @@ def orbit_cmd(connection_set: str) -> None:
 @click.argument("connection_set")
 def theta_cmd(m: int, t: int, connection_set: str) -> None:
     """Apply the block-shift transform; print the image or 'not circulant'."""
-    cs = _parse_set(connection_set)
-    try:
-        img = theta_image(cs, m, t)
-    except CircioError as exc:
-        raise click.UsageError(str(exc)) from exc
+    img = theta_image(_parse_set(connection_set), m, t)
     click.echo(str(img) if img is not None else "not circulant")
 
 
@@ -113,11 +125,7 @@ def theta_cmd(m: int, t: int, connection_set: str) -> None:
 def classify_cmd(budget: int, connection_sets: tuple[str, ...]) -> None:
     """Classify two or more sets; print the verdict and its witness."""
     sets = [_parse_set(text) for text in connection_sets]
-    try:
-        verdict = classify_tuple(sets, budget=budget).verdict
-    except CircioError as exc:
-        raise click.UsageError(str(exc)) from exc
-    click.echo(verdict.describe())
+    click.echo(classify_tuple(sets, budget=budget).verdict.describe())
 
 
 @main.command("enumerate-family")
@@ -166,7 +174,7 @@ def enumerate_family_cmd(family_name: str, out_path: str) -> None:
 )
 @click.option(
     "--budget",
-    type=int,
+    type=click.IntRange(min=0),
     default=DEFAULT_SCAN_BUDGET,
     show_default=True,
     help="Ceiling on scan work units.",
@@ -175,11 +183,8 @@ def enumerate_family_cmd(family_name: str, out_path: str) -> None:
 def scan_cmd(n: int, out_path: str, budget: int) -> None:
     """Exhaustively scan one order and write a JSON report to --out."""
     click.echo(f"scanning n={n}...", err=True)
-    try:
-        _check_writable(out_path)
-        report = full_scan(n, budget=budget)
-    except CircioError as exc:
-        raise click.UsageError(str(exc)) from exc
+    _check_writable(out_path)
+    report = full_scan(n, budget=budget)
     try:
         with open(out_path, "w", encoding="utf-8") as fh:
             report.write_json(fh)
@@ -214,21 +219,16 @@ def generate_cmd(
     """Run one construction and classify its output."""
     if (a17c_args is None) == (c1_args is None):
         raise click.UsageError("pass exactly one of --a17c or --c1")
-    try:
-        if a17c_args is not None:
-            k, s = a17c_args
-            left, right = generate_a17c(k, s)
-            click.echo(str(left))
-            click.echo(str(right))
-            click.echo(classify_pair(left, right).describe())
-        else:
-            base, p, x, y = c1_args
-            chain = tuple(generate_c1(base, p, x, y, i) for i in range(1, p + 1))
-            for member in chain:
-                click.echo(str(member))
-            click.echo(classify_tuple(chain).verdict.describe())
-    except CircioError as exc:
-        raise click.UsageError(str(exc)) from exc
+    if a17c_args is not None:
+        left, right = generate_a17c(*a17c_args)
+        click.echo(f"{left}\n{right}")
+        click.echo(classify_pair(left, right).describe())
+    else:
+        base, p, x, y = c1_args
+        chain = tuple(generate_c1(base, p, x, y, i) for i in range(1, p + 1))
+        for member in chain:
+            click.echo(str(member))
+        click.echo(classify_tuple(chain).verdict.describe())
 
 
 @main.command("probe-open")

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .multipliers import adam_orbit, carrying_half_units, is_adam_equivalent
 from .oracle import DEFAULT_BUDGET, IsoVerdict, isomorphic
-from .theta import _jump_image, theta_image, theta_witness, valid_block_moduli
+from .theta import jump_hits, theta_image, theta_witness, valid_block_moduli
 
 DEFAULT_SCAN_BUDGET = 20_000_000
 
@@ -99,11 +99,10 @@ def _nonmultiple_atoms(n: int, m: int, h: int) -> list[tuple[int, ...]]:
 
 
 def _levels(n: int, m: int) -> list[int]:
-    """The distinct gcd(m^2 t, n) over the shifts t in [1, n/m - 1], ascending;
-    degenerate shifts (m^2 t = 0 mod n) omitted."""
-    return sorted(
-        {math.gcd(m * m * t, n) for t in range(1, n // m) if m * m * t % n}
-    )
+    """The distinct gcd(m^2 t, n) = m^2 gcd(t, q), q = n/m^2, over the shifts t in
+    [1, n/m - 1] with q not dividing t: m^2 d for each divisor d < q of q, ascending."""
+    q = n // (m * m)
+    return [m * m * d for d in range(1, q) if q % d == 0]
 
 
 def _fixed_masks(n: int, pool: Sequence[int], x: int) -> set[int]:
@@ -232,11 +231,7 @@ def _scan_one_modulus(
 
     # Per core, t -> its jump-level image, for the t where it is circulant.
     images = {
-        core: {
-            t: img.jumps
-            for t in range(1, n // m)
-            if (img := _jump_image(n, m, t, core)) is not None
-        }
+        core: {t: img.jumps for t, img in jump_hits(n, m, core)}
         for core in core_list
     }
 
@@ -341,13 +336,10 @@ def _scan_one_modulus(
                 for t, img in base_hits
             }
             orbit = adam_orbit(members[0])
-            verdict = Classification(
-                kind=TYPE2, orbit=orbit, m=m, t=first_t, chain=members
+            verdict = Classification(kind=TYPE2, orbit=orbit, m=m, t=first_t, chain=members)
+            records.append(
+                TupleRecord(members=members, theta_images=theta_images, verdict=verdict)
             )
-            record = TupleRecord(
-                members=members, theta_images=theta_images, verdict=verdict
-            )
-            records.append(record)
             if sample_budget > 0:
                 sample_budget -= 1
                 _verify_theta_pair(members[0], theta_images[first_t], m, first_t)

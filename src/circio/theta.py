@@ -20,7 +20,7 @@ of the jump-level image.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .core import CirculantGraph, ConnectionSet
 from .errors import InvalidParams, WitnessMismatch
@@ -71,13 +71,13 @@ def theta_vertex_map(params: ThetaParams) -> tuple[int, ...]:
     return tuple((x + (x % m) * t * m) % n for x in range(n))
 
 
-def _has_multiple(cs: ConnectionSet, m: int) -> bool:
-    return any(j % m == 0 for j in cs.jumps)
+def _multiples(cs: ConnectionSet, m: int) -> frozenset[int]:
+    return frozenset(j for j in cs.jumps if j % m == 0)
 
 
 def _check_params(cs: ConnectionSet, m: int, t: int) -> ThetaParams:
     params = ThetaParams(cs.n, m, t)
-    if not _has_multiple(cs, m):
+    if not _multiples(cs, m):
         raise InvalidParams(f"theta is undefined for n={cs.n}, m={m}, jumps={cs.jumps}")
     return params
 
@@ -126,18 +126,21 @@ def theta_witness(cs: ConnectionSet, m: int, t: int) -> Optional[ThetaWitness]:
     return ThetaWitness(params, cs, image, perm)
 
 
+def jump_hits(n: int, m: int, jumps: Sequence[int]) -> Iterator[tuple[int, ConnectionSet]]:
+    """(t, image) for each t in [1, n/m - 1] with a circulant image, ascending.
+    Like _jump_image, it does not validate its arguments."""
+    for t in range(1, n // m):
+        img = _jump_image(n, m, t, jumps)
+        if img is not None:
+            yield t, img
+
+
 def theta_scan(cs: ConnectionSet, m: int) -> list[tuple[int, ConnectionSet]]:
     """All t in [1, n/m - 1] with a circulant image, ascending by t."""
     _check_params(cs, m, 0)
-    hits = []
-    mults = {j for j in cs.jumps if j % m == 0}
-    for t in range(1, cs.n // m):
-        img = _jump_image(cs.n, m, t, cs.jumps)
-        if img is not None:
-            # Multiples of m ride through every successful transform unchanged.
-            if {j for j in img.jumps if j % m == 0} != mults:
-                raise WitnessMismatch(
-                    f"image {img} of {cs} at t={t} moved a multiple of {m}"
-                )
-            hits.append((t, img))
+    hits = list(jump_hits(cs.n, m, cs.jumps))
+    for t, img in hits:
+        # Multiples of m ride through every successful transform unchanged.
+        if _multiples(img, m) != _multiples(cs, m):
+            raise WitnessMismatch(f"image {img} of {cs} at t={t} moved a multiple of {m}")
     return hits

@@ -8,6 +8,8 @@ from functools import lru_cache
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circio import (
     NON_ISOMORPHIC,
@@ -24,8 +26,10 @@ from circio import (
     generate_a17c,
     generate_c1,
     probe_open_problems,
+    theta_image,
+    valid_block_moduli,
 )
-from circio.classify import type1_verdict
+from circio.classify import _theta_links, type1_verdict
 from helpers import cs, family_records
 
 # sha256 of the newline-joined json.dumps of every verdict in verdict_lines().
@@ -177,6 +181,75 @@ class TestClassifyTuple:
         assert out["members"][0] == "C54(1,3,17,19)"
         assert out["theta_images"]["2"] == "C54(3,7,11,25)"
         assert out["verdict"]["verdict"] == TYPE2
+
+
+def all_theta_hits(a: ConnectionSet) -> list[tuple[int, int, ConnectionSet]]:
+    """Every (m, t, image) with a circulant image, over every valid m of which
+    a holds a multiple, ascending: the brute force the walks must agree with."""
+    return [
+        (m, t, img)
+        for m in valid_block_moduli(a.n)
+        if any(j % m == 0 for j in a.jumps)
+        for t in range(1, a.n // m)
+        if (img := theta_image(a, m, t)) is not None
+    ]
+
+
+@st.composite
+def theta_queries(draw) -> tuple[ConnectionSet, list[ConnectionSet]]:
+    """A set a and targets that mix its theta images, from every modulus,
+    with random sets of its size. 54 has one valid modulus; 64 has two
+    (2, 4) and 216 three (2, 3, 6)."""
+    n = draw(st.sampled_from((54, 64, 216)))
+    m = draw(st.sampled_from(valid_block_moduli(n)))
+    multiple = draw(st.integers(1, n // 2 // m)) * m
+    rest = draw(st.sets(st.integers(1, n // 2), min_size=2, max_size=6))
+    a = ConnectionSet(n, tuple(sorted(rest | {multiple})))
+    hits = all_theta_hits(a)
+    targets = []
+    for modulus in valid_block_moduli(n):
+        images = sorted({img for m_, _, img in hits if m_ == modulus and img != a})
+        if images:
+            targets += draw(st.lists(st.sampled_from(images), max_size=3))
+    for _ in range(draw(st.integers(0, 2))):
+        jumps = draw(st.sets(st.integers(1, n // 2), min_size=len(a.jumps),
+                             max_size=len(a.jumps)))
+        targets.append(ConnectionSet(n, tuple(sorted(jumps))))
+    targets = list(dict.fromkeys(b for b in targets if b != a))
+    return a, draw(st.permutations(targets))
+
+
+class TestAcrossModuli:
+    """Orders with two or more valid moduli exercise the rules "smallest (m, t)
+    across moduli" and "theta images at the first m that has any"."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(theta_queries())
+    def test_links_and_images_match_brute_force(self, query):
+        a, targets = query
+        hits = all_theta_hits(a)
+        expected_links = {}
+        for m, t, img in hits:
+            if img in targets and len(a.jumps) >= 3:
+                expected_links.setdefault(img, (m, t))
+        assert _theta_links(a, targets) == expected_links
+
+        if not targets:
+            return
+        expected_images = {}
+        for modulus in valid_block_moduli(a.n):
+            expected_images = {t: img for m, t, img in hits if m == modulus and img in targets}
+            if expected_images:
+                break
+        # The images do not depend on the verdict, so the oracle gets no budget.
+        assert classify_tuple((a, *targets), budget=0).theta_images == expected_images
+
+    def test_pair_linked_only_at_m4(self):
+        a, b = cs("C64(1,4,16,31)"), cs("C64(4,9,16,23)")
+        assert all(theta_image(a, 2, t) != b for t in range(1, 32))
+        v = classify_pair(a, b)
+        assert (v.kind, v.m, v.t) == (TYPE2, 4, 2)
+        assert v.describe() == "Type2 m=4 t=2"
 
 
 @lru_cache(maxsize=None)

@@ -10,7 +10,7 @@ from click.testing import CliRunner
 
 import circio.cli as cli_mod
 from circio.cli import export_csv, export_jsonl, main
-from circio import GoldenReport, ProbeReport, enumerate_family
+from circio import GoldenReport, ProbeReport, WitnessMismatch, enumerate_family
 
 ROW1 = (
     '1,C54(1,3,17,19),C54(3,7,11,25),C54(3,5,13,23),'
@@ -184,6 +184,60 @@ class TestScanCommand:
         out = tmp_path / "missing" / "scan16.json"
         result = runner.invoke(main, ["scan", "--n", "16", "--out", str(out)])
         assert_unwritable(result, out)
+
+    def test_negative_budget_exit_2(self, runner, tmp_path):
+        out = tmp_path / "x.json"
+        result = runner.invoke(
+            main, ["scan", "--n", "16", "--budget", "-1", "--out", str(out)]
+        )
+        assert result.exit_code == 2
+        assert "--budget" in result.output
+        assert not out.exists()
+
+    def test_zero_budget_names_the_phase(self, runner, tmp_path):
+        out = tmp_path / "x.json"
+        result = runner.invoke(
+            main, ["scan", "--n", "16", "--budget", "0", "--out", str(out)]
+        )
+        assert result.exit_code == 2
+        assert "core image phase needs 21 image tests" in result.output
+        assert not out.exists()
+
+
+class TestFailedCertificate:
+    """A WitnessMismatch is exit 1 with a message, not a usage error and not
+    a traceback, and it leaves no output file behind."""
+
+    @staticmethod
+    def mismatch(*args, **kwargs):
+        raise WitnessMismatch("vertex map does not carry the edges")
+
+    @staticmethod
+    def assert_not_certified(result):
+        assert result.exit_code == 1
+        assert "not certified: vertex map does not carry the edges" in result.output
+        assert "Usage:" not in result.output
+        assert isinstance(result.exception, SystemExit)
+
+    def test_scan(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli_mod, "full_scan", self.mismatch)
+        out = tmp_path / "scan16.json"
+        result = runner.invoke(main, ["scan", "--n", "16", "--out", str(out)])
+        self.assert_not_certified(result)
+        assert not out.exists()
+
+    def test_enumerate_family(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli_mod, "enumerate_family", self.mismatch)
+        out = tmp_path / "fam.csv"
+        result = runner.invoke(
+            main, ["enumerate-family", "--family", "a", "--out", str(out)]
+        )
+        self.assert_not_certified(result)
+        assert not out.exists()
+
+    def test_verify_goldens(self, runner, monkeypatch):
+        monkeypatch.setattr(cli_mod, "verify_goldens", self.mismatch)
+        self.assert_not_certified(runner.invoke(main, ["verify-goldens"]))
 
 
 class TestUnwritableOutBeforeWork:

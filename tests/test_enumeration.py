@@ -10,6 +10,7 @@ from itertools import combinations
 import pytest
 
 import circio.enumeration as enumeration_mod
+import circio.theta as theta_mod
 from circio import (
     ConnectionSet,
     DegeneratePair,
@@ -162,7 +163,7 @@ class TestScanLatticeChecks:
 
     def test_image_escaping_the_lattice(self, monkeypatch):
         monkeypatch.setattr(
-            enumeration_mod, "_jump_image", lambda n, m, t, core: cs("C16(2,4)")
+            theta_mod, "_jump_image", lambda n, m, t, core: cs("C16(2,4)")
         )
         with pytest.raises(WitnessMismatch, match="escaped the core lattice"):
             full_scan(16)
@@ -173,7 +174,7 @@ class TestScanLatticeChecks:
         def images(n, m, t, core):
             return cs("C16(1,3,5,7)") if core == (1, 7) else None
 
-        monkeypatch.setattr(enumeration_mod, "_jump_image", images)
+        monkeypatch.setattr(theta_mod, "_jump_image", images)
         monkeypatch.setattr(enumeration_mod, "_verify_theta_pair", lambda *args: None)
         with pytest.raises(WitnessMismatch, match="is not minimal"):
             full_scan(16)
@@ -184,7 +185,7 @@ class TestScanLatticeChecks:
         # set, which misses the image of (2,7,11).
         chain = {(1, 8, 10): cs("C27(2,7,11)"), (2, 7, 11): cs("C27(4,5,13)")}
         monkeypatch.setattr(
-            enumeration_mod, "_jump_image", lambda n, m, t, core: chain.get(core)
+            theta_mod, "_jump_image", lambda n, m, t, core: chain.get(core)
         )
         monkeypatch.setattr(enumeration_mod, "_verify_theta_pair", lambda *args: None)
         with pytest.raises(WitnessMismatch, match="leaves its theta class"):

@@ -6,7 +6,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from circio import CircioError, ScanReport
+from circio import CircioError, ScanReport, WitnessMismatch
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -65,6 +65,19 @@ class TestReproduceTables:
         assert script.main() == 2
         err = capsys.readouterr().err
         assert "error: enumeration refused" in err
+        assert "Traceback" not in err
+
+    def test_failed_certificate_is_exit_1(self, monkeypatch, tmp_path, capsys):
+        script = load_script("reproduce_tables")
+
+        def failing_scan(n):
+            raise WitnessMismatch("a unit multiplier carries the pair")
+
+        monkeypatch.setattr(script, "full_scan", failing_scan)
+        monkeypatch.setattr(sys, "argv", ["reproduce_tables.py", "--out-dir", str(tmp_path)])
+        assert script.main() == 1
+        err = capsys.readouterr().err
+        assert "error: not certified: a unit multiplier carries the pair" in err
         assert "Traceback" not in err
 
     def test_out_dir_that_is_a_file_is_exit_2(self, monkeypatch, tmp_path, capsys):
