@@ -12,7 +12,6 @@ its two-member case.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
 from typing import Iterator, Optional, Sequence
 
 from .core import CirculantGraph, ConnectionSet
@@ -100,15 +99,24 @@ def type1_verdict(
     )
 
 
-def _theta_walk(a: ConnectionSet) -> Iterator[tuple[int, int, ConnectionSet]]:
-    """(m, t, image) for each circulant theta image of a, ascending in (m, t):
-    m over the valid moduli of which a holds a multiple, t in [1, n/m - 1]."""
+def _theta_walk(
+    a: ConnectionSet,
+) -> Iterator[tuple[int, Iterator[tuple[int, ConnectionSet]]]]:
+    """(m, _theta_hits(a, m)) for each valid modulus m of which a holds a
+    multiple, ascending. Both levels are lazy: a caller that skips or leaves
+    an m's hits computes no image it does not read."""
     for m in valid_block_moduli(a.n):
         if _multiples(a, m):
-            for t in range(1, a.n // m):
-                img = theta_image(a, m, t)
-                if img is not None:
-                    yield m, t, img
+            yield m, _theta_hits(a, m)
+
+
+def _theta_hits(a: ConnectionSet, m: int) -> Iterator[tuple[int, ConnectionSet]]:
+    """(t, image) for each circulant theta image of a at m, t ascending in
+    [1, n/m - 1]."""
+    for t in range(1, a.n // m):
+        img = theta_image(a, m, t)
+        if img is not None:
+            yield t, img
 
 
 def _theta_links(
@@ -116,23 +124,25 @@ def _theta_links(
 ) -> dict[ConnectionSet, tuple[int, int]]:
     """Smallest (m, t) with theta_image(a, m, t) = b, for each eligible b.
 
-    b is eligible when a and b have as many jumps, at least three, and at
-    some valid m the same nonempty set of multiples of m, which theta fixes.
-    One walk serves every target and stops once each has its link.
+    b is eligible at m when a and b have as many jumps, at least three, and
+    the same nonempty set of multiples of m, which theta fixes. One walk
+    serves every target. It leaves each m once no target still open is
+    eligible there, and stops once each target has its link.
     """
-    moduli = [m for m in valid_block_moduli(a.n) if _multiples(a, m)]
-    open_targets = {
-        b for b in targets
-        if len(b.jumps) == len(a.jumps) >= 3
-        and any(_multiples(b, m) == _multiples(a, m) for m in moduli)
-    }
+    open_targets = {b for b in targets if len(b.jumps) == len(a.jumps) >= 3}
     links: dict[ConnectionSet, tuple[int, int]] = {}
-    for m, t, img in _theta_walk(a) if open_targets else ():
-        if img in open_targets:
-            links[img] = (m, t)
-            open_targets.remove(img)
-            if not open_targets:
-                break
+    for m, hits in _theta_walk(a):
+        if not open_targets:
+            break
+        fixed = _multiples(a, m)
+        reach = {b for b in open_targets if _multiples(b, m) == fixed}
+        for t, img in hits if reach else ():
+            if img in reach:
+                links[img] = (m, t)
+                reach.remove(img)
+                open_targets.remove(img)
+                if not reach:
+                    break
     return links
 
 
@@ -206,8 +216,8 @@ def classify_tuple(
 
     rest = set(members[1:])
     theta_images: dict[int, ConnectionSet] = {}
-    for _, hits in groupby(_theta_walk(members[0]), key=lambda hit: hit[0]):
-        theta_images = {t: img for _, t, img in hits if img in rest}
+    for _, hits in _theta_walk(members[0]):
+        theta_images = {t: img for t, img in hits if img in rest}
         if theta_images:
             break
     return TupleRecord(members=members, theta_images=theta_images, verdict=verdict)

@@ -31,7 +31,7 @@ from .errors import (
     InvalidParams,
     WitnessMismatch,
 )
-from .multipliers import adam_orbit, carrying_half_units, is_adam_equivalent
+from .multipliers import AdamOrbit, adam_orbit, carrying_half_units, is_adam_equivalent
 from .oracle import DEFAULT_BUDGET, IsoVerdict, isomorphic
 from .theta import jump_hits, theta_image, theta_witness, valid_block_moduli
 
@@ -146,31 +146,77 @@ class ScanReport:
     counts: dict[str, int]
     records: list[TupleRecord]
 
-    def _header(self) -> dict:
-        return {"n": self.n, "convention": self.convention, "counts": dict(self.counts)}
-
     def to_json(self) -> dict:
-        return {**self._header(), "records": [r.to_json() for r in self.records]}
+        return {
+            "n": self.n,
+            "convention": self.convention,
+            "counts": dict(self.counts),
+            "records": [r.to_json() for r in self.records],
+        }
 
     def write_json(self, fh: TextIO) -> None:
         """Write to_json() as json.dump(..., indent=2) and a newline would,
-        one record at a time, so the whole report is never held as JSON."""
-        fh.write("{\n")
-        for key, value in self._header().items():
-            fh.write(f"  {json.dumps(key)}: {_indented_json(value, 2)},\n")
+        one record at a time. The text comes from the records' fields, not
+        from their to_json() dicts, and each distinct set is quoted once per
+        call."""
+        quoted = _Quoted()
+        counts = [f"{json.dumps(k)}: {json.dumps(v)}" for k, v in self.counts.items()]
+        fh.write(
+            f'{{\n  "n": {json.dumps(self.n)},\n  "convention": {json.dumps(self.convention)},\n'
+            f'  "counts": {_block("{}", counts, 2)},\n'
+        )
         if not self.records:
             fh.write('  "records": []\n}\n')
             return
         fh.write('  "records": [\n')
         for i, record in enumerate(self.records):
             fh.write(",\n    " if i else "    ")
-            fh.write(_indented_json(record.to_json(), 4))
+            fh.write(_record_text(record, quoted))
         fh.write("\n  ]\n}\n")
 
 
-def _indented_json(value: object, depth: int) -> str:
-    """json.dumps(value, indent=2) as it reads nested depth spaces deep."""
-    return json.dumps(value, indent=2).replace("\n", "\n" + " " * depth)
+class _Quoted(dict):
+    """value -> json.dumps(str(value)), built on first use."""
+
+    def __missing__(self, value: object) -> str:
+        text = self[value] = json.dumps(str(value))
+        return text
+
+
+def _block(brackets: str, items: list[str], depth: int) -> str:
+    """A list ("[]") or object ("{}") of items, already JSON text, as
+    json.dumps(..., indent=2) lays it out when its first line is depth
+    spaces deep."""
+    if not items:
+        return brackets
+    pad = " " * (depth + 2)
+    return f"{brackets[0]}\n{pad}" + f",\n{pad}".join(items) + f"\n{' ' * depth}{brackets[1]}"
+
+
+def _record_text(record: TupleRecord, quoted: _Quoted) -> str:
+    """json.dumps(record.to_json(), indent=2) as it reads 4 spaces deep.
+    The int fields print as json prints an int."""
+    verdict = record.verdict
+    fields = [f'"verdict": {quoted[verdict.kind]}']
+    if verdict.unit is not None:
+        fields.append(f'"unit": {verdict.unit}')
+    if verdict.m is not None:
+        fields.append(f'"m": {verdict.m}')
+    if verdict.t is not None:
+        fields.append(f'"t": {verdict.t}')
+    if verdict.chain is not None:
+        fields.append(f'"chain": {_block("[]", [quoted[c] for c in verdict.chain], 8)}')
+    if verdict.certificate is not None:
+        fields.append(f'"certificate": {quoted[verdict.certificate]}')
+    if verdict.reason is not None:
+        fields.append(f'"reason": {quoted[verdict.reason]}')
+    fields.append(f'"orbit": {_block("[]", [quoted[c] for c in verdict.orbit.members], 8)}')
+    images = [f"{quoted[t]}: {quoted[img]}" for t, img in sorted(record.theta_images.items())]
+    return _block("{}", [
+        f'"members": {_block("[]", [quoted[c] for c in record.members], 6)}',
+        f'"theta_images": {_block("{}", images, 6)}',
+        f'"verdict": {_block("{}", fields, 6)}',
+    ], 4)
 
 
 _SCAN_CONVENTION = (
@@ -197,8 +243,11 @@ def full_scan(n: int, budget: int = DEFAULT_SCAN_BUDGET) -> ScanReport:
         "type1_tuples_primitive": 0,
     }
     records: list[TupleRecord] = []
+    # Ádám orbits are classes: each member of an orbit built in this scan
+    # maps to it, and a record whose first member is among them reuses it.
+    orbits: dict[ConnectionSet, AdamOrbit] = {}
     for m in valid_block_moduli(n):
-        _scan_one_modulus(n, m, budget, counts, records)
+        _scan_one_modulus(n, m, budget, counts, records, orbits)
     records.sort(key=lambda r: tuple(c.jumps for c in r.members))
     return ScanReport(
         n=n, convention=_SCAN_CONVENTION, counts=counts, records=records
@@ -211,6 +260,7 @@ def _scan_one_modulus(
     budget: int,
     counts: dict[str, int],
     records: list[TupleRecord],
+    orbits: dict[ConnectionSet, AdamOrbit],
 ) -> None:
     extension_pool = tuple(j for j in range(m, n // 2 + 1, m))
     all_atoms: set[tuple[int, ...]] = set()
@@ -335,7 +385,10 @@ def _scan_one_modulus(
                 t: ConnectionSet(n, tuple(sorted(img + ext)))
                 for t, img in base_hits
             }
-            orbit = adam_orbit(members[0])
+            orbit = orbits.get(members[0])
+            if orbit is None:
+                orbit = adam_orbit(members[0])
+                orbits.update(dict.fromkeys(orbit.members, orbit))
             verdict = Classification(kind=TYPE2, orbit=orbit, m=m, t=first_t, chain=members)
             records.append(
                 TupleRecord(members=members, theta_images=theta_images, verdict=verdict)

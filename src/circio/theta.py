@@ -113,10 +113,11 @@ def theta_witness(cs: ConnectionSet, m: int, t: int) -> Optional[ThetaWitness]:
     Raises WitnessMismatch if the vertex map does not carry the source edges
     exactly onto the edges of the image.
     """
-    params = _check_params(cs, m, t)
     image = theta_image(cs, m, t)
     if image is None:
         return None
+    # theta_image has validated (n, m, t) and the multiples of m.
+    params = ThetaParams(cs.n, m, t)
     perm = theta_vertex_map(params)
     # The witness must certify a genuine isomorphism, not just a jump match.
     if not verify_permutation(CirculantGraph(cs), CirculantGraph(image), perm):

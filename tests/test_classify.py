@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import circio.classify as classify_mod
 from circio import (
     NON_ISOMORPHIC,
     TYPE1,
@@ -30,6 +31,7 @@ from circio import (
     valid_block_moduli,
 )
 from circio.classify import _theta_links, type1_verdict
+from circio.theta import _multiples
 from helpers import cs, family_records
 
 # sha256 of the newline-joined json.dumps of every verdict in verdict_lines().
@@ -250,6 +252,29 @@ class TestAcrossModuli:
         v = classify_pair(a, b)
         assert (v.kind, v.m, v.t) == (TYPE2, 4, 2)
         assert v.describe() == "Type2 m=4 t=2"
+
+    def test_links_skip_moduli_no_open_target_reaches(self, monkeypatch):
+        # C64(2,4,31) shares a's multiples of 2 and of 4 and is linked at
+        # m = 2; C64(4,17,30) shares only a's multiples of 4. Once the first
+        # is linked, no open target is reachable at m = 2.
+        a = cs("C64(1,2,4)")
+        near, far = cs("C64(2,4,31)"), cs("C64(4,17,30)")
+        calls = []
+
+        def counted(source, m, t):
+            calls.append((m, t))
+            return theta_image(source, m, t)
+
+        monkeypatch.setattr(classify_mod, "theta_image", counted)
+        links = _theta_links(a, [near, far])
+        assert links == {near: (2, 16), far: (4, 4)}
+        for m, t in calls:
+            # A target is open at a call until its link is found.
+            assert any(
+                links.get(b, (m, t)) >= (m, t) and _multiples(b, m) == _multiples(a, m)
+                for b in (near, far)
+            ), (m, t)
+        assert calls == [(2, t) for t in range(1, 17)] + [(4, t) for t in range(1, 5)]
 
 
 @lru_cache(maxsize=None)

@@ -12,15 +12,22 @@ import pytest
 import circio.enumeration as enumeration_mod
 import circio.theta as theta_mod
 from circio import (
+    NON_ISOMORPHIC,
+    TYPE1,
+    TYPE2,
+    UNKNOWN,
+    Classification,
     ConnectionSet,
     DegeneratePair,
     Intractable,
     InvalidIndex,
     InvalidParams,
-    TYPE1,
-    TYPE2,
+    ScanReport,
+    TupleRecord,
     WitnessMismatch,
+    adam_orbit,
     classify_pair,
+    classify_tuple,
     enumerate_family,
     full_scan,
     generate_a17c,
@@ -283,12 +290,49 @@ class TestFullScan:
         }
         assert len(out["records"]) == 8
 
-    @pytest.mark.parametrize("n", [8, 16, 27])
-    def test_streamed_report_is_the_json_dump(self, n):
-        report = full_scan(n)
+    @pytest.mark.parametrize(
+        "n", [8, 16, 27, 32, pytest.param(48, marks=pytest.mark.slow), 54]
+    )
+    def test_streamed_report_is_the_json_dump(self, n, scan_of):
+        report = scan_of(n)
         fh = io.StringIO()
         report.write_json(fh)
         assert fh.getvalue() == json.dumps(report.to_json(), indent=2) + "\n"
+
+    def test_writer_takes_every_verdict_shape(self):
+        # The scan writes only Type-2 records; the writer must still match
+        # json.dumps on every optional verdict field and on empty theta images.
+        t1 = classify_tuple(
+            (cs("C54(1,9,17,19)"), cs("C54(5,9,13,23)"), cs("C54(7,9,11,25)"))
+        )
+        non_iso = classify_tuple(
+            (cs("C54(1,3,17,19)"), cs("C54(3,7,11,25)"), cs("C54(1,2,17,19)"))
+        )
+        unknown = classify_tuple((cs("C16(1,2,7)"), cs("C16(1,6,7)")), budget=3)
+        assert (t1.verdict.kind, t1.verdict.unit) == (TYPE1, 5)
+        assert non_iso.verdict.kind == NON_ISOMORPHIC and non_iso.verdict.certificate
+        assert (unknown.verdict.kind, unknown.verdict.reason) == (UNKNOWN, "budget")
+        # A reason json must escape, on a record with no theta images.
+        escaped = TupleRecord(
+            members=unknown.members,
+            theta_images={},
+            verdict=Classification(
+                kind=UNKNOWN, orbit=unknown.verdict.orbit, reason='a "quoted"\nreason, \u00e9'
+            ),
+        )
+        for record in (t1, non_iso, unknown, escaped):
+            fh = io.StringIO()
+            ScanReport(n=0, convention="", counts={}, records=[record]).write_json(fh)
+            nested = json.dumps(record.to_json(), indent=2).replace("\n", "\n    ")
+            assert fh.getvalue() == (
+                '{\n  "n": 0,\n  "convention": "",\n  "counts": {},\n'
+                f'  "records": [\n    {nested}\n  ]\n}}\n'
+            )
+
+    @pytest.mark.parametrize("n", [32, 54])
+    def test_record_orbits_are_the_first_members_orbits(self, n, scan_of):
+        for rec in scan_of(n).records:
+            assert rec.verdict.orbit == adam_orbit(rec.members[0])
 
     def test_order_ceiling(self):
         with pytest.raises(Intractable):
