@@ -53,22 +53,23 @@ class Classification:
             return f"NonIsomorphic {self.certificate}"
         return f"Unknown {self.reason}"
 
-    def to_json(self) -> dict:
-        out: dict = {"verdict": self.kind}
-        if self.unit is not None:
-            out["unit"] = self.unit
-        if self.m is not None:
-            out["m"] = self.m
-        if self.t is not None:
-            out["t"] = self.t
-        if self.chain is not None:
-            out["chain"] = [str(c) for c in self.chain]
-        if self.certificate is not None:
-            out["certificate"] = self.certificate
-        if self.reason is not None:
-            out["reason"] = self.reason
-        out["orbit"] = [str(c) for c in self.orbit.members]
+    def fields(self) -> list[tuple[str, object]]:
+        """The JSON layout, key by key: verdict, each witness field that is
+        set, then orbit. Sets stay ConnectionSets; to_json and the scan
+        report writer each render this one list."""
+        out: list[tuple[str, object]] = [("verdict", self.kind)]
+        for key in ("unit", "m", "t", "chain", "certificate", "reason"):
+            value = getattr(self, key)
+            if value is not None:
+                out.append((key, value))
+        out.append(("orbit", self.orbit.members))
         return out
+
+    def to_json(self) -> dict:
+        return {
+            key: [str(c) for c in value] if isinstance(value, tuple) else value
+            for key, value in self.fields()
+        }
 
 
 @dataclass(frozen=True, eq=False)

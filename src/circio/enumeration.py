@@ -195,22 +195,15 @@ def _block(brackets: str, items: list[str], depth: int) -> str:
 
 def _record_text(record: TupleRecord, quoted: _Quoted) -> str:
     """json.dumps(record.to_json(), indent=2) as it reads 4 spaces deep.
-    The int fields print as json prints an int."""
-    verdict = record.verdict
-    fields = [f'"verdict": {quoted[verdict.kind]}']
-    if verdict.unit is not None:
-        fields.append(f'"unit": {verdict.unit}')
-    if verdict.m is not None:
-        fields.append(f'"m": {verdict.m}')
-    if verdict.t is not None:
-        fields.append(f'"t": {verdict.t}')
-    if verdict.chain is not None:
-        fields.append(f'"chain": {_block("[]", [quoted[c] for c in verdict.chain], 8)}')
-    if verdict.certificate is not None:
-        fields.append(f'"certificate": {quoted[verdict.certificate]}')
-    if verdict.reason is not None:
-        fields.append(f'"reason": {quoted[verdict.reason]}')
-    fields.append(f'"orbit": {_block("[]", [quoted[c] for c in verdict.orbit.members], 8)}')
+    The verdict's fields() are rendered as to_json renders them: a tuple of
+    sets as a list of their texts, a str quoted, an int as json prints it."""
+    fields = []
+    for key, value in record.verdict.fields():
+        if isinstance(value, tuple):
+            text = _block("[]", [quoted[c] for c in value], 8)
+        else:
+            text = quoted[value] if isinstance(value, str) else str(value)
+        fields.append(f'"{key}": {text}')
     images = [f"{quoted[t]}: {quoted[img]}" for t, img in sorted(record.theta_images.items())]
     return _block("{}", [
         f'"members": {_block("[]", [quoted[c] for c in record.members], 6)}',
@@ -378,13 +371,11 @@ def _scan_one_modulus(
                 continue
             counts["type2_tuples_primitive"] += 1
             ext = _mask_jumps(extension_pool, mask)
-            members = tuple(
-                ConnectionSet(n, tuple(sorted(core + ext))) for core in group
-            )
-            theta_images = {
-                t: ConnectionSet(n, tuple(sorted(img + ext)))
-                for t, img in base_hits
-            }
+            # Every image core lies in the class (checked above), so each
+            # theta image is one of the member objects.
+            member_of = {core: ConnectionSet(n, tuple(sorted(core + ext))) for core in group}
+            members = tuple(member_of.values())
+            theta_images = {t: member_of[img] for t, img in base_hits}
             orbit = orbits.get(members[0])
             if orbit is None:
                 orbit = adam_orbit(members[0])
@@ -455,9 +446,10 @@ def generate_c1(base: int, p: int, x: int, y: int, i: int) -> ConnectionSet:
 # ---------------------------------------------------------------------------
 # open-problem probes
 
+# Each side's two fixed jumps; the probe adds s to both.
 _PROBE_PAIRS_48 = {
-    "n48-a": ((1, None, 23), (None, 11, 13)),
-    "n48-b": ((5, None, 19), (None, 7, 17)),
+    "n48-a": ((1, 23), (11, 13)),
+    "n48-b": ((5, 19), (7, 17)),
 }
 _PROBE_S_48 = (3, 9, 15, 21)
 _PROBE_S_54 = (2, 4, 8, 10, 14, 16, 20, 22, 26)
@@ -498,10 +490,6 @@ class ProbeReport:
         return "\n".join(e.describe() for e in self.entries)
 
 
-def _fill(template: tuple, s: int) -> list[int]:
-    return [s if v is None else v for v in template]
-
-
 def probe_open_problems(budget: int = DEFAULT_BUDGET) -> ProbeReport:
     """Oracle verdicts for the undecided non-isomorphism questions.
 
@@ -510,10 +498,10 @@ def probe_open_problems(budget: int = DEFAULT_BUDGET) -> ProbeReport:
     by 3. Verdicts are reported with certificates, never presumed.
     """
     entries: list[ProbeEntry] = []
-    for group, (left_t, right_t) in _PROBE_PAIRS_48.items():
+    for group, (left_fixed, right_fixed) in _PROBE_PAIRS_48.items():
         for s in _PROBE_S_48:
-            left = reflexive_reduce(_fill(left_t, s), 48)
-            right = reflexive_reduce(_fill(right_t, s), 48)
+            left = reflexive_reduce([*left_fixed, s], 48)
+            right = reflexive_reduce([*right_fixed, s], 48)
             verdict = isomorphic(CirculantGraph(left), CirculantGraph(right), budget)
             entries.append(ProbeEntry(group, s, left, right, verdict))
     for s in _PROBE_S_54:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import circio.classify as classify_mod
 from circio import (
+    DEFAULT_BUDGET,
     NON_ISOMORPHIC,
     TYPE1,
     TYPE2,
@@ -115,6 +116,27 @@ class TestClassifyPair:
         assert out["verdict"] == TYPE2
         assert out["m"] == 3 and out["t"] == 2
         assert out["orbit"][0] == "C54(1,3,17,19)"
+
+
+class TestFields:
+    @pytest.mark.parametrize(
+        "kind,pair,budget,keys",
+        [
+            (TYPE1, ("C54(1,9,17,19)", "C54(5,9,13,23)"), DEFAULT_BUDGET, ["unit"]),
+            (TYPE2, ("C54(1,3,17,19)", "C54(3,7,11,25)"), DEFAULT_BUDGET, ["m", "t", "chain"]),
+            (NON_ISOMORPHIC, ("C54(1,2,17,19)", "C54(2,5,13,23)"), DEFAULT_BUDGET, ["certificate"]),
+            (UNKNOWN, ("C16(1,2,7)", "C16(1,6,7)"), 3, ["reason"]),
+        ],
+    )
+    def test_key_order_per_verdict_kind(self, kind, pair, budget, keys):
+        v = classify_pair(cs(pair[0]), cs(pair[1]), budget)
+        assert v.kind == kind
+        keys = ["verdict", *keys, "orbit"]
+        fields = v.fields()
+        assert [key for key, _ in fields] == keys
+        assert list(v.to_json()) == keys
+        # Sets stay ConnectionSets; only to_json renders them as text.
+        assert dict(fields)["orbit"] is v.orbit.members
 
 
 class TestType1Verdict:

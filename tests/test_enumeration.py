@@ -334,6 +334,14 @@ class TestFullScan:
         for rec in scan_of(n).records:
             assert rec.verdict.orbit == adam_orbit(rec.members[0])
 
+    @pytest.mark.parametrize("n", [32, 54])
+    def test_images_and_chain_are_member_objects(self, n, scan_of):
+        # The scan builds each member once and shares it, not an equal copy.
+        for rec in scan_of(n).records:
+            ids = {id(c) for c in rec.members}
+            assert all(id(img) in ids for img in rec.theta_images.values())
+            assert all(id(c) in ids for c in rec.verdict.chain)
+
     def test_order_ceiling(self):
         with pytest.raises(Intractable):
             full_scan(55)
