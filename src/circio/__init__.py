@@ -16,6 +16,7 @@ from .classify import (
     classify_pair,
     classify_tuple,
 )
+from .constructions import generate_a17c, generate_c1
 from .core import (
     CirculantGraph,
     ConnectionSet,
@@ -25,14 +26,9 @@ from .core import (
 )
 from .enumeration import (
     DEFAULT_SCAN_BUDGET,
-    ProbeEntry,
-    ProbeReport,
     ScanReport,
     enumerate_family,
     full_scan,
-    generate_a17c,
-    generate_c1,
-    probe_open_problems,
     worker_count,
 )
 from .errors import (
@@ -63,6 +59,7 @@ from .oracle import (
     isomorphic,
     verify_permutation,
 )
+from .probes import ProbeEntry, ProbeReport, probe_open_problems
 from .theta import (
     ThetaParams,
     ThetaWitness,

@@ -18,20 +18,15 @@ import click
 
 from . import __version__
 from .classify import classify_pair, classify_tuple
+from .constructions import generate_a17c, generate_c1
 from .core import ConnectionSet
-from .enumeration import (
-    DEFAULT_SCAN_BUDGET,
-    enumerate_family,
-    full_scan,
-    generate_a17c,
-    generate_c1,
-    probe_open_problems,
-)
+from .enumeration import DEFAULT_SCAN_BUDGET, enumerate_family, full_scan
 from .errors import CircioError, WitnessMismatch
 from .export import export_csv, export_jsonl, verdict_counts
 from .goldens import verify_goldens
 from .multipliers import adam_orbit
 from .oracle import DEFAULT_BUDGET
+from .probes import probe_open_problems
 from .theta import theta_image
 
 def _parse_set(text: str) -> ConnectionSet:

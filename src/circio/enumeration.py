@@ -1,4 +1,4 @@
-"""Family enumeration, exhaustive small-order scans, and the two generators.
+"""Family enumeration and exhaustive small-order scans.
 
 The order-54 families: take a 3-jump base with no multiple of 3 and adjoin
 every nonempty subset of the nine reduced multiples of 3. Each row's triple
@@ -17,22 +17,14 @@ cores, each with one extension.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from itertools import chain, combinations
 from typing import Sequence, TextIO
 
 from .classify import TYPE2, Classification, TupleRecord, type1_verdict
-from .core import CirculantGraph, ConnectionSet, reflexive_reduce
-from .errors import (
-    DegeneratePair,
-    Intractable,
-    InvalidIndex,
-    InvalidParams,
-    WitnessMismatch,
-)
+from .core import ConnectionSet
+from .errors import Intractable, InvalidParams, WitnessMismatch
 from .multipliers import AdamOrbit, adam_orbit, carrying_half_units, is_adam_equivalent
-from .oracle import DEFAULT_BUDGET, IsoVerdict, isomorphic
 from .theta import jump_hits, theta_image, theta_witness, valid_block_moduli
 
 DEFAULT_SCAN_BUDGET = 20_000_000
@@ -317,9 +309,9 @@ def _scan_one_modulus(
         return fixed_by[coset]
 
     # Nonempty extension masks giving core + extension at least 3 jumps.
-    popcounts = [bin(mask).count("1") for mask in range(1 << len(extension_pool))]
+    masks = range(1, 1 << len(extension_pool))
     admissible = {
-        size: [mask for mask in range(1, len(popcounts)) if size + popcounts[mask] >= 3]
+        size: [mask for mask in masks if size + mask.bit_count() >= 3]
         for size in {len(core) for core in core_list}
     }
 
@@ -387,135 +379,3 @@ def _scan_one_modulus(
             if sample_budget > 0:
                 sample_budget -= 1
                 _verify_theta_pair(members[0], theta_images[first_t], m, first_t)
-
-
-# ---------------------------------------------------------------------------
-# construction generators
-
-def generate_a17c(k: int, s: int) -> tuple[ConnectionSet, ConnectionSet]:
-    """The order-8k construction pair for index s.
-
-    R = {2, 2s-1, 4k-(2s-1)} and S = {2, 2k-(2s-1), 2k+(2s-1)}, both reduced.
-    The pair is degenerate (same graph) exactly when 2s-1 = k.
-    """
-    if k < 2:
-        raise InvalidParams(f"k must be >= 2, got {k}")
-    odd = 2 * s - 1
-    if not (1 <= odd <= 2 * k - 1):
-        raise InvalidParams(f"s = {s} out of range for k = {k}")
-    if odd == k:
-        raise DegeneratePair(f"2s-1 = k = {k} collapses the pair")
-    n = 8 * k
-    r = reflexive_reduce([2, odd, 4 * k - odd], n)
-    s_set = reflexive_reduce([2, 2 * k - odd, 2 * k + odd], n)
-    return r, s_set
-
-
-def _is_odd_prime(p: int) -> bool:
-    if p < 3 or p % 2 == 0:
-        return False
-    return all(p % q for q in range(3, int(math.isqrt(p)) + 1, 2))
-
-
-def generate_c1(base: int, p: int, x: int, y: int, i: int) -> ConnectionSet:
-    """Member i of the order base*p^3 construction chain.
-
-    d_i = (i-1)*x*p*base + x + y*p; the jump list is {p, d_i, n-d_i, n-p}
-    plus q*base*p^2 +- d_i for q = 1..p-1, all reduced. Members i and i+j
-    are linked by the transform at t = j*base.
-    """
-    if base < 1:
-        raise InvalidParams(f"base must be >= 1, got {base}")
-    if not _is_odd_prime(p):
-        raise InvalidParams(f"p must be an odd prime, got {p}")
-    if not (1 <= i <= p):
-        raise InvalidIndex(f"i = {i} outside [1, {p}]")
-    if not (1 <= x <= p - 1):
-        raise InvalidIndex(f"x = {x} outside [1, {p - 1}]")
-    if not (0 <= y <= base * p - 1):
-        raise InvalidIndex(f"y = {y} outside [0, {base * p - 1}]")
-    n = base * p ** 3
-    d = (i - 1) * x * p * base + x + y * p
-    raw = [p, d, n - d, n - p]
-    for q in range(1, p):
-        raw.append(q * base * p * p + d)
-        raw.append(q * base * p * p - d)
-    return reflexive_reduce(raw, n)
-
-
-# ---------------------------------------------------------------------------
-# open-problem probes
-
-# Each side's two fixed jumps; the probe adds s to both.
-_PROBE_PAIRS_48 = {
-    "n48-a": ((1, 23), (11, 13)),
-    "n48-b": ((5, 19), (7, 17)),
-}
-_PROBE_S_48 = (3, 9, 15, 21)
-_PROBE_S_54 = (2, 4, 8, 10, 14, 16, 20, 22, 26)
-
-
-@dataclass(frozen=True)
-class ProbeEntry:
-    group: str
-    s: int
-    left: ConnectionSet
-    right: ConnectionSet
-    verdict: IsoVerdict
-
-    def describe(self) -> str:
-        return (
-            f"{self.group} s={self.s}: {self.left} vs {self.right} -> "
-            f"{self.verdict.serialize()}"
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "group": self.group,
-            "s": self.s,
-            "left": str(self.left),
-            "right": str(self.right),
-            "verdict": self.verdict.serialize(),
-        }
-
-
-@dataclass(frozen=True)
-class ProbeReport:
-    entries: tuple[ProbeEntry, ...]
-
-    def to_json(self) -> dict:
-        return {"entries": [e.to_json() for e in self.entries]}
-
-    def summary(self) -> str:
-        return "\n".join(e.describe() for e in self.entries)
-
-
-def probe_open_problems(budget: int = DEFAULT_BUDGET) -> ProbeReport:
-    """Oracle verdicts for the undecided non-isomorphism questions.
-
-    Two shapes: order-48 pairs over s in {3,9,15,21} and order-54 triples
-    (checked pairwise) over the nine even s with gcd(54, s) not divisible
-    by 3. Verdicts are reported with certificates, never presumed.
-    """
-    entries: list[ProbeEntry] = []
-    for group, (left_fixed, right_fixed) in _PROBE_PAIRS_48.items():
-        for s in _PROBE_S_48:
-            left = reflexive_reduce([*left_fixed, s], 48)
-            right = reflexive_reduce([*right_fixed, s], 48)
-            verdict = isomorphic(CirculantGraph(left), CirculantGraph(right), budget)
-            entries.append(ProbeEntry(group, s, left, right, verdict))
-    for s in _PROBE_S_54:
-        triple = [
-            reflexive_reduce([1, s, 17, 19], 54),
-            reflexive_reduce([5, s, 13, 23], 54),
-            reflexive_reduce([s, 7, 11, 25], 54),
-        ]
-        for i in range(3):
-            for j in range(i + 1, 3):
-                verdict = isomorphic(
-                    CirculantGraph(triple[i]), CirculantGraph(triple[j]), budget
-                )
-                entries.append(
-                    ProbeEntry(f"n54-triple[{i}{j}]", s, triple[i], triple[j], verdict)
-                )
-    return ProbeReport(entries=tuple(entries))

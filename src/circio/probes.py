@@ -1,0 +1,87 @@
+"""Oracle verdicts for the open non-isomorphism questions at orders 48 and 54.
+
+Each probed pair goes to the canonical-labeling oracle; its verdict carries
+its certificate and is never presumed.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .core import CirculantGraph, ConnectionSet, reflexive_reduce
+from .oracle import DEFAULT_BUDGET, IsoVerdict, isomorphic
+
+
+# Each side's two fixed jumps; the probe adds s to both.
+_PROBE_PAIRS_48 = {
+    "n48-a": ((1, 23), (11, 13)),
+    "n48-b": ((5, 19), (7, 17)),
+}
+_PROBE_S_48 = (3, 9, 15, 21)
+_PROBE_S_54 = (2, 4, 8, 10, 14, 16, 20, 22, 26)
+
+
+@dataclass(frozen=True)
+class ProbeEntry:
+    group: str
+    s: int
+    left: ConnectionSet
+    right: ConnectionSet
+    verdict: IsoVerdict
+
+    def describe(self) -> str:
+        return (
+            f"{self.group} s={self.s}: {self.left} vs {self.right} -> "
+            f"{self.verdict.serialize()}"
+        )
+
+    def to_json(self) -> dict:
+        return {
+            "group": self.group,
+            "s": self.s,
+            "left": str(self.left),
+            "right": str(self.right),
+            "verdict": self.verdict.serialize(),
+        }
+
+
+@dataclass(frozen=True)
+class ProbeReport:
+    entries: tuple[ProbeEntry, ...]
+
+    def to_json(self) -> dict:
+        return {"entries": [e.to_json() for e in self.entries]}
+
+    def summary(self) -> str:
+        return "\n".join(e.describe() for e in self.entries)
+
+
+def probe_open_problems(budget: int = DEFAULT_BUDGET) -> ProbeReport:
+    """Oracle verdicts for the undecided non-isomorphism questions.
+
+    Two shapes: order-48 pairs over s in {3,9,15,21} and order-54 triples
+    (checked pairwise) over the nine even s with gcd(54, s) not divisible
+    by 3. Verdicts are reported with certificates, never presumed.
+    """
+    entries: list[ProbeEntry] = []
+    for group, (left_fixed, right_fixed) in _PROBE_PAIRS_48.items():
+        for s in _PROBE_S_48:
+            left = reflexive_reduce([*left_fixed, s], 48)
+            right = reflexive_reduce([*right_fixed, s], 48)
+            verdict = isomorphic(CirculantGraph(left), CirculantGraph(right), budget)
+            entries.append(ProbeEntry(group, s, left, right, verdict))
+    for s in _PROBE_S_54:
+        triple = [
+            reflexive_reduce([1, s, 17, 19], 54),
+            reflexive_reduce([5, s, 13, 23], 54),
+            reflexive_reduce([s, 7, 11, 25], 54),
+        ]
+        for i in range(3):
+            for j in range(i + 1, 3):
+                verdict = isomorphic(
+                    CirculantGraph(triple[i]), CirculantGraph(triple[j]), budget
+                )
+                entries.append(
+                    ProbeEntry(f"n54-triple[{i}{j}]", s, triple[i], triple[j], verdict)
+                )
+    return ProbeReport(entries=tuple(entries))
