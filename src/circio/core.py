@@ -38,7 +38,7 @@ class ConnectionSet:
             prev = j
 
     def __str__(self) -> str:
-        return f"C{self.n}({','.join(str(j) for j in self.jumps)})"
+        return f"C{self.n}({','.join(map(str, self.jumps))})"
 
     @classmethod
     def parse(cls, text: str) -> "ConnectionSet":

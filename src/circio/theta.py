@@ -5,16 +5,18 @@ image of a circulant edge set is not circulant; the interesting pairs are
 the ones where it is and no unit multiplier explains the isomorphism.
 
 Images are computed on jumps, not edges. Let D be the full difference set
-of R. theta keeps each residue class mod m, so a vertex z = theta(y) with
-y = r (mod m) has neighbour set z + D'_r, where
+of R and c = d mod m. theta keeps each residue class mod m, so theta(y) with
+y = r (mod m) has neighbour set theta(y) + D'_r, where, mod n,
 
-    D'_r = { d + (((r + d) mod m) - r)*t*m  mod n : d in D }.
+    D'_r = { d + ((r + c) mod m - r)*t*m : d in D }
+         = { f(d) - [r + c >= m]*t*m^2 : d in D },  f(d) = d + c*t*m.
 
-The image is circulant iff D'_0 = D'_1 = ... = D'_{m-1}, and it is then
-reduce(D'_0). That is O(m*|R|) work instead of O(n*|R|). theta_witness is
+The class F_c = { f(d) : d = c (mod m) } stays in class c, and D'_r moves it
+by -t*m^2 exactly when r >= m - c. So the image is circulant iff every F_c
+with c != 0 is invariant under +t*m^2, and it is then reduce(D'_0): one pass
+over D, O(|R|) work instead of O(m*|R|) for all m sets D'_r. theta_witness is
 the only edge-level certificate: it checks with oracle.verify_permutation
-that the vertex permutation carries every edge of the source onto an edge
-of the jump-level image.
+that the vertex map carries every source edge onto an edge of the image.
 """
 
 from __future__ import annotations
@@ -82,21 +84,19 @@ def _check_params(cs: ConnectionSet, m: int, t: int) -> ThetaParams:
     return params
 
 
-def _jump_image(
-    n: int, m: int, t: int, jumps: Sequence[int]
-) -> Optional[ConnectionSet]:
-    """Image of C_n(jumps) under theta_{n,m,t} by the D'_r rule, or None.
+def _jump_image(n: int, m: int, t: int, jumps: Sequence[int]) -> Optional[ConnectionSet]:
+    """Image of C_n(jumps) under theta_{n,m,t} by the class rule, or None.
 
     Needs no multiple of m in jumps and does not validate its arguments;
     callers check eligibility first. A circulant image's D'_0 is the
     neighbour set of vertex 0 in a loopless undirected graph, so it holds
     no 0 and is closed under negation: its reduced jumps are the d <= n/2.
     """
-    diffs = [d for s in jumps for d in (s, n - s)]
     shift = t * m
-    first = {(d + (d % m) * shift) % n for d in diffs}
-    for r in range(1, m):
-        if {(d + ((r + d) % m - r) * shift) % n for d in diffs} != first:
+    first = {(d + (d % m) * shift) % n for s in jumps for d in (s, n - s)}
+    step = shift * m
+    for v in first:
+        if v % m and (v + step) % n not in first:
             return None
     return ConnectionSet(n, tuple(sorted(d for d in first if 2 * d <= n)))
 

@@ -94,6 +94,19 @@ def edge_level_theta_image(cs: ConnectionSet, m: int, t: int) -> Optional[Connec
     return is_circulant(EdgeImage(cs.n, frozenset(pairs)))
 
 
+def d_r_theta_image(n: int, m: int, t: int, jumps: Sequence[int]) -> Optional[ConnectionSet]:
+    """The image by the D'_r rule: build every neighbour set
+    D'_r = { d + (((r + d) mod m) - r)*t*m mod n : d in D } for r in [0, m)
+    and call the image circulant iff all m of them are equal."""
+    diffs = [d for s in jumps for d in (s, n - s)]
+    images = {
+        frozenset((d + ((r + d) % m - r) * t * m) % n for d in diffs) for r in range(m)
+    }
+    if len(images) != 1:
+        return None
+    return ConnectionSet(n, tuple(sorted(d for d in images.pop() if 2 * d <= n)))
+
+
 @lru_cache(maxsize=None)
 def family_records(name: str) -> tuple[TupleRecord, ...]:
     """All 511 rows of family a or b, in table order."""

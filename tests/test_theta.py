@@ -1,27 +1,31 @@
 """The block-shift transform: worked images, parameter law, fixed multiples,
 the composition law, and agreement of the jump-level image with the
-edge-level definition."""
+edge-level definition and with the m-set D'_r rule."""
 
 from __future__ import annotations
+
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import circio.theta as theta_mod
+from circio.core import full_difference_set
 from circio.enumeration import _levels, _nonmultiple_atoms
 from circio import (
     ConnectionSet,
     InvalidParams,
     ThetaParams,
     WitnessMismatch,
+    reflexive_reduce,
     theta_image,
     theta_scan,
     theta_vertex_map,
     theta_witness,
     valid_block_moduli,
 )
-from helpers import cs, edge_level_theta_image, theta_inputs
+from helpers import cs, d_r_theta_image, edge_level_theta_image, theta_inputs
 
 # The four worked images at order 54, m = 3.
 WORKED_IMAGES = [
@@ -200,6 +204,86 @@ class TestJumpLevelImage:
             expected = None if probe is None else tuple(j for j in probe.jumps if j != m)
             image = theta_mod._jump_image(a.n, m, t, core)
             assert (None if image is None else image.jumps) == expected
+
+
+# Orders with m = 4, 5 and 6 among their valid moduli.
+LARGE_THETA_ORDERS = tuple(
+    (n, m) for n in (64, 125, 216, 250) for m in valid_block_moduli(n)
+)
+
+
+def nonempty_jump_sets(n: int):
+    pool = range(1, n // 2 + 1)
+    for k in range(1, len(pool) + 1):
+        yield from combinations(pool, k)
+
+
+def full_period_shifts(n: int, m: int) -> list[int]:
+    """The t in [0, n/m - 1] with n | t*m^2, where +t*m^2 moves nothing."""
+    return [t for t in range(n // m) if t * m * m % n == 0]
+
+
+@st.composite
+def large_order_inputs(draw) -> tuple[int, int, int, tuple[int, ...]]:
+    """(n, m, t, jumps) at an order of LARGE_THETA_ORDERS. Half the draws are
+    unions of atoms of one scan level, so many shifts have circulant images."""
+    n, m = draw(st.sampled_from(LARGE_THETA_ORDERS))
+    if draw(st.booleans()):
+        atoms = _nonmultiple_atoms(n, m, draw(st.sampled_from(_levels(n, m))))
+        chosen = draw(st.sets(st.sampled_from(atoms), min_size=1, max_size=3))
+        mults = draw(st.sets(st.sampled_from(range(m, n // 2 + 1, m)), max_size=2))
+        jumps = {j for atom in chosen for j in atom} | mults
+    else:
+        jumps = draw(st.sets(st.integers(1, n // 2), min_size=1, max_size=8))
+    return n, m, draw(st.integers(0, n // m - 1)), tuple(sorted(jumps))
+
+
+class TestClassRule:
+    """_jump_image tests each residue class of D'_0 for period t*m^2 instead
+    of comparing the m sets D'_r; both rules must give the same image."""
+
+    @pytest.mark.parametrize(
+        "n", [8, 16, 24, 27, pytest.param(32, marks=pytest.mark.slow)]
+    )
+    def test_matches_d_r_rule_on_every_set(self, n):
+        for m in valid_block_moduli(n):
+            for jumps in nonempty_jump_sets(n):
+                for t in range(n // m):
+                    expected = d_r_theta_image(n, m, t, jumps)
+                    assert theta_mod._jump_image(n, m, t, jumps) == expected, (m, t, jumps)
+
+    @settings(max_examples=150, deadline=None)
+    @given(large_order_inputs())
+    def test_matches_edge_level_definition_at_large_moduli(self, inp):
+        n, m, t, jumps = inp
+        expected = edge_level_theta_image(ConnectionSet(n, jumps), m, t)
+        assert theta_mod._jump_image(n, m, t, jumps) == expected
+
+    @pytest.mark.parametrize("n", [8, 16, 24, 27])
+    def test_period_dividing_n_gives_reduced_d0(self, n):
+        """When n | t*m^2 every class is trivially periodic, so every eligible
+        set has a circulant image, and it is reduce(D'_0)."""
+        for m in valid_block_moduli(n):
+            for t in full_period_shifts(n, m):
+                for jumps in nonempty_jump_sets(n):
+                    a = ConnectionSet(n, jumps)
+                    if not any(j % m == 0 for j in jumps):
+                        continue
+                    d0 = [d + (d % m) * t * m for d in full_difference_set(a)]
+                    assert theta_image(a, m, t) == reflexive_reduce(d0, n), (m, t, a)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(LARGE_THETA_ORDERS + ((54, 3),)), st.data())
+    def test_period_dividing_n_at_larger_orders(self, order, data):
+        n, m = order
+        t = data.draw(st.sampled_from(full_period_shifts(n, m)))
+        mult = m * data.draw(st.integers(1, n // 2 // m))
+        others = data.draw(st.sets(st.integers(1, n // 2), max_size=6))
+        a = ConnectionSet(n, tuple(sorted(others | {mult})))
+        d0 = [d + (d % m) * t * m for d in full_difference_set(a)]
+        image = theta_image(a, m, t)
+        assert image == reflexive_reduce(d0, n)
+        assert image == edge_level_theta_image(a, m, t)
 
 
 # (n, m) with m^3 | n up to 120, for the composition law on images.
