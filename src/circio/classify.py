@@ -55,8 +55,8 @@ class Classification:
 
     def fields(self) -> list[tuple[str, object]]:
         """The JSON layout, key by key: verdict, each witness field that is
-        set, then orbit. Sets stay ConnectionSets; to_json and the scan
-        report writer each render this one list."""
+        set, then orbit. Sets stay ConnectionSets; to_json and the record
+        renderer in export.py each render this one list."""
         out: list[tuple[str, object]] = [("verdict", self.kind)]
         for key in ("unit", "m", "t", "chain", "certificate", "reason"):
             value = getattr(self, key)

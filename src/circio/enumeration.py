@@ -24,8 +24,9 @@ from typing import Sequence, TextIO
 from .classify import TYPE2, Classification, TupleRecord, type1_verdict
 from .core import ConnectionSet
 from .errors import Intractable, InvalidParams, WitnessMismatch
+from .export import _block, _Quoted, _record_text
 from .multipliers import AdamOrbit, adam_orbit, carrying_half_units, is_adam_equivalent
-from .theta import jump_hits, theta_image, theta_witness, valid_block_moduli
+from .theta import _jump_image, jump_hits, theta_image, theta_witness, valid_block_moduli
 
 DEFAULT_SCAN_BUDGET = 20_000_000
 
@@ -52,6 +53,11 @@ def family_row(source: ConnectionSet) -> TupleRecord:
     img4 = theta_image(source, 3, 4)
     if img2 is None or img4 is None:
         raise WitnessMismatch(f"{source} has no circulant image at t=2 and t=4")
+    return _family_record(source, img2, img4)
+
+
+def _family_record(source: ConnectionSet, img2: ConnectionSet, img4: ConnectionSet) -> TupleRecord:
+    """The row of source and its images at t=2 and t=4: orbit and verdict."""
     members = (source, img2, img4)
     orbit = adam_orbit(source)
     verdict = type1_verdict(members, orbit) or Classification(
@@ -61,14 +67,21 @@ def family_row(source: ConnectionSet) -> TupleRecord:
 
 
 def enumerate_family(name: str) -> list[TupleRecord]:
-    """All 511 rows of family "a" or "b", in table order."""
+    """All 511 rows of family "a" or "b", in table order. A family is one
+    theta class: theta fixes the multiples of 3, so a row's images are its
+    base's images plus its extension."""
     if name not in FAMILY_BASES:
         raise InvalidParams(f"unknown family {name!r}, expected 'a' or 'b'")
     base = FAMILY_BASES[name]
+    img2, img4 = (_jump_image(54, 3, t, base) for t in (2, 4))
+    if img2 is None or img4 is None:
+        raise WitnessMismatch(f"{ConnectionSet(54, base)} has no circulant image at t=2 and t=4")
     # Row order: by subset size, then lexicographic. Row 1 adjoins {3}, row
     # 511 the whole pool.
     return [
-        family_row(ConnectionSet(54, tuple(sorted(base + ext))))
+        _family_record(*(
+            ConnectionSet(54, tuple(sorted(jumps + ext))) for jumps in (base, img2.jumps, img4.jumps)
+        ))
         for k in range(1, len(FAMILY_POOL) + 1)
         for ext in combinations(FAMILY_POOL, k)
     ]
@@ -163,45 +176,8 @@ class ScanReport:
         fh.write('  "records": [\n')
         for i, record in enumerate(self.records):
             fh.write(",\n    " if i else "    ")
-            fh.write(_record_text(record, quoted))
+            fh.write(_record_text(record, quoted, 4))
         fh.write("\n  ]\n}\n")
-
-
-class _Quoted(dict):
-    """value -> json.dumps(str(value)), built on first use."""
-
-    def __missing__(self, value: object) -> str:
-        text = self[value] = json.dumps(str(value))
-        return text
-
-
-def _block(brackets: str, items: list[str], depth: int) -> str:
-    """A list ("[]") or object ("{}") of items, already JSON text, as
-    json.dumps(..., indent=2) lays it out when its first line is depth
-    spaces deep."""
-    if not items:
-        return brackets
-    pad = " " * (depth + 2)
-    return f"{brackets[0]}\n{pad}" + f",\n{pad}".join(items) + f"\n{' ' * depth}{brackets[1]}"
-
-
-def _record_text(record: TupleRecord, quoted: _Quoted) -> str:
-    """json.dumps(record.to_json(), indent=2) as it reads 4 spaces deep.
-    The verdict's fields() are rendered as to_json renders them: a tuple of
-    sets as a list of their texts, a str quoted, an int as json prints it."""
-    fields = []
-    for key, value in record.verdict.fields():
-        if isinstance(value, tuple):
-            text = _block("[]", [quoted[c] for c in value], 8)
-        else:
-            text = quoted[value] if isinstance(value, str) else str(value)
-        fields.append(f'"{key}": {text}')
-    images = [f"{quoted[t]}: {quoted[img]}" for t, img in sorted(record.theta_images.items())]
-    return _block("{}", [
-        f'"members": {_block("[]", [quoted[c] for c in record.members], 6)}',
-        f'"theta_images": {_block("{}", images, 6)}',
-        f'"verdict": {_block("{}", fields, 6)}',
-    ], 4)
 
 
 _SCAN_CONVENTION = (

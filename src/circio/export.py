@@ -1,4 +1,5 @@
-"""Writers for enumerated records: the tables' CSV layout and JSON lines."""
+"""Writers for enumerated records: the tables' CSV layout, JSON lines, and
+the one record renderer that JSON lines and the scan report share."""
 
 from __future__ import annotations
 
@@ -45,9 +46,52 @@ def export_csv(records: Sequence[TupleRecord], path: str | os.PathLike) -> None:
 
 
 def export_jsonl(records: Sequence[TupleRecord], path: str | os.PathLike) -> None:
-    """One record per line as JSON, in enumeration order."""
+    """One record per line as json.dumps(rec.to_json()) writes it, in
+    enumeration order. Each distinct set is quoted once per file."""
     if not records:
         raise ValueError("refusing to export an empty record list")
+    quoted = _Quoted()
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
-            fh.write(json.dumps(rec.to_json()) + "\n")
+            fh.write(_record_text(rec, quoted) + "\n")
+
+
+class _Quoted(dict):
+    """value -> json.dumps(str(value)), built on first use."""
+
+    def __missing__(self, value: object) -> str:
+        text = self[value] = json.dumps(str(value))
+        return text
+
+
+def _block(brackets: str, items: list[str], depth: int | None) -> str:
+    """A list ("[]") or object ("{}") of items, already JSON text, as
+    json.dumps lays it out: compact when depth is None, else with indent=2
+    when its first line is depth spaces deep."""
+    if not items:
+        return brackets
+    if depth is None:
+        return brackets[0] + ", ".join(items) + brackets[1]
+    pad = " " * (depth + 2)
+    return f"{brackets[0]}\n{pad}" + f",\n{pad}".join(items) + f"\n{' ' * depth}{brackets[1]}"
+
+
+def _record_text(record: TupleRecord, quoted: _Quoted, depth: int | None = None) -> str:
+    """json.dumps(record.to_json()), or with indent=2 as it reads depth
+    spaces deep. The verdict's fields() are rendered as to_json renders
+    them: a tuple of sets as a list of their texts, a str quoted, an int as
+    json prints it."""
+    inner, deeper = (None, None) if depth is None else (depth + 2, depth + 4)
+    fields = []
+    for key, value in record.verdict.fields():
+        if isinstance(value, tuple):
+            text = _block("[]", [quoted[c] for c in value], deeper)
+        else:
+            text = quoted[value] if isinstance(value, str) else str(value)
+        fields.append(f'"{key}": {text}')
+    images = [f"{quoted[t]}: {quoted[img]}" for t, img in sorted(record.theta_images.items())]
+    return _block("{}", [
+        f'"members": {_block("[]", [quoted[c] for c in record.members], inner)}',
+        f'"theta_images": {_block("{}", images, inner)}',
+        f'"verdict": {_block("{}", fields, inner)}',
+    ], depth)

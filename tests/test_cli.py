@@ -296,6 +296,8 @@ SCAN_REPORT_SHA256 = {
 }
 FAMILY_SHA256 = {
     ("a", "csv"): "24d74a98eb4a1ee230081ab4990aa4a8c9fd466311e2494e02c6039070a665c8",
+    ("a", "jsonl"): "de63b7b25c62752d8b4f3d7529e475c5d03fb2c981a59afd7ab7c8f6525ba78a",
+    ("b", "csv"): "8e5e3b0ac92326467af078768ec7e775ee2d756dfed66acbbef9c08fed2bacd9",
     ("b", "jsonl"): "223bdaecba98dd687f095527fc1b3db632340bd3c04929b08fa2744b42e973d5",
 }
 
@@ -432,6 +434,14 @@ class TestExports:
             export_csv([], tmp_path / "x.csv")
         with pytest.raises(ValueError):
             export_jsonl([], tmp_path / "x.jsonl")
+
+    def test_jsonl_is_json_dumps_of_every_family_record(self, family_a_records, tmp_path):
+        for records in (family_a_records, enumerate_family("b")):
+            path = tmp_path / "fam.jsonl"
+            export_jsonl(records, path)
+            assert path.read_text(encoding="utf-8").splitlines() == [
+                json.dumps(rec.to_json()) for rec in records
+            ]
 
     def test_jsonl_round_trip(self, family_a_records, tmp_path):
         path = tmp_path / "fam.jsonl"

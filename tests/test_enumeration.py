@@ -39,6 +39,7 @@ from circio import (
     worker_count,
 )
 from circio.enumeration import FAMILY_BASES, _fixed_masks, family_row
+from circio.export import export_jsonl
 from circio.multipliers import units
 from circio.theta import _jump_image
 from helpers import cs
@@ -128,12 +129,26 @@ class TestEnumerateFamily:
         )
         assert rec.theta_images == {2: rec.members[1], 4: rec.members[2]}
 
-    def test_family_row_is_the_enumerated_row(self, family_a):
-        for rec in family_a[:20]:
+    def test_family_row_is_the_enumerated_row(self, family_a, family_b):
+        # enumerate_family builds each row from its base's images plus the
+        # extension; family_row validates and computes theta_image per row.
+        for rec in family_a + family_b:
             row = family_row(rec.members[0])
             assert row.members == rec.members
             assert row.theta_images == rec.theta_images
             assert row.verdict == rec.verdict
+
+    @pytest.mark.parametrize("t", [2, 4])
+    def test_non_circulant_base_image_raises(self, monkeypatch, t):
+        # A raised WitnessMismatch, not an assert that python -O strips.
+        real = enumeration_mod._jump_image
+        monkeypatch.setattr(
+            enumeration_mod,
+            "_jump_image",
+            lambda n, m, shift, jumps: None if shift == t else real(n, m, shift, jumps),
+        )
+        with pytest.raises(WitnessMismatch, match="no circulant image"):
+            enumerate_family("a")
 
     def test_t1_membership_is_orbit_equality(self, family_a, family_b):
         # Every row has three distinct members and an orbit of three, so
@@ -299,9 +314,11 @@ class TestFullScan:
         report.write_json(fh)
         assert fh.getvalue() == json.dumps(report.to_json(), indent=2) + "\n"
 
-    def test_writer_takes_every_verdict_shape(self):
-        # The scan writes only Type-2 records; the writer must still match
-        # json.dumps on every optional verdict field and on empty theta images.
+    def test_writer_takes_every_verdict_shape(self, tmp_path):
+        # The scan writes only Type-2 records and the families T1 and T2;
+        # the record renderer must still match json.dumps, indented for the
+        # report and compact for JSON lines, on every optional verdict field
+        # and on empty theta images.
         t1 = classify_tuple(
             (cs("C54(1,9,17,19)"), cs("C54(5,9,13,23)"), cs("C54(7,9,11,25)"))
         )
@@ -317,10 +334,11 @@ class TestFullScan:
             members=unknown.members,
             theta_images={},
             verdict=Classification(
-                kind=UNKNOWN, orbit=unknown.verdict.orbit, reason='a "quoted"\nreason, \u00e9'
+                kind=UNKNOWN, orbit=unknown.verdict.orbit, reason='a "quoted" \\ \nreason, \u00e9'
             ),
         )
-        for record in (t1, non_iso, unknown, escaped):
+        records = [t1, non_iso, unknown, escaped]
+        for record in records:
             fh = io.StringIO()
             ScanReport(n=0, convention="", counts={}, records=[record]).write_json(fh)
             nested = json.dumps(record.to_json(), indent=2).replace("\n", "\n    ")
@@ -328,6 +346,11 @@ class TestFullScan:
                 '{\n  "n": 0,\n  "convention": "",\n  "counts": {},\n'
                 f'  "records": [\n    {nested}\n  ]\n}}\n'
             )
+        path = tmp_path / "shapes.jsonl"
+        export_jsonl(records, path)
+        assert path.read_text(encoding="utf-8") == "".join(
+            json.dumps(record.to_json()) + "\n" for record in records
+        )
 
     @pytest.mark.parametrize("n", [32, 54])
     def test_record_orbits_are_the_first_members_orbits(self, n, scan_of):
