@@ -45,9 +45,7 @@ from .errors import (
 )
 from .goldens import GoldenReport, GoldenRow, load_golden_rows, verify_goldens
 from .multipliers import (
-    AdamOrbit,
     adam_orbit,
-    carrying_units,
     is_adam_equivalent,
 )
 from .oracle import (
@@ -62,7 +60,6 @@ from .oracle import (
 from .probes import ProbeEntry, ProbeReport, probe_open_problems
 from .theta import (
     ThetaParams,
-    ThetaWitness,
     theta_image,
     theta_scan,
     theta_vertex_map,
@@ -73,7 +70,6 @@ from .theta import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdamOrbit",
     "BudgetExceeded",
     "CanonicalForm",
     "CircioError",
@@ -96,7 +92,6 @@ __all__ = [
     "ProbeReport",
     "ScanReport",
     "ThetaParams",
-    "ThetaWitness",
     "TupleRecord",
     "TYPE1",
     "TYPE2",
@@ -107,7 +102,6 @@ __all__ = [
     "adjacency_spectrum",
     "canonical_edges_of",
     "canonical_form",
-    "carrying_units",
     "classify_pair",
     "classify_tuple",
     "enumerate_family",

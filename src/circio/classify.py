@@ -16,7 +16,7 @@ from typing import Iterator, Optional, Sequence
 
 from .core import CirculantGraph, ConnectionSet
 from .errors import InvalidParams, OrderMismatch
-from .multipliers import AdamOrbit, adam_orbit, is_adam_equivalent
+from .multipliers import adam_orbit, is_adam_equivalent
 from .oracle import DEFAULT_BUDGET, isomorphic
 from .theta import _multiples, theta_image, valid_block_moduli
 
@@ -31,7 +31,7 @@ class Classification:
     """Exactly one verdict; witness fields for the others stay None."""
 
     kind: str
-    orbit: AdamOrbit
+    orbit: tuple[ConnectionSet, ...]
     unit: Optional[int] = None
     m: Optional[int] = None
     t: Optional[int] = None
@@ -62,7 +62,7 @@ class Classification:
             value = getattr(self, key)
             if value is not None:
                 out.append((key, value))
-        out.append(("orbit", self.orbit.members))
+        out.append(("orbit", self.orbit))
         return out
 
     def to_json(self) -> dict:
@@ -87,7 +87,7 @@ class TupleRecord:
 
 
 def type1_verdict(
-    members: Sequence[ConnectionSet], orbit: AdamOrbit
+    members: Sequence[ConnectionSet], orbit: tuple[ConnectionSet, ...]
 ) -> Optional[Classification]:
     """T1 when every member lies in orbit, the orbit of members[0]; else None.
 

@@ -94,7 +94,7 @@ main.command_class = _Command
 def orbit_cmd(connection_set: str) -> None:
     """Print every multiplier image of CONNECTION_SET, one per line."""
     cs = _parse_set(connection_set)
-    for member in adam_orbit(cs).members:
+    for member in adam_orbit(cs):
         click.echo(str(member))
 
 

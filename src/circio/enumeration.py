@@ -25,7 +25,7 @@ from .classify import TYPE2, Classification, TupleRecord, type1_verdict
 from .core import ConnectionSet
 from .errors import Intractable, InvalidParams, WitnessMismatch
 from .export import _block, _Quoted, _record_text
-from .multipliers import AdamOrbit, adam_orbit, carrying_half_units, is_adam_equivalent
+from .multipliers import adam_orbit, carrying_half_units, is_adam_equivalent
 from .theta import _jump_image, jump_hits, theta_image, theta_witness, valid_block_moduli
 
 DEFAULT_SCAN_BUDGET = 20_000_000
@@ -137,8 +137,7 @@ def _mask_jumps(extension_pool: Sequence[int], mask: int) -> tuple[int, ...]:
 def _verify_theta_pair(left: ConnectionSet, right: ConnectionSet, m: int, t: int) -> None:
     """Raise WitnessMismatch unless theta at (m, t) carries left onto right
     edge by edge and no unit multiplier does."""
-    witness = theta_witness(left, m, t)
-    if witness is None or witness.image != right:
+    if theta_witness(left, m, t) != right:
         raise WitnessMismatch(f"no theta witness carries {left} onto {right}")
     if is_adam_equivalent(left, right) is not None:
         raise WitnessMismatch(f"a unit multiplier carries {left} onto {right}")
@@ -206,7 +205,7 @@ def full_scan(n: int, budget: int = DEFAULT_SCAN_BUDGET) -> ScanReport:
     records: list[TupleRecord] = []
     # Ádám orbits are classes: each member of an orbit built in this scan
     # maps to it, and a record whose first member is among them reuses it.
-    orbits: dict[ConnectionSet, AdamOrbit] = {}
+    orbits: dict[ConnectionSet, tuple[ConnectionSet, ...]] = {}
     for m in valid_block_moduli(n):
         _scan_one_modulus(n, m, budget, counts, records, orbits)
     records.sort(key=lambda r: tuple(c.jumps for c in r.members))
@@ -221,7 +220,7 @@ def _scan_one_modulus(
     budget: int,
     counts: dict[str, int],
     records: list[TupleRecord],
-    orbits: dict[ConnectionSet, AdamOrbit],
+    orbits: dict[ConnectionSet, tuple[ConnectionSet, ...]],
 ) -> None:
     extension_pool = tuple(j for j in range(m, n // 2 + 1, m))
     all_atoms: set[tuple[int, ...]] = set()
@@ -347,7 +346,7 @@ def _scan_one_modulus(
             orbit = orbits.get(members[0])
             if orbit is None:
                 orbit = adam_orbit(members[0])
-                orbits.update(dict.fromkeys(orbit.members, orbit))
+                orbits.update(dict.fromkeys(orbit, orbit))
             verdict = Classification(kind=TYPE2, orbit=orbit, m=m, t=first_t, chain=members)
             records.append(
                 TupleRecord(members=members, theta_images=theta_images, verdict=verdict)

@@ -29,7 +29,7 @@ def export_csv(records: Sequence[TupleRecord], path: str | os.PathLike) -> None:
         raise ValueError("refusing to export an empty record list")
     lines = [CSV_HEADER]
     for row_no, rec in enumerate(records, start=1):
-        orbit_cell = ";".join(str(c) for c in rec.verdict.orbit.members)
+        orbit_cell = ";".join(str(c) for c in rec.verdict.orbit)
         lines.append(
             "%d,%s,%s,%s,\"%s\",%s"
             % (

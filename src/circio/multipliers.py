@@ -12,31 +12,11 @@ one column; the images of a set are the rows of its jumps' columns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from .core import ConnectionSet, reflexive_reduce
 from .errors import NotAUnit, OrderMismatch, WitnessMismatch
-
-
-@dataclass(frozen=True)
-class AdamOrbit:
-    """Orbit of a connection set under all unit multipliers.
-
-    members are sorted lexicographically by jump sequence; members[0] is the
-    canonical representative.
-    """
-
-    n: int
-    members: tuple[ConnectionSet, ...]
-
-    @property
-    def canonical(self) -> ConnectionSet:
-        return self.members[0]
-
-    def __contains__(self, cs: object) -> bool:
-        return cs in self.members
 
 
 def units(n: int) -> tuple[int, ...]:
@@ -95,14 +75,13 @@ def _same_size(cs: ConnectionSet, images: Iterable[tuple[int, ...]]) -> None:
             raise WitnessMismatch(f"a unit multiple of {cs} reduced to {img}, another size")
 
 
-def adam_orbit(cs: ConnectionSet) -> AdamOrbit:
-    """All unit multiples of cs, sorted by jumps. Always contains cs itself."""
+def adam_orbit(cs: ConnectionSet) -> tuple[ConnectionSet, ...]:
+    """All unit multiples of cs, sorted by jumps; [0] is the smallest.
+    Always contains cs itself."""
     n = cs.n
     distinct = set(_images(cs))
     _same_size(cs, distinct)
-    return AdamOrbit(
-        n, tuple([cs if img == cs.jumps else ConnectionSet(n, img) for img in sorted(distinct)])
-    )
+    return tuple([cs if img == cs.jumps else ConnectionSet(n, img) for img in sorted(distinct)])
 
 
 def carrying_half_units(a: ConnectionSet, b: ConnectionSet) -> tuple[int, ...]:
@@ -116,14 +95,10 @@ def carrying_half_units(a: ConnectionSet, b: ConnectionSet) -> tuple[int, ...]:
     return tuple(x for x, img in zip(_half_units(a.n), images) if img == b.jumps)
 
 
-def carrying_units(a: ConnectionSet, b: ConnectionSet) -> Iterator[int]:
-    """The units x with x*a = b, ascending."""
-    low = carrying_half_units(a, b)
-    yield from low
-    # n - x carries a onto b too; x = n/2 = n - x happens only at n = 2.
-    yield from (a.n - x for x in reversed(low) if 2 * x != a.n)
-
-
 def is_adam_equivalent(a: ConnectionSet, b: ConnectionSet) -> Optional[int]:
-    """Smallest unit x with x*a = b, or None when no multiplier works."""
-    return next(carrying_units(a, b), None)
+    """Smallest unit x with x*a = b, or None when no multiplier works.
+
+    If x carries a onto b, so does n - x, so the smallest is at most n/2.
+    """
+    low = carrying_half_units(a, b)
+    return low[0] if low else None

@@ -100,7 +100,7 @@ class TestWorkedImages:
 class TestOrbitIdentities:
     @pytest.mark.parametrize("source", sorted(ORBIT_IDENTITIES))
     def test_exact(self, source):
-        members = adam_orbit(cs(source)).members
+        members = adam_orbit(cs(source))
         assert {str(c) for c in members} == ORBIT_IDENTITIES[source]
 
     def test_under_one_millisecond_each(self):

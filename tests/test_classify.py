@@ -136,7 +136,7 @@ class TestFields:
         assert [key for key, _ in fields] == keys
         assert list(v.to_json()) == keys
         # Sets stay ConnectionSets; only to_json renders them as text.
-        assert dict(fields)["orbit"] is v.orbit.members
+        assert dict(fields)["orbit"] is v.orbit
 
 
 class TestType1Verdict:

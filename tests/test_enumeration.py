@@ -154,7 +154,7 @@ class TestEnumerateFamily:
         # Every row has three distinct members and an orbit of three, so
         # "all members in the orbit" and "orbit equals the members" agree.
         for rec in family_a + family_b:
-            orbit = set(rec.verdict.orbit.members)
+            orbit = set(rec.verdict.orbit)
             assert len(orbit) == 3 and len(set(rec.members)) == 3
             assert (rec.verdict.kind == TYPE1) == (orbit == set(rec.members))
 

@@ -15,10 +15,9 @@ from circio import (
     OrderMismatch,
     WitnessMismatch,
     adam_orbit,
-    carrying_units,
     is_adam_equivalent,
 )
-from circio.multipliers import multiply_set, units
+from circio.multipliers import carrying_half_units, multiply_set, units
 from helpers import connection_sets, cs
 
 # Each entry: source text, then (x, product text) twice. These are the six
@@ -95,19 +94,21 @@ class TestMultiplySet:
 class TestAdamOrbit:
     @pytest.mark.parametrize("source,expected", sorted(ORBIT_IDENTITIES.items()))
     def test_published_orbits(self, source, expected):
-        got = {str(m) for m in adam_orbit(cs(source)).members}
+        got = {str(m) for m in adam_orbit(cs(source))}
         assert got == expected
 
     @pytest.mark.parametrize("source", sorted(ORBIT_IDENTITIES))
     def test_orbit_same_from_every_member(self, source):
         orbit = adam_orbit(cs(source))
-        for member in orbit.members:
+        for member in orbit:
             assert adam_orbit(member) == orbit
 
     def test_contains_self_and_canonical_is_min(self):
         orbit = adam_orbit(cs("C54(1,6,17,19)"))
+        assert type(orbit) is tuple
+        assert list(orbit) == sorted(orbit, key=lambda c: c.jumps)
         assert cs("C54(1,6,17,19)") in orbit
-        assert orbit.canonical == min(orbit.members, key=lambda c: c.jumps)
+        assert orbit[0] == min(orbit, key=lambda c: c.jumps)
 
     def test_symmetry_exhaustive_n16(self):
         # b in orbit(a) <=> orbit(a) == orbit(b), over every set on [1,8].
@@ -119,8 +120,8 @@ class TestAdamOrbit:
         orbits = {a: adam_orbit(a) for a in all_sets}
         phi16 = len(units(16))
         for a in all_sets:
-            assert len(orbits[a].members) <= phi16
-            for b in orbits[a].members:
+            assert len(orbits[a]) <= phi16
+            for b in orbits[a]:
                 assert orbits[b] == orbits[a]
                 assert a in orbits[b]
 
@@ -170,28 +171,32 @@ def carrying_by_definition(a: ConnectionSet, b: ConnectionSet) -> list[int]:
     return [x for x in units(a.n) if multiply_set(a, x) == b]
 
 
+def half_carrying_by_definition(a: ConnectionSet, b: ConnectionSet) -> tuple[int, ...]:
+    return tuple(x for x in carrying_by_definition(a, b) if 2 * x <= a.n)
+
+
 class TestUnitTables:
     """The cached per-order tables agree with multiply_set over every unit."""
 
     @given(connection_sets(max_n=60))
     def test_orbit_is_every_unit_multiple(self, a):
-        assert adam_orbit(a).members == orbit_by_definition(a)
+        assert adam_orbit(a) == orbit_by_definition(a)
 
     @given(same_order_pairs())
     def test_carrying_units_by_definition(self, pair):
         a, b = pair
         expected = carrying_by_definition(a, b)
-        assert list(carrying_units(a, b)) == expected
+        assert carrying_half_units(a, b) == half_carrying_by_definition(a, b)
         assert is_adam_equivalent(a, b) == (expected[0] if expected else None)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_smallest_orders_exhaustive(self, n):
         sets = every_set(n)
         for a in sets:
-            assert adam_orbit(a).members == orbit_by_definition(a)
+            assert adam_orbit(a) == orbit_by_definition(a)
             for b in sets:
                 expected = carrying_by_definition(a, b)
-                assert list(carrying_units(a, b)) == expected
+                assert carrying_half_units(a, b) == half_carrying_by_definition(a, b)
                 assert is_adam_equivalent(a, b) == (expected[0] if expected else None)
 
     def test_off_the_multiply_set_path(self, monkeypatch):
@@ -200,7 +205,7 @@ class TestUnitTables:
 
         monkeypatch.setattr(multipliers_mod, "multiply_set", refuse)
         a = cs("C54(1,3,9,15,17,19,21,27)")
-        assert len(adam_orbit(a).members) == 3
+        assert len(adam_orbit(a)) == 3
         assert is_adam_equivalent(a, a) == 1
 
     def test_size_change_raises_witness_mismatch(self, monkeypatch):
@@ -214,7 +219,7 @@ class TestUnitTables:
         with pytest.raises(WitnessMismatch):
             adam_orbit(a)
         with pytest.raises(WitnessMismatch):
-            list(carrying_units(a, cs("C54(5,13,15,23)")))
+            carrying_half_units(a, cs("C54(5,13,15,23)"))
         with pytest.raises(WitnessMismatch):
             is_adam_equivalent(a, a)
 
@@ -228,19 +233,24 @@ class TestCarryingUnits:
     def test_exactly_the_carrying_units_ascending(self, a, k):
         us = units(a.n)
         b = multiply_set(a, us[k % len(us)])
-        got = list(carrying_units(a, b))
-        assert got == [x for x in us if multiply_set(a, x) == b]
-        assert is_adam_equivalent(a, b) == got[0]
+        got = carrying_half_units(a, b)
+        assert got == half_carrying_by_definition(a, b)
+        # The smallest carrying unit is a half unit, so is_adam_equivalent
+        # reads it off the half table.
+        assert is_adam_equivalent(a, b) == got[0] == carrying_by_definition(a, b)[0]
 
     def test_published_pair(self):
-        # x and n - x always act alike, so units come in pairs.
-        got = list(carrying_units(cs("C54(1,9,17,19)"), cs("C54(5,9,13,23)")))
+        # x and n - x always act alike, so units come in pairs: the smallest
+        # carrying unit is at most n/2.
+        a, b = cs("C54(1,9,17,19)"), cs("C54(5,9,13,23)")
+        got = carrying_by_definition(a, b)
         assert got[0] == 5
         assert sorted(54 - x for x in got) == got
+        assert carrying_half_units(a, b) == tuple(x for x in got if x <= 27)
 
     def test_none_for_a_theta_image(self):
-        assert list(carrying_units(cs("C54(1,3,17,19)"), cs("C54(3,7,11,25)"))) == []
+        assert carrying_half_units(cs("C54(1,3,17,19)"), cs("C54(3,7,11,25)")) == ()
 
     def test_order_mismatch(self):
         with pytest.raises(OrderMismatch):
-            list(carrying_units(cs("C54(1)"), cs("C27(1)")))
+            carrying_half_units(cs("C54(1)"), cs("C27(1)"))

@@ -128,12 +128,15 @@ class TestThetaImage:
 
 class TestThetaWitness:
     def test_witness_carries_map_and_image(self):
-        w = theta_witness(cs("C54(1,3,17,19)"), 3, 2)
-        assert w is not None
-        assert w.image == cs("C54(3,7,11,25)")
-        assert w.source == cs("C54(1,3,17,19)")
-        assert w.params == ThetaParams(54, 3, 2)
-        assert w.vertex_map[1] == 7
+        assert theta_witness(cs("C54(1,3,17,19)"), 3, 2) == cs("C54(3,7,11,25)")
+        # The vertex map it checks edge by edge.
+        assert theta_vertex_map(ThetaParams(54, 3, 2))[1] == 7
+
+    @given(theta_inputs())
+    def test_witness_is_the_checked_image(self, inp):
+        # Both are None together; otherwise the same set.
+        a, m, t = inp
+        assert theta_witness(a, m, t) == theta_image(a, m, t)
 
     def test_witness_none_when_not_circulant(self):
         assert theta_witness(cs("C54(1,3,17,19)"), 3, 1) is None
@@ -157,6 +160,13 @@ class TestThetaScan:
     def test_scan_preserves_multiples(self):
         for t, img in theta_scan(cs("C54(3,6,17,19)"), 3):
             assert {j for j in img.jumps if j % 3 == 0} == {3, 6}
+
+    @given(theta_inputs())
+    def test_every_hit_keeps_the_multiples_of_m(self, inp):
+        a, m, _ = inp
+        fixed = {j for j in a.jumps if j % m == 0}
+        for t, img in theta_scan(a, m):
+            assert {j for j in img.jumps if j % m == 0} == fixed
 
     def test_scan_requires_eligibility(self):
         with pytest.raises(InvalidParams):
