@@ -11,10 +11,9 @@ its two-member case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .core import CirculantGraph, ConnectionSet
+from .core import CirculantGraph, ConnectionSet, _set, _Value
 from .errors import InvalidParams, OrderMismatch
 from .multipliers import adam_orbit, is_adam_equivalent
 from .oracle import DEFAULT_BUDGET, isomorphic
@@ -26,18 +25,38 @@ NON_ISOMORPHIC = "non-isomorphic"
 UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(_Value):
     """Exactly one verdict; witness fields for the others stay None."""
 
+    __slots__ = _fields = ("kind", "orbit", "unit", "m", "t", "chain", "certificate", "reason")
     kind: str
     orbit: tuple[ConnectionSet, ...]
-    unit: Optional[int] = None
-    m: Optional[int] = None
-    t: Optional[int] = None
-    chain: Optional[tuple[ConnectionSet, ...]] = None
-    certificate: Optional[str] = None
-    reason: Optional[str] = None
+    unit: Optional[int]
+    m: Optional[int]
+    t: Optional[int]
+    chain: Optional[tuple[ConnectionSet, ...]]
+    certificate: Optional[str]
+    reason: Optional[str]
+
+    def __init__(
+        self,
+        kind: str,
+        orbit: tuple[ConnectionSet, ...],
+        unit: Optional[int] = None,
+        m: Optional[int] = None,
+        t: Optional[int] = None,
+        chain: Optional[tuple[ConnectionSet, ...]] = None,
+        certificate: Optional[str] = None,
+        reason: Optional[str] = None,
+    ) -> None:
+        _set(self, "kind", kind)
+        _set(self, "orbit", orbit)
+        _set(self, "unit", unit)
+        _set(self, "m", m)
+        _set(self, "t", t)
+        _set(self, "chain", chain)
+        _set(self, "certificate", certificate)
+        _set(self, "reason", reason)
 
     @property
     def table_verdict(self) -> str:
@@ -72,11 +91,26 @@ class Classification:
         }
 
 
-@dataclass(frozen=True, eq=False)
-class TupleRecord:
+class TupleRecord(_Value):
+    """Compares and hashes by identity."""
+
+    __slots__ = _fields = ("members", "theta_images", "verdict")
     members: tuple[ConnectionSet, ...]
     theta_images: dict[int, ConnectionSet]
     verdict: Classification
+
+    def __init__(
+        self,
+        members: tuple[ConnectionSet, ...],
+        theta_images: dict[int, ConnectionSet],
+        verdict: Classification,
+    ) -> None:
+        _set(self, "members", members)
+        _set(self, "theta_images", theta_images)
+        _set(self, "verdict", verdict)
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def to_json(self) -> dict:
         return {

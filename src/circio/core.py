@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
@@ -17,25 +16,100 @@ from .errors import ZeroJump
 
 _CS_TEXT = re.compile(r"^\s*C\s*(\d+)\s*\(\s*([0-9,\s]*?)\s*\)\s*$")
 
+_set = object.__setattr__
 
-@dataclass(frozen=True, order=True)
-class ConnectionSet:
-    """Reduced jump set of C_n(jumps). Immutable and hashable."""
 
+class _Value:
+    """Base of circio's immutable value types.
+
+    A subclass names its fields in _fields, gives each a slot, and sets them
+    in its __init__ with object.__setattr__. Instances of one class compare
+    and hash as the tuple of their fields and print as Name(field=value, ...).
+    Declaring one generates no code at import, a cost every circio command
+    would pay.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def _init(self, *values: object) -> None:
+        for name, value in zip(self._fields, values):
+            _set(self, name, value)
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
+class ConnectionSet(_Value):
+    """Reduced jump set of C_n(jumps). Immutable, hashable, and ordered by
+    (n, jumps)."""
+
+    __slots__ = _fields = ("n", "jumps")
     n: int
     jumps: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"order must be >= 2, got {self.n}")
-        half = self.n // 2
+    def __init__(self, n: int, jumps: tuple[int, ...]) -> None:
+        if n < 2:
+            raise ValueError(f"order must be >= 2, got {n}")
+        half = n // 2
         prev = 0
-        for j in self.jumps:
+        for j in jumps:
             if not (1 <= j <= half):
-                raise ValueError(f"jump {j} outside [1, {half}] for n={self.n}")
+                raise ValueError(f"jump {j} outside [1, {half}] for n={n}")
             if j <= prev:
                 raise ValueError("jumps must be strictly increasing")
             prev = j
+        _set(self, "n", n)
+        _set(self, "jumps", jumps)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.n == other.n and self.jumps == other.jumps
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.jumps))
+
+    def __lt__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.n, self.jumps) < (other.n, other.jumps)
+        return NotImplemented
+
+    def __le__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.n, self.jumps) <= (other.n, other.jumps)
+        return NotImplemented
+
+    def __gt__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.n, self.jumps) > (other.n, other.jumps)
+        return NotImplemented
+
+    def __ge__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.n, self.jumps) >= (other.n, other.jumps)
+        return NotImplemented
 
     def __str__(self) -> str:
         return f"C{self.n}({','.join(map(str, self.jumps))})"
@@ -80,11 +154,16 @@ def full_difference_set(cs: ConnectionSet) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-@dataclass(frozen=True)
-class CirculantGraph:
+class CirculantGraph(_Value):
     """C_n(R): vertex set Z_n, x ~ y iff reduce(y - x) in R."""
 
+    # adjacency, once computed, lives in __dict__ and is no field
+    __slots__ = ("cs", "__dict__")
+    _fields = ("cs",)
     cs: ConnectionSet
+
+    def __init__(self, cs: ConnectionSet) -> None:
+        _set(self, "cs", cs)
 
     @property
     def n(self) -> int:
@@ -106,17 +185,18 @@ class CirculantGraph:
         return str(self.cs)
 
 
-@dataclass(frozen=True)
-class EdgeImage:
+class EdgeImage(_Value):
     """Image of an edge set under a vertex map; pairs stored as (min, max)."""
 
+    __slots__ = _fields = ("n", "pairs")
     n: int
     pairs: frozenset[tuple[int, int]]
 
-    def __post_init__(self) -> None:
-        for a, b in self.pairs:
-            if not (0 <= a < b < self.n):
-                raise ValueError(f"bad pair ({a},{b}) for n={self.n}")
+    def __init__(self, n: int, pairs: frozenset[tuple[int, int]]) -> None:
+        for a, b in pairs:
+            if not (0 <= a < b < n):
+                raise ValueError(f"bad pair ({a},{b}) for n={n}")
+        self._init(n, pairs)
 
 
 def is_circulant(img: EdgeImage) -> Optional[ConnectionSet]:

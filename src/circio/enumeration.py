@@ -17,12 +17,11 @@ cores, each with one extension.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import chain, combinations
 from typing import Sequence, TextIO
 
 from .classify import TYPE2, Classification, TupleRecord, type1_verdict
-from .core import ConnectionSet
+from .core import ConnectionSet, _Value
 from .errors import Intractable, InvalidParams, WitnessMismatch
 from .export import _block, _Quoted, _record_text
 from .multipliers import adam_orbit, carrying_half_units, is_adam_equivalent
@@ -143,12 +142,17 @@ def _verify_theta_pair(left: ConnectionSet, right: ConnectionSet, m: int, t: int
         raise WitnessMismatch(f"a unit multiplier carries {left} onto {right}")
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(_Value):
+    __slots__ = _fields = ("n", "convention", "counts", "records")
     n: int
     convention: str
     counts: dict[str, int]
     records: list[TupleRecord]
+
+    def __init__(
+        self, n: int, convention: str, counts: dict[str, int], records: list[TupleRecord]
+    ) -> None:
+        self._init(n, convention, counts, records)
 
     def to_json(self) -> dict:
         return {

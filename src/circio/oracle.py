@@ -18,33 +18,56 @@ to the algebra it is checking.
 from __future__ import annotations
 
 from bisect import bisect
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .core import CirculantGraph, adjacency_spectrum, first_spectral_gap, full_difference_set
+from .core import (
+    CirculantGraph,
+    _Value,
+    adjacency_spectrum,
+    first_spectral_gap,
+    full_difference_set,
+)
 from .errors import BudgetExceeded, InvalidParams, OrderMismatch, WitnessMismatch
 
 DEFAULT_BUDGET = 10 ** 7
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
+class CanonicalForm(_Value):
+    __slots__ = _fields = ("n", "canonical_edges", "labeling", "nodes")
     n: int
     canonical_edges: tuple[tuple[int, int], ...]
     labeling: tuple[int, ...]
     nodes: int  # search nodes used
 
+    def __init__(
+        self,
+        n: int,
+        canonical_edges: tuple[tuple[int, int], ...],
+        labeling: tuple[int, ...],
+        nodes: int,
+    ) -> None:
+        self._init(n, canonical_edges, labeling, nodes)
 
-@dataclass(frozen=True)
-class IsoVerdict:
+
+class IsoVerdict(_Value):
     """One of isomorphic (with permutation), non-isomorphic (with a named
     certificate), or timeout. nodes counts the canonical search nodes used
     on both sides (0 for a spectral verdict); serialize() leaves it out."""
 
+    __slots__ = _fields = ("kind", "permutation", "certificate", "nodes")
     kind: str
-    permutation: Optional[tuple[int, ...]] = None
-    certificate: Optional[str] = None
-    nodes: int = 0
+    permutation: Optional[tuple[int, ...]]
+    certificate: Optional[str]
+    nodes: int
+
+    def __init__(
+        self,
+        kind: str,
+        permutation: Optional[tuple[int, ...]] = None,
+        certificate: Optional[str] = None,
+        nodes: int = 0,
+    ) -> None:
+        self._init(kind, permutation, certificate, nodes)
 
     def serialize(self) -> str:
         if self.kind == "isomorphic":

@@ -6,9 +6,7 @@ its certificate and is never presumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import CirculantGraph, ConnectionSet, reflexive_reduce
+from .core import CirculantGraph, ConnectionSet, _Value, reflexive_reduce
 from .oracle import DEFAULT_BUDGET, IsoVerdict, isomorphic
 
 
@@ -21,13 +19,18 @@ _PROBE_S_48 = (3, 9, 15, 21)
 _PROBE_S_54 = (2, 4, 8, 10, 14, 16, 20, 22, 26)
 
 
-@dataclass(frozen=True)
-class ProbeEntry:
+class ProbeEntry(_Value):
+    __slots__ = _fields = ("group", "s", "left", "right", "verdict")
     group: str
     s: int
     left: ConnectionSet
     right: ConnectionSet
     verdict: IsoVerdict
+
+    def __init__(
+        self, group: str, s: int, left: ConnectionSet, right: ConnectionSet, verdict: IsoVerdict
+    ) -> None:
+        self._init(group, s, left, right, verdict)
 
     def describe(self) -> str:
         return (
@@ -45,9 +48,12 @@ class ProbeEntry:
         }
 
 
-@dataclass(frozen=True)
-class ProbeReport:
+class ProbeReport(_Value):
+    __slots__ = _fields = ("entries",)
     entries: tuple[ProbeEntry, ...]
+
+    def __init__(self, entries: tuple[ProbeEntry, ...]) -> None:
+        self._init(entries)
 
     def to_json(self) -> dict:
         return {"entries": [e.to_json() for e in self.entries]}

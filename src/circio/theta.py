@@ -21,27 +21,29 @@ that the vertex map carries every source edge onto an edge of the image.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .core import CirculantGraph, ConnectionSet
+from .core import CirculantGraph, ConnectionSet, _set, _Value
 from .errors import InvalidParams, WitnessMismatch
 from .oracle import verify_permutation
 
 
-@dataclass(frozen=True)
-class ThetaParams:
+class ThetaParams(_Value):
+    __slots__ = _fields = ("n", "m", "t")
     n: int
     m: int
     t: int
 
-    def __post_init__(self) -> None:
-        if self.m < 2:
-            raise InvalidParams(f"m must be >= 2, got {self.m}")
-        if self.n % (self.m ** 3) != 0:
-            raise InvalidParams(f"m^3 = {self.m ** 3} must divide n = {self.n}")
-        if not (0 <= self.t <= self.n // self.m - 1):
-            raise InvalidParams(f"t = {self.t} outside [0, {self.n // self.m - 1}]")
+    def __init__(self, n: int, m: int, t: int) -> None:
+        if m < 2:
+            raise InvalidParams(f"m must be >= 2, got {m}")
+        if n % (m ** 3) != 0:
+            raise InvalidParams(f"m^3 = {m ** 3} must divide n = {n}")
+        if not (0 <= t <= n // m - 1):
+            raise InvalidParams(f"t = {t} outside [0, {n // m - 1}]")
+        _set(self, "n", n)
+        _set(self, "m", m)
+        _set(self, "t", t)
 
 
 def valid_block_moduli(n: int) -> list[int]:

@@ -1,5 +1,5 @@
 """circio runs on the standard library and click alone, in one process;
-numpy is a test extra."""
+numpy is a test extra, and nothing loads dataclasses."""
 
 from __future__ import annotations
 
@@ -28,7 +28,10 @@ PROGRAM = textwrap.dedent(
     iso = isomorphic(graph("C54(1,3,17,19)"), graph("C54(3,7,11,25)"))
     numpy = [m for m in sys.modules if m.split(".")[0] == "numpy"]
     pools = [m for m in ("concurrent.futures", "multiprocessing") if m in sys.modules]
-    print(reject.kind, reject.certificate, iso.kind, sys.modules["numpy"], numpy, pools)
+    print(
+        reject.kind, reject.certificate, iso.kind, sys.modules["numpy"], numpy, pools,
+        "dataclasses" in sys.modules,
+    )
     """
 )
 
@@ -54,4 +57,5 @@ def test_import_and_oracle_without_numpy():
         "None",
         "['numpy']",
         "[]",  # no process-pool module was imported either
+        "False",  # nor dataclasses: the value types are plain slotted classes
     ]

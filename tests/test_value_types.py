@@ -256,6 +256,10 @@ class TestConnectionSetOrder:
             "C8(1,2)", "C8(1,2,3)", "C8(1,4)", "C8(2)", "C9(1)", "C16()",
         ]
         assert sorted(sets) == sorted(sets, key=lambda s: (s.n, s.jumps))
+        for x in sets:
+            for y in sets:
+                kx, ky = (x.n, x.jumps), (y.n, y.jumps)
+                assert (x < y, x <= y, x > y, x >= y) == (kx < ky, kx <= ky, kx > ky, kx >= ky)
 
     def test_other_class_is_not_implemented(self):
         a = ConnectionSet(8, (1, 2))
