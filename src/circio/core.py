@@ -23,10 +23,10 @@ class _Value:
     """Base of circio's immutable value types.
 
     A subclass names its fields in _fields, gives each a slot, and sets them
-    in its __init__ with object.__setattr__. Instances of one class compare
-    and hash as the tuple of their fields and print as Name(field=value, ...).
-    Declaring one generates no code at import, a cost every circio command
-    would pay.
+    in its __init__ with object.__setattr__ (or _init). Instances of one
+    class compare and hash as the tuple of their fields and print as
+    Name(field=value, ...). Declaring one generates no code at import, a
+    cost every circio command would pay.
     """
 
     __slots__ = ()
@@ -58,6 +58,7 @@ class _Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self) -> tuple:
+        # copy and pickle rebuild through __init__, since assignment is refused
         return type(self), self._values()
 
 
@@ -157,7 +158,7 @@ def full_difference_set(cs: ConnectionSet) -> tuple[int, ...]:
 class CirculantGraph(_Value):
     """C_n(R): vertex set Z_n, x ~ y iff reduce(y - x) in R."""
 
-    # adjacency, once computed, lives in __dict__ and is no field
+    # the cached adjacency lives in __dict__; it is not a field
     __slots__ = ("cs", "__dict__")
     _fields = ("cs",)
     cs: ConnectionSet
