@@ -10,11 +10,11 @@ be written; every --out is checked before any work).
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
-from typing import Optional
-
-import click
+import sys
+from typing import Optional, Sequence
 
 from . import __version__
 from .classify import classify_pair, classify_tuple
@@ -29,238 +29,221 @@ from .oracle import DEFAULT_BUDGET
 from .probes import probe_open_problems
 from .theta import theta_image
 
-def _parse_set(text: str) -> ConnectionSet:
+
+def _connection_set(text: str) -> ConnectionSet:
     try:
         return ConnectionSet.parse(text)
     except (ValueError, CircioError) as exc:
-        raise click.UsageError(f"bad connection set {text!r}: {exc}") from exc
+        raise argparse.ArgumentTypeError(f"bad connection set {text!r}: {exc}") from exc
 
 
-def _unwritable(path: str, exc: OSError) -> click.UsageError:
-    return click.UsageError(f"cannot write {path}: {exc.strerror or exc}")
+def _budget(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a valid integer") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is not in the range x>=0")
+    return value
 
 
 def _check_writable(path: str) -> None:
-    """Raise the usage error for path now, before any work is done.
+    """Raise the OSError for path now, before any work is done.
 
     An existing file is opened without truncation; a new one is removed again.
     """
     existed = os.path.exists(path)
-    try:
-        open(path, "a", encoding="utf-8").close()
-    except OSError as exc:
-        raise _unwritable(path, exc) from exc
+    open(path, "a", encoding="utf-8").close()
     if not existed:
         os.remove(path)
 
 
-def _write_json(data: dict, path: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, indent=2)
-            fh.write("\n")
-    except OSError as exc:
-        raise _unwritable(path, exc) from exc
-
-
-# Accepted and ignored: circio runs in one process. Kept only until perfbench
-# stops passing --workers 1.
-_IGNORED_WORKERS = click.option("--workers", type=int, hidden=True, expose_value=False)
-
-
-class _Command(click.Command):
-    """A failed certificate exits 1; any other CircioError is a usage error."""
-
-    def invoke(self, ctx: click.Context) -> object:
-        try:
-            return super().invoke(ctx)
-        except WitnessMismatch as exc:
-            raise click.ClickException(f"not certified: {exc}") from exc
-        except CircioError as exc:
-            raise click.UsageError(str(exc), ctx) from exc
-
-
-@click.group()
-@click.version_option(__version__, prog_name="circio")
-def main() -> None:
-    """Isomorphism tooling for circulant graphs."""
-
-
-main.command_class = _Command
-
-
-@main.command("orbit")
-@click.argument("connection_set")
-def orbit_cmd(connection_set: str) -> None:
+def _orbit(args: argparse.Namespace) -> int:
     """Print every multiplier image of CONNECTION_SET, one per line."""
-    cs = _parse_set(connection_set)
-    for member in adam_orbit(cs):
-        click.echo(str(member))
+    for member in adam_orbit(args.connection_set):
+        print(member)
+    return 0
 
 
-@main.command("theta")
-@click.option("--m", "m", type=int, required=True, help="Block modulus.")
-@click.option("--t", "t", type=int, required=True, help="Shift index.")
-@click.argument("connection_set")
-def theta_cmd(m: int, t: int, connection_set: str) -> None:
+def _theta(args: argparse.Namespace) -> int:
     """Apply the block-shift transform; print the image or 'not circulant'."""
-    img = theta_image(_parse_set(connection_set), m, t)
-    click.echo(str(img) if img is not None else "not circulant")
+    img = theta_image(args.connection_set, args.m, args.t)
+    print(img if img is not None else "not circulant")
+    return 0
 
 
-@main.command("classify")
-@click.option(
-    "--budget",
-    type=click.IntRange(min=0),
-    default=DEFAULT_BUDGET,
-    show_default=True,
-    help="Oracle search-node budget.",
-)
-@click.argument("connection_sets", nargs=-1, required=True)
-def classify_cmd(budget: int, connection_sets: tuple[str, ...]) -> None:
+def _classify(args: argparse.Namespace) -> int:
     """Classify two or more sets; print the verdict and its witness."""
-    sets = [_parse_set(text) for text in connection_sets]
-    click.echo(classify_tuple(sets, budget=budget).verdict.describe())
+    print(classify_tuple(args.connection_sets, budget=args.budget).verdict.describe())
+    return 0
 
 
-@main.command("enumerate-family")
-@click.option(
-    "--family",
-    "family_name",
-    type=click.Choice(["a", "b"]),
-    required=True,
-    help="Which order-54 family to enumerate.",
-)
-@click.option(
-    "--out",
-    "out_path",
-    type=click.Path(dir_okay=False, writable=True),
-    required=True,
-    help="Output file; a .jsonl suffix selects JSON-lines, anything else CSV.",
-)
-@_IGNORED_WORKERS
-def enumerate_family_cmd(family_name: str, out_path: str) -> None:
+def _enumerate_family(args: argparse.Namespace) -> int:
     """Enumerate all 511 rows of one family and write them to --out."""
-    _check_writable(out_path)
-    click.echo(f"enumerating family {family_name} (511 rows)...", err=True)
-    records = enumerate_family(family_name)
+    _check_writable(args.out)
+    print(f"enumerating family {args.family} (511 rows)...", file=sys.stderr)
+    records = enumerate_family(args.family)
     tally = verdict_counts(records)
-    try:
-        if out_path.endswith(".jsonl"):
-            export_jsonl(records, out_path)
-        else:
-            export_csv(records, out_path)
-    except OSError as exc:
-        raise _unwritable(out_path, exc) from exc
-    click.echo(
-        f"family {family_name}: {len(records)} rows, {tally['T2']} T2, {tally['T1']} T1"
-        f" -> {out_path}"
+    (export_jsonl if args.out.endswith(".jsonl") else export_csv)(records, args.out)
+    print(
+        f"family {args.family}: {len(records)} rows, {tally['T2']} T2, {tally['T1']} T1"
+        f" -> {args.out}"
     )
+    return 0
 
 
-@main.command("scan")
-@click.option("--n", "n", type=int, required=True, help="Graph order to scan.")
-@click.option(
-    "--out",
-    "out_path",
-    type=click.Path(dir_okay=False, writable=True),
-    required=True,
-    help="Report file (JSON).",
-)
-@click.option(
-    "--budget",
-    type=click.IntRange(min=0),
-    default=DEFAULT_SCAN_BUDGET,
-    show_default=True,
-    help="Ceiling on scan work units.",
-)
-@_IGNORED_WORKERS
-def scan_cmd(n: int, out_path: str, budget: int) -> None:
+def _scan(args: argparse.Namespace) -> int:
     """Exhaustively scan one order and write a JSON report to --out."""
-    click.echo(f"scanning n={n}...", err=True)
-    _check_writable(out_path)
-    report = full_scan(n, budget=budget)
-    try:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            report.write_json(fh)
-    except OSError as exc:
-        raise _unwritable(out_path, exc) from exc
+    print(f"scanning n={args.n}...", file=sys.stderr)
+    _check_writable(args.out)
+    report = full_scan(args.n, budget=args.budget)
+    with open(args.out, "w", encoding="utf-8") as fh:
+        report.write_json(fh)
     parts = ", ".join(f"{k}={v}" for k, v in sorted(report.counts.items()))
-    click.echo(f"n={n}: {parts} -> {out_path}")
+    print(f"n={args.n}: {parts} -> {args.out}")
+    return 0
 
 
-@main.command("generate")
-@click.option(
-    "--a17c",
-    "a17c_args",
-    type=int,
-    nargs=2,
-    default=None,
-    metavar="K S",
-    help="Order-8k pair construction.",
-)
-@click.option(
-    "--c1",
-    "c1_args",
-    type=int,
-    nargs=4,
-    default=None,
-    metavar="BASE P X Y",
-    help="Order-base*p^3 chain construction.",
-)
-def generate_cmd(
-    a17c_args: Optional[tuple[int, int]], c1_args: Optional[tuple[int, int, int, int]]
-) -> None:
+def _generate(args: argparse.Namespace) -> int:
     """Run one construction and classify its output."""
-    if (a17c_args is None) == (c1_args is None):
-        raise click.UsageError("pass exactly one of --a17c or --c1")
-    if a17c_args is not None:
-        left, right = generate_a17c(*a17c_args)
-        click.echo(f"{left}\n{right}")
-        click.echo(classify_pair(left, right).describe())
-    else:
-        base, p, x, y = c1_args
-        chain = tuple(generate_c1(base, p, x, y, i) for i in range(1, p + 1))
-        for member in chain:
-            click.echo(str(member))
-        click.echo(classify_tuple(chain).verdict.describe())
+    if args.a17c:
+        left, right = generate_a17c(*args.a17c)
+        print(f"{left}\n{right}")
+        print(classify_pair(left, right).describe())
+        return 0
+    base, p, x, y = args.c1
+    # Member 1 validates all four values, also when p <= 0 leaves no chain.
+    chain = (generate_c1(base, p, x, y, 1),)
+    chain += tuple(generate_c1(base, p, x, y, i) for i in range(2, p + 1))
+    for member in chain:
+        print(member)
+    print(classify_tuple(chain).verdict.describe())
+    return 0
 
 
-@main.command("probe-open")
-@click.option(
-    "--budget",
-    type=click.IntRange(min=0),
-    default=DEFAULT_BUDGET,
-    show_default=True,
-    help="Oracle search-node budget per pair.",
-)
-@click.option(
-    "--out",
-    "out_path",
-    type=click.Path(dir_okay=False, writable=True),
-    default=None,
-    help="Optional JSON report file.",
-)
-def probe_open_cmd(budget: int, out_path: Optional[str]) -> None:
+def _probe_open(args: argparse.Namespace) -> int:
     """Run the oracle over the undecided pair/triple questions."""
-    if out_path is not None:
-        _check_writable(out_path)
-    click.echo("probing open questions (35 oracle runs)...", err=True)
-    report = probe_open_problems(budget=budget)
-    click.echo(report.summary())
-    if out_path is not None:
-        _write_json(report.to_json(), out_path)
+    if args.out is not None:
+        _check_writable(args.out)
+    print("probing open questions (35 oracle runs)...", file=sys.stderr)
+    report = probe_open_problems(budget=args.budget)
+    print(report.summary())
+    if args.out is not None:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump(report.to_json(), fh, indent=2)
+            fh.write("\n")
+    return 0
 
 
-@main.command("verify-goldens")
-@click.pass_context
-def verify_goldens_cmd(ctx: click.Context) -> None:
+def _verify_goldens(args: argparse.Namespace) -> int:
     """Recompute the embedded table rows; exit 1 on any verdict mismatch."""
     report = verify_goldens()
-    click.echo(report.summary())
-    if not report.ok:
-        ctx.exit(1)
+    print(report.summary())
+    return 0 if report.ok else 1
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="circio", description="Isomorphism tooling for circulant graphs."
+    )
+    parser.add_argument("--version", action="version", version=f"circio, version {__version__}")
+    commands = parser.add_subparsers(
+        title="commands", dest="command", metavar="COMMAND", required=True
+    )
+
+    def command(name: str, run) -> argparse.ArgumentParser:
+        sub = commands.add_parser(name, help=run.__doc__, description=run.__doc__)
+        sub.set_defaults(run=run, parser=sub)
+        return sub
+
+    def budget(sub: argparse.ArgumentParser, default: int, text: str) -> None:
+        help_text = f"{text} (default: {default})"
+        sub.add_argument("--budget", type=_budget, default=default, help=help_text)
+
+    sub = command("orbit", _orbit)
+    sub.add_argument("connection_set", type=_connection_set, metavar="CONNECTION_SET")
+
+    sub = command("theta", _theta)
+    sub.add_argument("--m", type=int, required=True, help="Block modulus.")
+    sub.add_argument("--t", type=int, required=True, help="Shift index.")
+    sub.add_argument("connection_set", type=_connection_set, metavar="CONNECTION_SET")
+
+    sub = command("classify", _classify)
+    budget(sub, DEFAULT_BUDGET, "Oracle search-node budget.")
+    sub.add_argument("connection_sets", type=_connection_set, nargs="+", metavar="CONNECTION_SET")
+
+    family = command("enumerate-family", _enumerate_family)
+    family.add_argument(
+        "--family", choices=["a", "b"], required=True, help="Which order-54 family to enumerate."
+    )
+    family.add_argument(
+        "--out", required=True, help="Output file; a .jsonl suffix selects JSON lines, else CSV."
+    )
+
+    scan = command("scan", _scan)
+    scan.add_argument("--n", type=int, required=True, help="Graph order to scan.")
+    scan.add_argument("--out", required=True, help="Report file (JSON).")
+    budget(scan, DEFAULT_SCAN_BUDGET, "Ceiling on scan work units.")
+    # Accepted and ignored: circio runs in one process. Kept only until
+    # perfbench stops passing --workers 1.
+    for sub in (family, scan):
+        sub.add_argument("--workers", type=int, help=argparse.SUPPRESS)
+
+    mode = command("generate", _generate).add_mutually_exclusive_group(required=True)
+    mode.add_argument("--a17c", type=int, nargs=2, metavar=("K", "S"), help="Order-8k pair.")
+    mode.add_argument(
+        "--c1", type=int, nargs=4, metavar=("BASE", "P", "X", "Y"), help="Order-base*p^3 chain."
+    )
+
+    sub = command("probe-open", _probe_open)
+    budget(sub, DEFAULT_BUDGET, "Oracle search-node budget per pair.")
+    sub.add_argument("--out", help="Optional JSON report file.")
+
+    command("verify-goldens", _verify_goldens)
+    return parser
+
+
+_PARSER = _build_parser()
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one subcommand and return its exit code.
+
+    argparse exits 2 on its own for a malformed command line (0 for --help
+    and --version).
+    """
+    args = _PARSER.parse_args(argv)
+    try:
+        code = args.run(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # The reader went away (circio ... | head): exit 1 without a traceback.
+        # stdout now points at devnull, so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except WitnessMismatch as exc:
+        code, message = 1, f"not certified: {exc}"
+    except CircioError as exc:
+        code, message = 2, str(exc)
+    except OSError as exc:
+        if getattr(args, "out", None) is None:
+            raise
+        code, message = 2, f"cannot write {args.out}: {exc.strerror or exc}"
+    if code == 2:
+        args.parser.print_usage(sys.stderr)
+    print(f"{args.parser.prog}: error: {message}", file=sys.stderr)
+    return code
+
+
+def _main_shim(args: Sequence[str], prog_name: str = "", standalone_mode: bool = False) -> int:
+    """main(args) under the call perfbench makes: main.main(args=..., prog_name=...,
+    standalone_mode=...). The other two arguments are ignored."""
+    return main(args)
+
+
+main.main = _main_shim  # type: ignore[attr-defined]
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
-from click.testing import CliRunner
 
 import circio.cli as cli_mod
 from circio.cli import export_csv, export_jsonl, main
@@ -18,9 +24,32 @@ ROW1 = (
 )
 
 
+class Runner:
+    """Runs main(argv) in-process and reports what a shell would see.
+
+    output holds stdout and stderr together. exception is whatever main
+    raised other than SystemExit; a nonzero exit without one reads as
+    SystemExit(exit_code).
+    """
+
+    @staticmethod
+    def invoke(main, args):
+        output, exception = io.StringIO(), None
+        with contextlib.redirect_stdout(output), contextlib.redirect_stderr(output):
+            try:
+                exit_code = main(args)
+            except SystemExit as exc:
+                exit_code = exc.code
+            except Exception as exc:  # reported, as a shell would see a traceback
+                exit_code, exception = 1, exc
+        if exception is None and exit_code:
+            exception = SystemExit(exit_code)
+        return SimpleNamespace(exit_code=exit_code, output=output.getvalue(), exception=exception)
+
+
 @pytest.fixture()
 def runner():
-    return CliRunner()
+    return Runner()
 
 
 @pytest.fixture(scope="module")
@@ -363,6 +392,88 @@ class TestGenerateCommand:
     def test_degenerate_exit_2(self, runner):
         result = runner.invoke(main, ["generate", "--a17c", "3", "2"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "c1,message",
+        [
+            (["1", "0", "1", "0"], "p must be an odd prime, got 0"),
+            (["1", "-3", "1", "0"], "p must be an odd prime, got -3"),
+            (["0", "0", "0", "0"], "base must be >= 1, got 0"),
+        ],
+    )
+    def test_c1_names_the_bad_value(self, runner, c1, message):
+        """generate_c1 validates before the chain is built, so p <= 0 does not
+        reach classify_tuple with an empty chain."""
+        result = runner.invoke(main, ["generate", "--c1", *c1])
+        assert result.exit_code == 2
+        assert message in result.output
+        assert "need at least two members" not in result.output
+
+
+COMMANDS = (
+    "orbit",
+    "theta",
+    "classify",
+    "enumerate-family",
+    "scan",
+    "generate",
+    "probe-open",
+    "verify-goldens",
+)
+
+
+class TestSurface:
+    def test_version(self, runner):
+        result = runner.invoke(main, ["--version"])
+        assert result.exit_code == 0
+        assert result.output == "circio, version 0.1.0\n"
+
+    def test_help_names_every_command(self, runner):
+        result = runner.invoke(main, ["--help"])
+        assert result.exit_code == 0
+        for name in COMMANDS:
+            assert name in result.output
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_command_help(self, runner, name):
+        result = runner.invoke(main, [name, "--help"])
+        assert result.exit_code == 0
+        assert f"usage: circio {name}" in result.output
+        assert "--workers" not in result.output
+
+    def test_unknown_command_exit_2(self, runner):
+        result = runner.invoke(main, ["frobnicate"])
+        assert result.exit_code == 2
+        assert "frobnicate" in result.output
+
+    def test_no_command_exit_2(self, runner):
+        assert runner.invoke(main, []).exit_code == 2
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_exits_1_quietly(self, unbuffered):
+        """A reader that goes away (circio ... | head) ends the run with exit 1
+        and nothing on stderr, however stdout is buffered."""
+        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+        src = str(Path(cli_mod.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "circio.cli", "orbit", "C54(1,6,17,19)"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (1, b"")
+
+    def test_main_main_returns_the_code(self, capsys):
+        """perfbench runs every command through main.main(...)."""
+        assert main.main(args=["verify-goldens"], prog_name="circio", standalone_mode=False) == 0
+        assert "verdict mismatches: 0" in capsys.readouterr().out
 
 
 class TestProbeOpenCommand:

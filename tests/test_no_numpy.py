@@ -1,5 +1,5 @@
-"""circio runs on the standard library and click alone, in one process;
-numpy is a test extra, and nothing loads dataclasses."""
+"""circio runs on the standard library alone, in one process: numpy is a
+test extra, click is not used at all, and nothing loads dataclasses."""
 
 from __future__ import annotations
 
@@ -13,13 +13,18 @@ import circio
 
 SRC = Path(circio.__file__).resolve().parent.parent
 
-# A None entry in sys.modules makes every `import numpy` raise ImportError.
+# A None entry in sys.modules makes every `import numpy` (or click) raise
+# ImportError.
 PROGRAM = textwrap.dedent(
     """
-    import sys
+    import contextlib, io, sys
     sys.modules["numpy"] = None
+    sys.modules["click"] = None
     from circio import CirculantGraph, ConnectionSet, isomorphic
     import circio.cli
+
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = circio.cli.main(["theta", "--m", "3", "--t", "2", "C54(2,3,16,20)"])
 
     def graph(text):
         return CirculantGraph(ConnectionSet.parse(text))
@@ -28,9 +33,10 @@ PROGRAM = textwrap.dedent(
     iso = isomorphic(graph("C54(1,3,17,19)"), graph("C54(3,7,11,25)"))
     numpy = [m for m in sys.modules if m.split(".")[0] == "numpy"]
     pools = [m for m in ("concurrent.futures", "multiprocessing") if m in sys.modules]
+    click = [m for m in sys.modules if m.split(".")[0] == "click"]
     print(
         reject.kind, reject.certificate, iso.kind, sys.modules["numpy"], numpy, pools,
-        "dataclasses" in sys.modules,
+        "dataclasses" in sys.modules, code, out.getvalue().strip(), click,
     )
     """
 )
@@ -58,4 +64,7 @@ def test_import_and_oracle_without_numpy():
         "['numpy']",
         "[]",  # no process-pool module was imported either
         "False",  # nor dataclasses: the value types are plain slotted classes
+        "0",  # the CLI ran a command on argparse
+        "C54(3,4,14,22)",
+        "['click']",  # click's only entry is its None placeholder
     ]
