@@ -150,6 +150,18 @@ class TestEnumerateFamily:
         with pytest.raises(WitnessMismatch, match="no circulant image"):
             enumerate_family("a")
 
+    @pytest.mark.parametrize(
+        "source, error, message",
+        [
+            ("C16(1,3)", InvalidParams, r"m\^3 = 27 must divide n = 16"),
+            ("C54(1,17,19)", InvalidParams, "theta is undefined"),
+            ("C54(1,3)", WitnessMismatch, r"C54\(1,3\) has no circulant image at t=2 and t=4"),
+        ],
+    )
+    def test_family_row_input_errors(self, source, error, message):
+        with pytest.raises(error, match=message):
+            family_row(cs(source))
+
     def test_t1_membership_is_orbit_equality(self, family_a, family_b):
         # Every row has three distinct members and an orbit of three, so
         # "all members in the orbit" and "orbit equals the members" agree.
