@@ -17,7 +17,7 @@ from .core import CirculantGraph, ConnectionSet, _set, _Value
 from .errors import InvalidParams, OrderMismatch
 from .multipliers import adam_orbit, is_adam_equivalent
 from .oracle import DEFAULT_BUDGET, isomorphic
-from .theta import _multiples, theta_image, valid_block_moduli
+from .theta import _multiples, jump_hits, valid_block_moduli
 
 TYPE1 = "type1"
 TYPE2 = "type2"
@@ -137,21 +137,13 @@ def type1_verdict(
 def _theta_walk(
     a: ConnectionSet,
 ) -> Iterator[tuple[int, Iterator[tuple[int, ConnectionSet]]]]:
-    """(m, _theta_hits(a, m)) for each valid modulus m of which a holds a
-    multiple, ascending. Both levels are lazy: a caller that skips or leaves
-    an m's hits computes no image it does not read."""
+    """(m, jump_hits(a.n, m, a.jumps)) for each valid modulus m of which a
+    holds a multiple, ascending. That filter is all the validation theta
+    needs, so no shift is checked again. Both levels are lazy: a caller that
+    skips or leaves an m's hits computes no image it does not read."""
     for m in valid_block_moduli(a.n):
         if _multiples(a, m):
-            yield m, _theta_hits(a, m)
-
-
-def _theta_hits(a: ConnectionSet, m: int) -> Iterator[tuple[int, ConnectionSet]]:
-    """(t, image) for each circulant theta image of a at m, t ascending in
-    [1, n/m - 1]."""
-    for t in range(1, a.n // m):
-        img = theta_image(a, m, t)
-        if img is not None:
-            yield t, img
+            yield m, jump_hits(a.n, m, a.jumps)
 
 
 def _theta_links(

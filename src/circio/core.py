@@ -14,7 +14,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import ZeroJump
 
-_CS_TEXT = re.compile(r"^\s*C\s*(\d+)\s*\(\s*([0-9,\s]*?)\s*\)\s*$")
+_CS_TEXT = re.compile(r"^\s*C\s*(\d+)\s*\(\s*([0-9]+(?:\s*,\s*[0-9]+)*)\s*\)\s*$")
 
 _set = object.__setattr__
 
@@ -117,16 +117,12 @@ class ConnectionSet(_Value):
 
     @classmethod
     def parse(cls, text: str) -> "ConnectionSet":
-        """Parse the text form "C<n>(j1,j2,...)", whitespace tolerant."""
+        """Parse the text form "C<n>(j1,j2,...)": one integer per
+        comma-separated item, whitespace tolerant."""
         m = _CS_TEXT.match(text)
         if m is None:
             raise ValueError(f"not a connection set literal: {text!r}")
-        n = int(m.group(1))
-        body = m.group(2)
-        raw = [int(p) for p in body.split(",") if p.strip()] if body.strip() else []
-        if not raw:
-            raise ValueError("empty connection set")
-        return reflexive_reduce(raw, n)
+        return reflexive_reduce(map(int, m.group(2).split(",")), int(m.group(1)))
 
 
 def reflexive_reduce(raw: Iterable[int], n: int) -> ConnectionSet:

@@ -25,7 +25,7 @@ from .core import ConnectionSet, _Value
 from .errors import Intractable, InvalidParams, WitnessMismatch
 from .export import _block, _Quoted, _record_text
 from .multipliers import adam_orbit, carrying_half_units, is_adam_equivalent
-from .theta import _jump_image, jump_hits, theta_image, theta_witness, valid_block_moduli
+from .theta import _check_params, _jump_image, jump_hits, theta_witness, valid_block_moduli
 
 DEFAULT_SCAN_BUDGET = 20_000_000
 
@@ -46,13 +46,20 @@ FAMILY_BASES = {"a": (1, 17, 19), "b": (2, 16, 20)}
 def family_row(source: ConnectionSet) -> TupleRecord:
     """One table row: source, its images at t=2 and t=4 under m=3, verdict.
 
-    Raises WitnessMismatch when either image is not circulant.
+    Raises InvalidParams when theta at m=3 is undefined on source, and
+    WitnessMismatch when either image is not circulant.
     """
-    img2 = theta_image(source, 3, 2)
-    img4 = theta_image(source, 3, 4)
+    _check_params(source, 3, 2)  # 27 | n, so t = 4 is in range too
+    return _family_record(source, *_family_images(source))
+
+
+def _family_images(source: ConnectionSet) -> tuple[ConnectionSet, ConnectionSet]:
+    """source's images at t=2 and t=4 under m=3, which the caller has
+    validated. Raises WitnessMismatch when either is not circulant."""
+    img2, img4 = (_jump_image(source.n, 3, t, source.jumps) for t in (2, 4))
     if img2 is None or img4 is None:
         raise WitnessMismatch(f"{source} has no circulant image at t=2 and t=4")
-    return _family_record(source, img2, img4)
+    return img2, img4
 
 
 def _family_record(source: ConnectionSet, img2: ConnectionSet, img4: ConnectionSet) -> TupleRecord:
@@ -72,9 +79,7 @@ def enumerate_family(name: str) -> list[TupleRecord]:
     if name not in FAMILY_BASES:
         raise InvalidParams(f"unknown family {name!r}, expected 'a' or 'b'")
     base = FAMILY_BASES[name]
-    img2, img4 = (_jump_image(54, 3, t, base) for t in (2, 4))
-    if img2 is None or img4 is None:
-        raise WitnessMismatch(f"{ConnectionSet(54, base)} has no circulant image at t=2 and t=4")
+    img2, img4 = _family_images(ConnectionSet(54, base))
     # Row order: by subset size, then lexicographic. Row 1 adjoins {3}, row
     # 511 the whole pool.
     return [

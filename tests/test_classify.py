@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import circio.classify as classify_mod
+import circio.theta as theta_mod
 from circio import (
     DEFAULT_BUDGET,
     NON_ISOMORPHIC,
@@ -282,12 +282,13 @@ class TestAcrossModuli:
         a = cs("C64(1,2,4)")
         near, far = cs("C64(2,4,31)"), cs("C64(4,17,30)")
         calls = []
+        real = theta_mod._jump_image
 
-        def counted(source, m, t):
+        def counted(n, m, t, jumps):
             calls.append((m, t))
-            return theta_image(source, m, t)
+            return real(n, m, t, jumps)
 
-        monkeypatch.setattr(classify_mod, "theta_image", counted)
+        monkeypatch.setattr(theta_mod, "_jump_image", counted)
         links = _theta_links(a, [near, far])
         assert links == {near: (2, 16), far: (4, 4)}
         for m, t in calls:

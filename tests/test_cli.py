@@ -75,8 +75,9 @@ class TestOrbitCommand:
         ]
 
     def test_bad_text_is_usage_error(self, runner):
-        result = runner.invoke(main, ["orbit", "C54(0)"])
-        assert result.exit_code == 2
+        for text in ("C54(0)", "C54(1,,17)"):
+            result = runner.invoke(main, ["orbit", text])
+            assert result.exit_code == 2
 
 
 class TestThetaCommand:

@@ -42,7 +42,10 @@ class TestConnectionSet:
         assert cs("C54(1,3,17,19,35,37,51,53)") == cs("C54(1,3,17,19)")
 
     def test_parse_rejects_garbage(self):
-        for text in ("", "C54", "54(1,2)", "C54(1,2", "C54()", "C54(,)", "Cx(1)"):
+        for text in (
+            "", "C54", "54(1,2)", "C54(1,2", "C54()", "C54(,)", "Cx(1)",
+            "C54(1,,17)", "C54(1,)", "C54(,1)", "C54(1, 2 3)",
+        ):
             with pytest.raises(ValueError):
                 ConnectionSet.parse(text)
 

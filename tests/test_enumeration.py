@@ -131,7 +131,8 @@ class TestEnumerateFamily:
 
     def test_family_row_is_the_enumerated_row(self, family_a, family_b):
         # enumerate_family builds each row from its base's images plus the
-        # extension; family_row validates and computes theta_image per row.
+        # extension; family_row validates each source once and computes its
+        # two images.
         for rec in family_a + family_b:
             row = family_row(rec.members[0])
             assert row.members == rec.members
@@ -293,6 +294,31 @@ class TestFullScan:
         }
         assert len(scan54.records) == len(scanned) == len(rows) == 960
         assert scanned == rows
+
+    def test_n27_tuples_are_triples_at_m3(self, scan_of):
+        # The paper's statement at the other scannable order whose only
+        # valid modulus is 3.
+        records = scan_of(27).records
+        assert len(records) == 12
+        assert all(len(rec.members) == 3 and rec.verdict.m == 3 for rec in records)
+
+    @pytest.mark.parametrize("n, differ", [(27, 12), (54, 480)])
+    def test_classify_tuple_agrees_with_every_record(self, n, differ, scan_of):
+        # A record's t carries members[0] onto some other member; classify's
+        # carries it onto members[1]. Both are the smallest such shift.
+        moved = 0
+        for rec in scan_of(n).records:
+            got = classify_tuple(rec.members, budget=0)
+            assert got.verdict.kind == rec.verdict.kind == TYPE2
+            assert got.verdict.m == rec.verdict.m
+            assert got.verdict.orbit == rec.verdict.orbit
+            assert got.theta_images == rec.theta_images
+            assert rec.verdict.t == min(rec.theta_images)
+            assert got.verdict.t == min(
+                t for t, img in got.theta_images.items() if img == rec.members[1]
+            )
+            moved += got.verdict.t != rec.verdict.t
+        assert moved == differ
 
     def test_no_transform_order_scans_clean(self):
         rep = full_scan(12)
