@@ -149,7 +149,7 @@ def _theta_walk(
 def _theta_links(
     a: ConnectionSet, targets: Sequence[ConnectionSet]
 ) -> dict[ConnectionSet, tuple[int, int]]:
-    """Smallest (m, t) with theta_image(a, m, t) = b, for each eligible b.
+    """Smallest (m, t) at which the theta image of a is b, for each eligible b.
 
     b is eligible at m when a and b have as many jumps, at least three, and
     the same nonempty set of multiples of m, which theta fixes. One walk
