@@ -296,6 +296,33 @@ class TestClassRule:
         assert image == edge_level_theta_image(a, m, t)
 
 
+class TestHitWalk:
+    """jump_hits against the references shift by shift: the same hits in the
+    same order, with the same images."""
+
+    @pytest.mark.parametrize("n", [8, 16, 24, 27])
+    def test_walk_matches_d_r_rule_on_every_set(self, n):
+        for m in valid_block_moduli(n):
+            for jumps in nonempty_jump_sets(n):
+                expected = [
+                    (t, image)
+                    for t in range(1, n // m)
+                    if (image := d_r_theta_image(n, m, t, jumps)) is not None
+                ]
+                assert list(theta_mod.jump_hits(n, m, jumps)) == expected, (m, jumps)
+
+    @settings(max_examples=15, deadline=None)
+    @given(large_order_inputs())
+    def test_walk_matches_edge_level_definition_at_large_moduli(self, inp):
+        n, m, _, jumps = inp
+        expected = [
+            (t, image)
+            for t in range(1, n // m)
+            if (image := edge_level_theta_image(ConnectionSet(n, jumps), m, t)) is not None
+        ]
+        assert list(theta_mod.jump_hits(n, m, jumps)) == expected
+
+
 # (n, m) with m^3 | n up to 120, for the composition law on images.
 COMPOSITION_ORDERS = tuple(
     (n, m) for n in range(8, 121) for m in valid_block_moduli(n)
