@@ -14,7 +14,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import ZeroJump
 
-_CS_TEXT = re.compile(r"^\s*C\s*(\d+)\s*\(\s*([0-9]+(?:\s*,\s*[0-9]+)*)\s*\)\s*$")
+_CS_TEXT = re.compile(r"^\s*C\s*([0-9]+)\s*\(\s*([0-9]+(?:\s*,\s*[0-9]+)*)\s*\)\s*$")
 
 _set = object.__setattr__
 

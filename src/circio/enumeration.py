@@ -4,11 +4,11 @@ The order-54 families: take a 3-jump base with no multiple of 3 and adjoin
 every nonempty subset of the nine reduced multiples of 3. Each row's triple
 is (R, image at t=2, image at t=4) under m=3.
 
-full_scan avoids the 2^(n/2) subset space by working on the non-multiple
-"core" structure: for a shift t, the jump-level image can only be circulant
-when the non-multiple difference residues fall into orbits of the induced
-shift, so candidate cores are unions of those orbits and everything else is
-a multiple-of-m extension that rides along unchanged. The cores fall into
+full_scan avoids the 2^(n/2) subset space by working on non-multiple
+"cores". By the period rule in theta.py, a shift's image is circulant exactly
+when the non-multiples are invariant under its level gcd(t*m^2, n), so the
+candidate cores are unions of one level's atoms, and everything else is a
+multiple-of-m extension that rides along unchanged. The cores fall into
 theta classes (a core and its circulant images): the raw pairs are the
 pairs inside a class, and the primitive tuples are the classes of minimal
 cores, each with one extension.
@@ -25,7 +25,8 @@ from .core import ConnectionSet, _Value
 from .errors import Intractable, InvalidParams, WitnessMismatch
 from .export import _block, _Quoted, _record_text
 from .multipliers import adam_orbit, carrying_half_units, is_adam_equivalent
-from .theta import _check_params, _jump_image, jump_hits, theta_witness, valid_block_moduli
+from .theta import _check_params, _hit, _jump_image, _levels, _nonmultiple_atoms
+from .theta import jump_hits, theta_witness, valid_block_moduli
 
 DEFAULT_SCAN_BUDGET = 20_000_000
 
@@ -56,10 +57,9 @@ def family_row(source: ConnectionSet) -> TupleRecord:
 def _family_images(source: ConnectionSet) -> tuple[ConnectionSet, ConnectionSet]:
     """source's images at t=2 and t=4 under m=3, which the caller has
     validated. Raises WitnessMismatch when either is not circulant."""
-    img2, img4 = (_jump_image(source.n, 3, t, source.jumps) for t in (2, 4))
-    if img2 is None or img4 is None:
+    if not _hit(source.n, 3, (2, 4), source.jumps):
         raise WitnessMismatch(f"{source} has no circulant image at t=2 and t=4")
-    return img2, img4
+    return _jump_image(source.n, 3, 2, source.jumps), _jump_image(source.n, 3, 4, source.jumps)
 
 
 def _family_record(source: ConnectionSet, img2: ConnectionSet, img4: ConnectionSet) -> TupleRecord:
@@ -93,26 +93,6 @@ def enumerate_family(name: str) -> list[TupleRecord]:
 
 # ---------------------------------------------------------------------------
 # exhaustive scan machinery
-
-def _nonmultiple_atoms(n: int, m: int, h: int) -> list[tuple[int, ...]]:
-    """Orbits of non-multiple residues under +h and negation, as reduced jumps.
-
-    h is a multiple of m that divides n, so the orbit of d is
-    (d + hZ) u (-d + hZ), and each orbit meets [1, h).
-    """
-    return sorted({
-        tuple(sorted({min(v, n - v) for s in (d, n - d) for v in range(s % h, n, h)}))
-        for d in range(1, h)
-        if d % m
-    })
-
-
-def _levels(n: int, m: int) -> list[int]:
-    """The distinct gcd(m^2 t, n) = m^2 gcd(t, q), q = n/m^2, over the shifts t in
-    [1, n/m - 1] with q not dividing t: m^2 d for each divisor d < q of q, ascending."""
-    q = n // (m * m)
-    return [m * m * d for d in range(1, q) if q % d == 0]
-
 
 def _fixed_masks(n: int, pool: Sequence[int], x: int) -> set[int]:
     """The masks of pool that the unit x maps onto themselves: the unions of

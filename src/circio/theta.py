@@ -13,9 +13,12 @@ y = r (mod m) has neighbour set theta(y) + D'_r, where, mod n,
 
 The class F_c = { f(d) : d = c (mod m) } stays in class c, and D'_r moves it
 by -t*m^2 exactly when r >= m - c. So the image is circulant iff every F_c
-with c != 0 is invariant under +t*m^2, and it is then reduce(D'_0): one pass
-over D, O(|R|) work instead of O(m*|R|) for all m sets D'_r. theta_witness is
-the only edge-level certificate: it checks with oracle.verify_permutation
+with c != 0 is invariant under +t*m^2, and it is then reduce(D'_0), built in
+one pass over D. F_c is D's class c translated, so this is the period rule:
+t hits iff N + t*m^2 = N, N the non-multiples of m in D. N's periods are the
+multiples of its least period p, a divisor of n, so the hits are the
+multiples of p / gcd(p, m^2), and no image is built at a miss. theta_witness
+is the only edge-level certificate: it checks with oracle.verify_permutation
 that the vertex map carries every source edge onto an edge of the image.
 """
 
@@ -71,34 +74,62 @@ def _multiples(cs: ConnectionSet, m: int) -> frozenset[int]:
     return frozenset(j for j in cs.jumps if j % m == 0)
 
 
-def _check_params(cs: ConnectionSet, m: int, t: int) -> ThetaParams:
-    params = ThetaParams(cs.n, m, t)
+def _check_params(cs: ConnectionSet, m: int, t: int) -> None:
+    ThetaParams(cs.n, m, t)
     if not _multiples(cs, m):
         raise InvalidParams(f"theta is undefined for n={cs.n}, m={m}, jumps={cs.jumps}")
-    return params
 
 
-def _jump_image(n: int, m: int, t: int, jumps: Sequence[int]) -> Optional[ConnectionSet]:
-    """Image of C_n(jumps) under theta_{n,m,t} by the class rule, or None.
+def _hit(n: int, m: int, ts: Sequence[int], jumps: Sequence[int]) -> bool:
+    """Whether every t in ts hits, N + t*m^2 = N: one pass over N."""
+    nonmult = {d for s in jumps for d in (s, n - s) if d % m}
+    return all((v + t * m * m) % n in nonmult for v in nonmult for t in ts)
 
-    Needs no multiple of m in jumps and does not validate its arguments;
-    callers check eligibility first. A circulant image's D'_0 is the
-    neighbour set of vertex 0 in a loopless undirected graph, so it holds
-    no 0 and is closed under negation: its reduced jumps are the d <= n/2.
+
+def _hit_step(n: int, m: int, jumps: Sequence[int]) -> int:
+    """The least t >= 1 that hits, p / gcd(p, m^2) for N's least period p. It
+    divides q = n/m^2, which always hits, so it is the least divisor of q that hits."""
+    q = n // (m * m)
+    return next(d for d in range(1, q + 1) if q % d == 0 and _hit(n, m, (d,), jumps))
+
+
+def _levels(n: int, m: int) -> list[int]:
+    """The levels gcd(t*m^2, n) < n of the shifts t in [1, n/m - 1], ascending:
+    m^2 d for each divisor d < q of q = n/m^2. t hits exactly the N with a
+    period dividing its level h: the unions of h's atoms (_nonmultiple_atoms)."""
+    q = n // (m * m)
+    return [m * m * d for d in range(1, q) if q % d == 0]
+
+
+def _nonmultiple_atoms(n: int, m: int, h: int) -> list[tuple[int, ...]]:
+    """Orbits of non-multiple residues under +h and negation, as reduced jumps.
+
+    h is a multiple of m that divides n, so the orbit of d is
+    (d + hZ) u (-d + hZ), and each orbit meets [1, h).
+    """
+    return sorted({
+        tuple(sorted({min(v, n - v) for s in (d, n - d) for v in range(s % h, n, h)}))
+        for d in range(1, h)
+        if d % m
+    })
+
+
+def _jump_image(n: int, m: int, t: int, jumps: Sequence[int]) -> ConnectionSet:
+    """Image of C_n(jumps) under theta_{n,m,t}, reduce(D'_0), at a t that hits.
+
+    Callers decide the hit; jumps need hold no multiple of m. A circulant
+    image's D'_0 is vertex 0's neighbour set in a loopless undirected graph,
+    so it holds no 0 and is closed under negation: its jumps are the d <= n/2.
     """
     shift = t * m
     first = {(d + (d % m) * shift) % n for s in jumps for d in (s, n - s)}
-    step = shift * m
-    for v in first:
-        if v % m and (v + step) % n not in first:
-            return None
     return ConnectionSet(n, tuple(sorted(d for d in first if 2 * d <= n)))
 
 
 def theta_image(cs: ConnectionSet, m: int, t: int) -> Optional[ConnectionSet]:
     """Image connection set, or None when the image graph is not circulant."""
     _check_params(cs, m, t)
-    return _jump_image(cs.n, m, t, cs.jumps)
+    return _jump_image(cs.n, m, t, cs.jumps) if _hit(cs.n, m, (t,), cs.jumps) else None
 
 
 def theta_witness(cs: ConnectionSet, m: int, t: int) -> Optional[ConnectionSet]:
@@ -122,12 +153,11 @@ def theta_witness(cs: ConnectionSet, m: int, t: int) -> Optional[ConnectionSet]:
 
 
 def jump_hits(n: int, m: int, jumps: Sequence[int]) -> Iterator[tuple[int, ConnectionSet]]:
-    """(t, image) for each t in [1, n/m - 1] with a circulant image, ascending.
-    Like _jump_image, it does not validate its arguments."""
-    for t in range(1, n // m):
-        img = _jump_image(n, m, t, jumps)
-        if img is not None:
-            yield t, img
+    """(t, image) for each t in [1, n/m - 1] with a circulant image: the
+    multiples of _hit_step, ascending. Like _jump_image, it validates nothing."""
+    step = _hit_step(n, m, jumps)
+    for t in range(step, n // m, step):
+        yield t, _jump_image(n, m, t, jumps)
 
 
 def theta_scan(cs: ConnectionSet, m: int) -> list[tuple[int, ConnectionSet]]:

@@ -18,6 +18,7 @@ from circio import (
     theta_vertex_map,
 )
 from circio.core import EdgeImage, is_circulant
+from circio.theta import _hit, _jump_image
 
 # Four Type-1 family rows (family, row from 1) whose canonical search is the
 # costliest part of the pair queries; their costs span a sixfold range.
@@ -92,6 +93,13 @@ def edge_level_theta_image(cs: ConnectionSet, m: int, t: int) -> Optional[Connec
         pa, pb = perm[a], perm[b]
         pairs.add((pa, pb) if pa < pb else (pb, pa))
     return is_circulant(EdgeImage(cs.n, frozenset(pairs)))
+
+
+def rule_theta_image(n: int, m: int, t: int, jumps: Sequence[int]) -> Optional[ConnectionSet]:
+    """theta's answer at one shift on bare jumps, which need hold no multiple
+    of m: the one-pass period check, then the jump-level image, or None at a
+    miss. The tests hold it against the references below at every shift."""
+    return _jump_image(n, m, t, jumps) if _hit(n, m, (t,), jumps) else None
 
 
 def d_r_theta_image(n: int, m: int, t: int, jumps: Sequence[int]) -> Optional[ConnectionSet]:

@@ -297,7 +297,9 @@ class TestAcrossModuli:
                 links.get(b, (m, t)) >= (m, t) and _multiples(b, m) == _multiples(a, m)
                 for b in (near, far)
             ), (m, t)
-        assert calls == [(2, t) for t in range(1, 17)] + [(4, t) for t in range(1, 5)]
+        # Each modulus builds only its hits: t = 16 at m = 2 (N = {1, 63} has
+        # period 64, 64 // gcd(64, 4) = 16) and t = 4 at m = 4.
+        assert calls == [(2, 16), (4, 4)]
 
 
 @lru_cache(maxsize=None)

@@ -79,6 +79,11 @@ class TestOrbitCommand:
             result = runner.invoke(main, ["orbit", text])
             assert result.exit_code == 2
 
+    def test_non_ascii_order_is_usage_error(self, runner):
+        # Arabic-Indic digits for 54: the order must be ASCII, like the jumps.
+        result = runner.invoke(main, ["orbit", "C٥٤(1,3)"])
+        assert result.exit_code == 2
+
 
 class TestThetaCommand:
     def test_worked_image(self, runner):

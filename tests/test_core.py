@@ -44,7 +44,7 @@ class TestConnectionSet:
     def test_parse_rejects_garbage(self):
         for text in (
             "", "C54", "54(1,2)", "C54(1,2", "C54()", "C54(,)", "Cx(1)",
-            "C54(1,,17)", "C54(1,)", "C54(,1)", "C54(1, 2 3)",
+            "C54(1,,17)", "C54(1,)", "C54(,1)", "C54(1, 2 3)", "C٥٤(1,3)",
         ):
             with pytest.raises(ValueError):
                 ConnectionSet.parse(text)

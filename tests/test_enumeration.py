@@ -41,8 +41,7 @@ from circio import (
 from circio.enumeration import FAMILY_BASES, _fixed_masks, family_row
 from circio.export import export_jsonl
 from circio.multipliers import units
-from circio.theta import _jump_image
-from helpers import cs
+from helpers import cs, rule_theta_image
 
 # Rows (1-based, ordered by extension size then lexicographically) whose
 # triple collapses into a single multiplier orbit. Same list for both
@@ -141,12 +140,14 @@ class TestEnumerateFamily:
 
     @pytest.mark.parametrize("t", [2, 4])
     def test_non_circulant_base_image_raises(self, monkeypatch, t):
-        # A raised WitnessMismatch, not an assert that python -O strips.
-        real = enumeration_mod._jump_image
+        # A raised WitnessMismatch, not an assert that python -O strips. One
+        # period check decides both shifts; make it fail whenever it asks
+        # about shift t.
+        real = enumeration_mod._hit
         monkeypatch.setattr(
             enumeration_mod,
-            "_jump_image",
-            lambda n, m, shift, jumps: None if shift == t else real(n, m, shift, jumps),
+            "_hit",
+            lambda n, m, ts, jumps: t not in ts and real(n, m, ts, jumps),
         )
         with pytest.raises(WitnessMismatch, match="no circulant image"):
             enumerate_family("a")
@@ -194,7 +195,8 @@ def test_worker_count_is_one():
 
 
 class TestScanLatticeChecks:
-    """The core-lattice invariants raise WitnessMismatch, not assert."""
+    """The core-lattice invariants raise WitnessMismatch, not assert. The
+    faults go in through theta's image builder and its hit step."""
 
     def test_image_escaping_the_lattice(self, monkeypatch):
         monkeypatch.setattr(
@@ -205,11 +207,14 @@ class TestScanLatticeChecks:
 
     def test_minimal_core_with_a_non_minimal_image(self, monkeypatch):
         # At n = 16 the cores are (1,7), (3,5) and (1,3,5,7); send (1,7) to
-        # the non-minimal one and skip the pair re-check it would fail.
-        def images(n, m, t, core):
-            return cs("C16(1,3,5,7)") if core == (1, 7) else None
-
-        monkeypatch.setattr(theta_mod, "_jump_image", images)
+        # the non-minimal one at every shift, give the others no hit, and
+        # skip the pair re-check it would fail.
+        monkeypatch.setattr(
+            theta_mod, "_hit_step", lambda n, m, core: 1 if core == (1, 7) else n
+        )
+        monkeypatch.setattr(
+            theta_mod, "_jump_image", lambda n, m, t, core: cs("C16(1,3,5,7)")
+        )
         monkeypatch.setattr(enumeration_mod, "_verify_theta_pair", lambda *args: None)
         with pytest.raises(WitnessMismatch, match="is not minimal"):
             full_scan(16)
@@ -220,7 +225,10 @@ class TestScanLatticeChecks:
         # set, which misses the image of (2,7,11).
         chain = {(1, 8, 10): cs("C27(2,7,11)"), (2, 7, 11): cs("C27(4,5,13)")}
         monkeypatch.setattr(
-            theta_mod, "_jump_image", lambda n, m, t, core: chain.get(core)
+            theta_mod, "_hit_step", lambda n, m, core: 1 if core in chain else n
+        )
+        monkeypatch.setattr(
+            theta_mod, "_jump_image", lambda n, m, t, core: chain[core]
         )
         monkeypatch.setattr(enumeration_mod, "_verify_theta_pair", lambda *args: None)
         with pytest.raises(WitnessMismatch, match="leaves its theta class"):
@@ -571,7 +579,7 @@ def test_order54_core_lattice_brute_force(scan54):
     for size in range(1, len(nonmultiples) + 1):
         for core in combinations(nonmultiples, size):
             for t in shifts:
-                image = _jump_image(n, m, t, core)
+                image = rule_theta_image(n, m, t, core)
                 if image is not None and image.jumps != core:
                     pairs.add(tuple(sorted((core, image.jumps))))
     assert len(pairs) == 564

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import circio.theta as theta_mod
 from circio.core import full_difference_set
-from circio.enumeration import _levels, _nonmultiple_atoms
+from circio.theta import _levels, _nonmultiple_atoms
 from circio import (
     ConnectionSet,
     InvalidParams,
@@ -25,7 +25,7 @@ from circio import (
     theta_witness,
     valid_block_moduli,
 )
-from helpers import cs, d_r_theta_image, edge_level_theta_image, theta_inputs
+from helpers import cs, d_r_theta_image, edge_level_theta_image, rule_theta_image, theta_inputs
 
 # The four worked images at order 54, m = 3.
 WORKED_IMAGES = [
@@ -212,7 +212,7 @@ class TestJumpLevelImage:
                 ConnectionSet(a.n, tuple(sorted(core + (m,)))), m, t
             )
             expected = None if probe is None else tuple(j for j in probe.jumps if j != m)
-            image = theta_mod._jump_image(a.n, m, t, core)
+            image = rule_theta_image(a.n, m, t, core)
             assert (None if image is None else image.jumps) == expected
 
 
@@ -249,8 +249,9 @@ def large_order_inputs(draw) -> tuple[int, int, int, tuple[int, ...]]:
 
 
 class TestClassRule:
-    """_jump_image tests each residue class of D'_0 for period t*m^2 instead
-    of comparing the m sets D'_r; both rules must give the same image."""
+    """theta decides a shift by the period rule, N + t*m^2 = N, and builds
+    only D'_0 instead of comparing the m sets D'_r; both must give the same
+    answer at every shift, misses included."""
 
     @pytest.mark.parametrize(
         "n", [8, 16, 24, 27, pytest.param(32, marks=pytest.mark.slow)]
@@ -260,14 +261,14 @@ class TestClassRule:
             for jumps in nonempty_jump_sets(n):
                 for t in range(n // m):
                     expected = d_r_theta_image(n, m, t, jumps)
-                    assert theta_mod._jump_image(n, m, t, jumps) == expected, (m, t, jumps)
+                    assert rule_theta_image(n, m, t, jumps) == expected, (m, t, jumps)
 
     @settings(max_examples=150, deadline=None)
     @given(large_order_inputs())
     def test_matches_edge_level_definition_at_large_moduli(self, inp):
         n, m, t, jumps = inp
         expected = edge_level_theta_image(ConnectionSet(n, jumps), m, t)
-        assert theta_mod._jump_image(n, m, t, jumps) == expected
+        assert rule_theta_image(n, m, t, jumps) == expected
 
     @pytest.mark.parametrize("n", [8, 16, 24, 27])
     def test_period_dividing_n_gives_reduced_d0(self, n):
@@ -298,10 +299,18 @@ class TestClassRule:
 
 class TestHitWalk:
     """jump_hits against the references shift by shift: the same hits in the
-    same order, with the same images."""
+    same order, with the same images, and no image built at a miss."""
 
     @pytest.mark.parametrize("n", [8, 16, 24, 27])
-    def test_walk_matches_d_r_rule_on_every_set(self, n):
+    def test_walk_matches_d_r_rule_on_every_set(self, n, monkeypatch):
+        built = []
+        real = theta_mod._jump_image
+
+        def counted(n, m, t, jumps):
+            built.append(t)
+            return real(n, m, t, jumps)
+
+        monkeypatch.setattr(theta_mod, "_jump_image", counted)
         for m in valid_block_moduli(n):
             for jumps in nonempty_jump_sets(n):
                 expected = [
@@ -309,7 +318,9 @@ class TestHitWalk:
                     for t in range(1, n // m)
                     if (image := d_r_theta_image(n, m, t, jumps)) is not None
                 ]
+                built.clear()
                 assert list(theta_mod.jump_hits(n, m, jumps)) == expected, (m, jumps)
+                assert built == [t for t, _ in expected], (m, jumps)
 
     @settings(max_examples=15, deadline=None)
     @given(large_order_inputs())
@@ -338,7 +349,7 @@ def circulant_theta_hits(draw) -> tuple[int, int, int, tuple[int, ...]]:
     chosen = draw(st.sets(st.sampled_from(atoms), min_size=1))
     mults = draw(st.sets(st.sampled_from(range(m, n // 2 + 1, m)), max_size=3))
     jumps = tuple(sorted({j for atom in chosen for j in atom} | mults))
-    hits = [s for s in range(n // m) if theta_mod._jump_image(n, m, s, jumps) is not None]
+    hits = [s for s in range(n // m) if rule_theta_image(n, m, s, jumps) is not None]
     return n, m, draw(st.sampled_from(hits)), jumps
 
 
@@ -361,7 +372,7 @@ class TestComposition:
     def test_images_compose(self, hit, data):
         n, m, s, jumps = hit
         u = data.draw(st.integers(0, n // m - 1))
-        image = theta_mod._jump_image(n, m, s, jumps)
-        assert theta_mod._jump_image(n, m, u, image.jumps) == theta_mod._jump_image(
+        image = rule_theta_image(n, m, s, jumps)
+        assert rule_theta_image(n, m, u, image.jumps) == rule_theta_image(
             n, m, (s + u) % (n // m), jumps
         )
