@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import re
-from functools import cached_property
+from functools import cached_property, total_ordering
 from typing import Iterable, Optional, Sequence
 
 from .errors import ZeroJump
@@ -62,6 +62,7 @@ class _Value:
         return type(self), self._values()
 
 
+@total_ordering
 class ConnectionSet(_Value):
     """Reduced jump set of C_n(jumps). Immutable, hashable, and ordered by
     (n, jumps)."""
@@ -95,21 +96,6 @@ class ConnectionSet(_Value):
     def __lt__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
             return (self.n, self.jumps) < (other.n, other.jumps)
-        return NotImplemented
-
-    def __le__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.n, self.jumps) <= (other.n, other.jumps)
-        return NotImplemented
-
-    def __gt__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.n, self.jumps) > (other.n, other.jumps)
-        return NotImplemented
-
-    def __ge__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.n, self.jumps) >= (other.n, other.jumps)
         return NotImplemented
 
     def __str__(self) -> str:

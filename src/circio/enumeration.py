@@ -8,10 +8,12 @@ full_scan avoids the 2^(n/2) subset space by working on non-multiple
 "cores". By the period rule in theta.py, a shift's image is circulant exactly
 when the non-multiples are invariant under its level gcd(t*m^2, n), so the
 candidate cores are unions of one level's atoms, and everything else is a
-multiple-of-m extension that rides along unchanged. The cores fall into
-theta classes (a core and its circulant images): the raw pairs are the
-pairs inside a class, and the primitive tuples are the classes of minimal
-cores, each with one extension.
+multiple-of-m extension that rides along unchanged. The least level h that
+builds a core gives its hit step h/m^2, so its images are built at the
+multiples of that step only, and the image phase's work gate counts exactly
+those images. The cores fall into theta classes (a core and its circulant
+images): the raw pairs are the pairs inside a class, and the primitive
+tuples are the classes of minimal cores, each with one extension.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .errors import Intractable, InvalidParams, WitnessMismatch
 from .export import _block, _Quoted, _record_text
 from .multipliers import adam_orbit, carrying_half_units, is_adam_equivalent
 from .theta import _check_params, _hit, _jump_image, _levels, _nonmultiple_atoms
-from .theta import jump_hits, theta_witness, valid_block_moduli
+from .theta import theta_witness, valid_block_moduli
 
 DEFAULT_SCAN_BUDGET = 20_000_000
 
@@ -213,25 +215,23 @@ def _scan_one_modulus(
 ) -> None:
     extension_pool = tuple(j for j in range(m, n // 2 + 1, m))
     all_atoms: set[tuple[int, ...]] = set()
-    cores: set[tuple[int, ...]] = set()
+    # core -> its hit step h / m^2, h the least (first) level that builds it.
+    cores: dict[tuple[int, ...], int] = {}
     for h in _levels(n, m):
         atoms = _nonmultiple_atoms(n, m, h)
         all_atoms.update(atoms)
         # Atoms of one level are disjoint: a union of them is their concatenation.
         for r in range(1, len(atoms) + 1):
             for combo in combinations(atoms, r):
-                cores.add(tuple(sorted(chain.from_iterable(combo))))
-    core_list = sorted(cores)
-    t_range = n // m - 1
-    if len(core_list) * t_range > budget:
-        raise Intractable(
-            f"core image phase needs {len(core_list) * t_range} image tests"
-        )
+                cores.setdefault(tuple(sorted(chain.from_iterable(combo))), h // (m * m))
+    image_count = sum((n // m - 1) // step for step in cores.values())
+    if image_count > budget:
+        raise Intractable(f"core image phase needs {image_count} images")
 
     # Per core, t -> its jump-level image, for the t where it is circulant.
     images = {
-        core: {t: img.jumps for t, img in jump_hits(n, m, core)}
-        for core in core_list
+        core: {t: _jump_image(n, m, t, core).jumps for t in range(step, n // m, step)}
+        for core, step in sorted(cores.items())
     }
 
     # theta_s after theta_t is theta_{s+t}, t taken mod n/m, so a seed's
@@ -240,7 +240,7 @@ def _scan_one_modulus(
     # be a core whose images stay in the class.
     placed: set[tuple[int, ...]] = set()
     classes: list[dict[tuple[int, ...], int]] = []
-    for seed in core_list:
+    for seed in images:
         if seed in placed:
             continue
         shift = {seed: 0}
@@ -276,7 +276,7 @@ def _scan_one_modulus(
     masks = range(1, 1 << len(extension_pool))
     admissible = {
         size: [mask for mask in masks if size + mask.bit_count() >= 3]
-        for size in {len(core) for core in core_list}
+        for size in {len(core) for core in cores}
     }
 
     # Every core is a union of atoms of one level, so a core of two or more

@@ -235,7 +235,7 @@ class TestScanCommand:
             main, ["scan", "--n", "16", "--budget", "0", "--out", str(out)]
         )
         assert result.exit_code == 2
-        assert "core image phase needs 21 image tests" in result.output
+        assert "core image phase needs 13 images" in result.output
         assert not out.exists()
 
 

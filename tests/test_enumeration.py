@@ -196,25 +196,27 @@ def test_worker_count_is_one():
 
 class TestScanLatticeChecks:
     """The core-lattice invariants raise WitnessMismatch, not assert. The
-    faults go in through theta's image builder and its hit step."""
+    faults go in through the scan's image builder."""
+
+    @staticmethod
+    def send(monkeypatch, images):
+        """At every hit the scan tests, send each core in images to its
+        entry and every other core to itself."""
+        monkeypatch.setattr(
+            enumeration_mod,
+            "_jump_image",
+            lambda n, m, t, core: images.get(core, ConnectionSet(n, core)),
+        )
 
     def test_image_escaping_the_lattice(self, monkeypatch):
-        monkeypatch.setattr(
-            theta_mod, "_jump_image", lambda n, m, t, core: cs("C16(2,4)")
-        )
+        self.send(monkeypatch, {(1, 7): cs("C16(2,4)")})
         with pytest.raises(WitnessMismatch, match="escaped the core lattice"):
             full_scan(16)
 
     def test_minimal_core_with_a_non_minimal_image(self, monkeypatch):
         # At n = 16 the cores are (1,7), (3,5) and (1,3,5,7); send (1,7) to
-        # the non-minimal one at every shift, give the others no hit, and
-        # skip the pair re-check it would fail.
-        monkeypatch.setattr(
-            theta_mod, "_hit_step", lambda n, m, core: 1 if core == (1, 7) else n
-        )
-        monkeypatch.setattr(
-            theta_mod, "_jump_image", lambda n, m, t, core: cs("C16(1,3,5,7)")
-        )
+        # the non-minimal one, and skip the pair re-check it would fail.
+        self.send(monkeypatch, {(1, 7): cs("C16(1,3,5,7)")})
         monkeypatch.setattr(enumeration_mod, "_verify_theta_pair", lambda *args: None)
         with pytest.raises(WitnessMismatch, match="is not minimal"):
             full_scan(16)
@@ -223,12 +225,8 @@ class TestScanLatticeChecks:
         # At n = 27 the minimal cores are (1,8,10), (2,7,11) and (4,5,13).
         # Chained one to the next, the class of (1,8,10) is its own image
         # set, which misses the image of (2,7,11).
-        chain = {(1, 8, 10): cs("C27(2,7,11)"), (2, 7, 11): cs("C27(4,5,13)")}
-        monkeypatch.setattr(
-            theta_mod, "_hit_step", lambda n, m, core: 1 if core in chain else n
-        )
-        monkeypatch.setattr(
-            theta_mod, "_jump_image", lambda n, m, t, core: chain[core]
+        self.send(
+            monkeypatch, {(1, 8, 10): cs("C27(2,7,11)"), (2, 7, 11): cs("C27(4,5,13)")}
         )
         monkeypatch.setattr(enumeration_mod, "_verify_theta_pair", lambda *args: None)
         with pytest.raises(WitnessMismatch, match="leaves its theta class"):
@@ -421,25 +419,62 @@ class TestFullScan:
         with pytest.raises(Intractable):
             full_scan(54, budget=10)
 
-    # (n, image-phase work, pair-phase work). The pair-phase work is the
-    # number of core pairs inside theta classes shifted left by the size of
-    # the multiple-of-m pool: 564 << 9 at n = 54.
+    # (n, image-phase work, pair-phase work). The image-phase work is exact:
+    # the number of images the scan's table builds, one per core and hit.
+    # The pair-phase work is the number of core pairs inside theta classes
+    # shifted left by the size of the multiple-of-m pool: 564 << 9 at n = 54.
     @pytest.mark.parametrize(
         "n,images,masks",
         [
-            (24, 99, 192),
+            (24, 39, 192),
             (27, 56, 96),
-            (32, 225, 1792),
-            (40, 627, 13312),
-            (48, 1725, 147456),
-            (54, 9639, 288768),
+            (32, 65, 1792),
+            (40, 127, 13312),
+            (48, 309, 147456),
+            (54, 3087, 288768),
         ],
     )
     def test_phase_budgets(self, n, images, masks):
-        with pytest.raises(Intractable, match=f"core image phase needs {images} image"):
+        with pytest.raises(Intractable, match=f"core image phase needs {images} images"):
             full_scan(n, budget=images - 1)
         with pytest.raises(Intractable, match=f"pair counting phase needs {masks} mask"):
             full_scan(n, budget=images)
+
+
+class TestScanImageTable:
+    """The scan reads each core's hit step from the level that builds it,
+    and theta's own walk (jump_hits) must find the same shifts: the two
+    sides of the period rule, compared on every core."""
+
+    @pytest.mark.parametrize(
+        "n,count",
+        [(8, 3), (16, 13), (24, 39), (27, 56), (32, 65), (40, 127), (48, 309), (54, 3087)],
+    )
+    def test_images_asked_are_jump_hits(self, monkeypatch, n, count):
+        build = enumeration_mod._jump_image
+        asked = []
+
+        def recording(n_, m, t, core):
+            asked.append((m, core, t))
+            return build(n_, m, t, core)
+
+        searched = []
+        for name in ("_hit_step", "jump_hits"):
+            monkeypatch.setattr(theta_mod, name, lambda *args, name=name: searched.append(name))
+        monkeypatch.setattr(enumeration_mod, "_jump_image", recording)
+        with pytest.raises(Intractable, match=f"core image phase needs {count} images"):
+            full_scan(n, budget=count - 1)
+        assert asked == []
+        full_scan(n)
+        assert searched == []
+        assert len(asked) == len(set(asked)) == count
+        monkeypatch.undo()
+        expected = {
+            (m, core, t)
+            for m, core in {(m, core) for m, core, _ in asked}
+            for t, _ in theta_mod.jump_hits(n, m, core)
+        }
+        assert set(asked) == expected
 
 
 class TestWitnessRecheck:
