@@ -335,6 +335,7 @@ FAMILY_SHA256 = {
     ("b", "csv"): "8e5e3b0ac92326467af078768ec7e775ee2d756dfed66acbbef9c08fed2bacd9",
     ("b", "jsonl"): "223bdaecba98dd687f095527fc1b3db632340bd3c04929b08fa2744b42e973d5",
 }
+VERIFY_GOLDENS_SHA256 = "8e6bde89d79b5a19a8c21a55af1546bdaa5f229ff87708cdafd264cc5fb1cb4b"
 
 
 def sha256_of(path) -> str:
@@ -515,6 +516,12 @@ class TestVerifyGoldensCommand:
         result = runner.invoke(main, ["verify-goldens"])
         assert result.exit_code == 0
         assert "verdict mismatches: 0" in result.output
+
+    def test_stdout_bytes(self, capsys):
+        # The whole report, summary and every warning line, byte for byte.
+        assert main(["verify-goldens"]) == 0
+        out = capsys.readouterr().out.encode("utf-8")
+        assert hashlib.sha256(out).hexdigest() == VERIFY_GOLDENS_SHA256
 
     def test_mismatch_exits_one(self, runner, monkeypatch):
         fake = GoldenReport(
