@@ -27,8 +27,8 @@ from .core import ConnectionSet, _Value
 from .errors import Intractable, InvalidParams, WitnessMismatch
 from .export import _block, _Quoted, _record_text
 from .multipliers import adam_orbit, carrying_half_units, is_adam_equivalent
-from .theta import _check_params, _hit, _jump_image, _levels, _nonmultiple_atoms
-from .theta import theta_witness, valid_block_moduli
+from .theta import _certify, _jump_image, _levels, _nonmultiple_atoms, jump_hits
+from .theta import valid_block_moduli
 
 DEFAULT_SCAN_BUDGET = 20_000_000
 
@@ -46,51 +46,41 @@ FAMILY_POOL = (3, 6, 9, 12, 15, 18, 21, 24, 27)
 FAMILY_BASES = {"a": (1, 17, 19), "b": (2, 16, 20)}
 
 
-def family_row(source: ConnectionSet) -> TupleRecord:
-    """One table row: source, its images at t=2 and t=4 under m=3, verdict.
-
-    Raises InvalidParams when theta at m=3 is undefined on source, and
-    WitnessMismatch when either image is not circulant.
-    """
-    _check_params(source, 3, 2)  # 27 | n, so t = 4 is in range too
-    return _family_record(source, *_family_images(source))
-
-
-def _family_images(source: ConnectionSet) -> tuple[ConnectionSet, ConnectionSet]:
-    """source's images at t=2 and t=4 under m=3, which the caller has
-    validated. Raises WitnessMismatch when either is not circulant."""
-    if not _hit(source.n, 3, (2, 4), source.jumps):
-        raise WitnessMismatch(f"{source} has no circulant image at t=2 and t=4")
-    return _jump_image(source.n, 3, 2, source.jumps), _jump_image(source.n, 3, 4, source.jumps)
-
-
-def _family_record(source: ConnectionSet, img2: ConnectionSet, img4: ConnectionSet) -> TupleRecord:
-    """The row of source and its images at t=2 and t=4: orbit and verdict."""
-    members = (source, img2, img4)
-    orbit = adam_orbit(source)
-    verdict = type1_verdict(members, orbit) or Classification(
-        kind=TYPE2, orbit=orbit, m=3, t=2, chain=members
-    )
-    return TupleRecord(members=members, theta_images={2: img2, 4: img4}, verdict=verdict)
+def family_rows(name: str, rows: Sequence[int]) -> list[TupleRecord]:
+    """Rows of family "a" or "b" by number, in the order asked: source, its
+    images at t=2 and t=4 under m=3, verdict. Rows run from 1 ({3} adjoined
+    to the base) to 511 (the whole pool), by extension size, then
+    lexicographic. A family is one theta class: theta fixes the multiples of
+    3, so a row's images are its base's images plus its extension. Raises
+    WitnessMismatch when either base image is not circulant."""
+    if name not in FAMILY_BASES:
+        raise InvalidParams(f"unknown family {name!r}, expected 'a' or 'b'")
+    extensions = [e for k in range(1, len(FAMILY_POOL) + 1) for e in combinations(FAMILY_POOL, k)]
+    bad = [row for row in rows if not 1 <= row <= len(extensions)]
+    if bad:
+        raise InvalidParams(f"family rows run from 1 to {len(extensions)}, got {bad[0]}")
+    base = FAMILY_BASES[name]
+    images = dict(jump_hits(54, 3, base))
+    if 2 not in images or 4 not in images:
+        raise WitnessMismatch(f"{ConnectionSet(54, base)} has no circulant image at t=2 and t=4")
+    records = []
+    for row in rows:
+        members = tuple(
+            ConnectionSet(54, tuple(sorted(jumps + extensions[row - 1])))
+            for jumps in (base, images[2].jumps, images[4].jumps)
+        )
+        orbit = adam_orbit(members[0])
+        verdict = type1_verdict(members, orbit) or Classification(
+            kind=TYPE2, orbit=orbit, m=3, t=2, chain=members
+        )
+        theta_images = {2: members[1], 4: members[2]}
+        records.append(TupleRecord(members=members, theta_images=theta_images, verdict=verdict))
+    return records
 
 
 def enumerate_family(name: str) -> list[TupleRecord]:
-    """All 511 rows of family "a" or "b", in table order. A family is one
-    theta class: theta fixes the multiples of 3, so a row's images are its
-    base's images plus its extension."""
-    if name not in FAMILY_BASES:
-        raise InvalidParams(f"unknown family {name!r}, expected 'a' or 'b'")
-    base = FAMILY_BASES[name]
-    img2, img4 = _family_images(ConnectionSet(54, base))
-    # Row order: by subset size, then lexicographic. Row 1 adjoins {3}, row
-    # 511 the whole pool.
-    return [
-        _family_record(*(
-            ConnectionSet(54, tuple(sorted(jumps + ext))) for jumps in (base, img2.jumps, img4.jumps)
-        ))
-        for k in range(1, len(FAMILY_POOL) + 1)
-        for ext in combinations(FAMILY_POOL, k)
-    ]
+    """All 511 rows of family "a" or "b", in table order."""
+    return family_rows(name, range(1, 2 ** len(FAMILY_POOL)))
 
 
 # ---------------------------------------------------------------------------
@@ -123,8 +113,7 @@ def _mask_jumps(extension_pool: Sequence[int], mask: int) -> tuple[int, ...]:
 def _verify_theta_pair(left: ConnectionSet, right: ConnectionSet, m: int, t: int) -> None:
     """Raise WitnessMismatch unless theta at (m, t) carries left onto right
     edge by edge and no unit multiplier does."""
-    if theta_witness(left, m, t) != right:
-        raise WitnessMismatch(f"no theta witness carries {left} onto {right}")
+    _certify(left, right, m, t)
     if is_adam_equivalent(left, right) is not None:
         raise WitnessMismatch(f"a unit multiplier carries {left} onto {right}")
 

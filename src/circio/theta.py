@@ -17,8 +17,8 @@ with c != 0 is invariant under +t*m^2, and it is then reduce(D'_0), built in
 one pass over D. F_c is D's class c translated, so this is the period rule:
 t hits iff N + t*m^2 = N, N the non-multiples of m in D. N's periods are the
 multiples of its least period p, a divisor of n, so the hits are the
-multiples of p / gcd(p, m^2), and no image is built at a miss. theta_witness
-is the only edge-level certificate: it checks with oracle.verify_permutation
+multiples of p / gcd(p, m^2), and no image is built at a miss. _certify is
+the only edge-level certificate: it checks with oracle.verify_permutation
 that the vertex map carries every source edge onto an edge of the image.
 """
 
@@ -80,17 +80,16 @@ def _check_params(cs: ConnectionSet, m: int, t: int) -> None:
         raise InvalidParams(f"theta is undefined for n={cs.n}, m={m}, jumps={cs.jumps}")
 
 
-def _hit(n: int, m: int, ts: Sequence[int], jumps: Sequence[int]) -> bool:
-    """Whether every t in ts hits, N + t*m^2 = N: one pass over N."""
-    nonmult = {d for s in jumps for d in (s, n - s) if d % m}
-    return all((v + t * m * m) % n in nonmult for v in nonmult for t in ts)
-
-
 def _hit_step(n: int, m: int, jumps: Sequence[int]) -> int:
-    """The least t >= 1 that hits, p / gcd(p, m^2) for N's least period p. It
-    divides q = n/m^2, which always hits, so it is the least divisor of q that hits."""
+    """The least t >= 1 that hits, p / gcd(p, m^2) for N's least period p:
+    t hits exactly when this step divides it. It divides q = n/m^2, which
+    always hits, so it is the least divisor d of q with N + d*m^2 = N."""
+    nonmult = {d for s in jumps for d in (s, n - s) if d % m}
     q = n // (m * m)
-    return next(d for d in range(1, q + 1) if q % d == 0 and _hit(n, m, (d,), jumps))
+    return next(
+        (d for d in range(1, q) if q % d == 0 and all((v + d * m * m) % n in nonmult for v in nonmult)),
+        q,
+    )
 
 
 def _levels(n: int, m: int) -> list[int]:
@@ -129,7 +128,15 @@ def _jump_image(n: int, m: int, t: int, jumps: Sequence[int]) -> ConnectionSet:
 def theta_image(cs: ConnectionSet, m: int, t: int) -> Optional[ConnectionSet]:
     """Image connection set, or None when the image graph is not circulant."""
     _check_params(cs, m, t)
-    return _jump_image(cs.n, m, t, cs.jumps) if _hit(cs.n, m, (t,), cs.jumps) else None
+    return _jump_image(cs.n, m, t, cs.jumps) if t % _hit_step(cs.n, m, cs.jumps) == 0 else None
+
+
+def _certify(a: ConnectionSet, b: ConnectionSet, m: int, t: int) -> None:
+    """Raise WitnessMismatch unless theta's vertex map at (m, t) carries the
+    edges of C_n(a) exactly onto those of C_n(b), whatever the jump rule says."""
+    params = ThetaParams(a.n, m, t)
+    if not verify_permutation(CirculantGraph(a), CirculantGraph(b), theta_vertex_map(params)):
+        raise WitnessMismatch(f"vertex map of {params} does not carry {a} onto {b}")
 
 
 def theta_witness(cs: ConnectionSet, m: int, t: int) -> Optional[ConnectionSet]:
@@ -139,16 +146,8 @@ def theta_witness(cs: ConnectionSet, m: int, t: int) -> Optional[ConnectionSet]:
     exactly onto the edges of the image.
     """
     image = theta_image(cs, m, t)
-    if image is None:
-        return None
-    # theta_image has validated (n, m, t) and the multiples of m.
-    params = ThetaParams(cs.n, m, t)
-    perm = theta_vertex_map(params)
-    # The witness must certify a genuine isomorphism, not just a jump match.
-    if not verify_permutation(CirculantGraph(cs), CirculantGraph(image), perm):
-        raise WitnessMismatch(
-            f"vertex map of {params} does not carry {cs} onto {image}"
-        )
+    if image is not None:
+        _certify(cs, image, m, t)
     return image
 
 

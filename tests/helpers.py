@@ -18,7 +18,7 @@ from circio import (
     theta_vertex_map,
 )
 from circio.core import EdgeImage, is_circulant
-from circio.theta import _hit, _jump_image
+from circio.theta import _hit_step, _jump_image
 
 # Four Type-1 family rows (family, row from 1) whose canonical search is the
 # costliest part of the pair queries; their costs span a sixfold range.
@@ -97,9 +97,10 @@ def edge_level_theta_image(cs: ConnectionSet, m: int, t: int) -> Optional[Connec
 
 def rule_theta_image(n: int, m: int, t: int, jumps: Sequence[int]) -> Optional[ConnectionSet]:
     """theta's answer at one shift on bare jumps, which need hold no multiple
-    of m: the one-pass period check, then the jump-level image, or None at a
-    miss. The tests hold it against the references below at every shift."""
-    return _jump_image(n, m, t, jumps) if _hit(n, m, (t,), jumps) else None
+    of m: t hits iff the period rule's hit step divides it, and then the
+    jump-level image, or None at a miss. The tests hold it against the
+    references below at every shift."""
+    return _jump_image(n, m, t, jumps) if t % _hit_step(n, m, jumps) == 0 else None
 
 
 def d_r_theta_image(n: int, m: int, t: int, jumps: Sequence[int]) -> Optional[ConnectionSet]:

@@ -38,7 +38,7 @@ from circio import (
     verify_goldens,
     worker_count,
 )
-from circio.enumeration import FAMILY_BASES, _fixed_masks, family_row
+from circio.enumeration import FAMILY_BASES, _fixed_masks, family_rows
 from circio.export import export_jsonl
 from circio.multipliers import units
 from helpers import cs, rule_theta_image
@@ -128,41 +128,33 @@ class TestEnumerateFamily:
         )
         assert rec.theta_images == {2: rec.members[1], 4: rec.members[2]}
 
-    def test_family_row_is_the_enumerated_row(self, family_a, family_b):
-        # enumerate_family builds each row from its base's images plus the
-        # extension; family_row validates each source once and computes its
-        # two images.
-        for rec in family_a + family_b:
-            row = family_row(rec.members[0])
-            assert row.members == rec.members
-            assert row.theta_images == rec.theta_images
-            assert row.verdict == rec.verdict
+    def test_family_rows_in_the_order_asked(self, family_a, family_b):
+        # TupleRecord compares by identity, so compare its fields.
+        for records, name, rows in ((family_a, "a", [511, 1, 3]), (family_b, "b", [42])):
+            for got, row in zip(family_rows(name, rows), rows, strict=True):
+                want = records[row - 1]
+                assert got.members == want.members
+                assert got.theta_images == want.theta_images
+                assert got.verdict == want.verdict
+        assert family_rows("b", []) == []
+
+    @pytest.mark.parametrize("row", [0, 512])
+    def test_family_rows_outside_the_table(self, row):
+        with pytest.raises(InvalidParams, match=f"family rows run from 1 to 511, got {row}"):
+            family_rows("a", [1, row])
 
     @pytest.mark.parametrize("t", [2, 4])
     def test_non_circulant_base_image_raises(self, monkeypatch, t):
-        # A raised WitnessMismatch, not an assert that python -O strips. One
-        # period check decides both shifts; make it fail whenever it asks
-        # about shift t.
-        real = enumeration_mod._hit
+        # A raised WitnessMismatch, not an assert that python -O strips. The
+        # rows read the base's images from one theta walk; drop shift t from it.
+        real = enumeration_mod.jump_hits
         monkeypatch.setattr(
             enumeration_mod,
-            "_hit",
-            lambda n, m, ts, jumps: t not in ts and real(n, m, ts, jumps),
+            "jump_hits",
+            lambda n, m, jumps: ((s, img) for s, img in real(n, m, jumps) if s != t),
         )
-        with pytest.raises(WitnessMismatch, match="no circulant image"):
+        with pytest.raises(WitnessMismatch, match=r"C54\(1,17,19\) has no circulant image"):
             enumerate_family("a")
-
-    @pytest.mark.parametrize(
-        "source, error, message",
-        [
-            ("C16(1,3)", InvalidParams, r"m\^3 = 27 must divide n = 16"),
-            ("C54(1,17,19)", InvalidParams, "theta is undefined"),
-            ("C54(1,3)", WitnessMismatch, r"C54\(1,3\) has no circulant image at t=2 and t=4"),
-        ],
-    )
-    def test_family_row_input_errors(self, source, error, message):
-        with pytest.raises(error, match=message):
-            family_row(cs(source))
 
     def test_t1_membership_is_orbit_equality(self, family_a, family_b):
         # Every row has three distinct members and an orbit of three, so
@@ -479,7 +471,37 @@ class TestScanImageTable:
 
 class TestWitnessRecheck:
     """The scan re-verifies the witness of every counted raw pair at
-    n <= 32, and of its first 100 records above that."""
+    n <= 32, and of its first 100 records above that: theta's vertex map
+    must carry the left set edge by edge onto the right one, and no unit
+    multiplier may. The re-check builds no image and runs no period search,
+    so it does not repeat the jump rule that built the theta class."""
+
+    @pytest.mark.parametrize("n,checks", [(32, 1392), (54, 100)])
+    def test_recheck_is_edge_level_only(self, monkeypatch, n, checks):
+        called = []
+        for name in ("theta_image", "_hit_step", "jump_hits", "theta_vertex_map"):
+            real = getattr(theta_mod, name)
+
+            def counting(*args, name=name, real=real):
+                called.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(theta_mod, name, counting)
+        full_scan(n)
+        assert called == ["theta_vertex_map"] * checks
+
+    def test_recheck_raises_on_a_changed_jump(self):
+        left = cs("C54(1,3,17,19)")
+        enumeration_mod._verify_theta_pair(left, cs("C54(3,7,11,25)"), 3, 2)
+        with pytest.raises(WitnessMismatch, match=r"does not carry C54\(1,3,17,19\) onto"):
+            enumeration_mod._verify_theta_pair(left, cs("C54(3,7,11,23)"), 3, 2)
+
+    def test_recheck_raises_on_a_pair_a_unit_carries(self):
+        # Family a row 3 is Type-1: theta at t=2 and a unit both carry it.
+        left, right = cs("C54(1,9,17,19)"), cs("C54(7,9,11,25)")
+        assert theta_image(left, 3, 2) == right
+        with pytest.raises(WitnessMismatch, match="a unit multiplier carries"):
+            enumeration_mod._verify_theta_pair(left, right, 3, 2)
 
     @pytest.mark.parametrize(
         "n,calls",

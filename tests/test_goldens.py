@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import circio.goldens as goldens_mod
 from circio import load_golden_rows, verify_goldens
 from helpers import cs
 
@@ -65,3 +66,32 @@ class TestVerifyGoldens:
         assert lines[0] == "rows checked: 63"
         assert lines[1] == "verdict mismatches: 0"
         assert lines[2] == "printed-set warnings: 4"
+
+
+class TestGoldenRowNumbers:
+    """Each printed row is checked against enumerate_family's row of its
+    family and number, not against a row rebuilt from the printed source."""
+
+    @staticmethod
+    def misprint_row_2(monkeypatch, verdict):
+        # Family a row 2 printed with the source of row 3, a Type-1 row.
+        line = "a|2|1|T2|1,6,17,19|"
+        assert line in goldens_mod.GOLDEN_ROWS
+        edited = goldens_mod.GOLDEN_ROWS.replace(line, f"a|2|1|{verdict}|1,9,17,19|")
+        monkeypatch.setattr(goldens_mod, "GOLDEN_ROWS", edited)
+
+    def test_misprinted_source_is_one_warning(self, monkeypatch):
+        self.misprint_row_2(monkeypatch, "T2")
+        report = verify_goldens()
+        assert report.verdict_mismatches == ()
+        sources = [w for w in report.image_warnings if "source printed" in w]
+        assert sources == [
+            "family a row 2 (table 1): source printed C54(1,9,17,19), computed C54(1,6,17,19)"
+        ]
+        assert len(report.image_warnings) == 5
+
+    def test_row_verdict_still_compared(self, monkeypatch):
+        self.misprint_row_2(monkeypatch, "T1")
+        report = verify_goldens()
+        assert report.verdict_mismatches == ("family a row 2 (table 1): computed T2, printed T1",)
+        assert len(report.image_warnings) == 5
