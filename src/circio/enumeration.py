@@ -27,7 +27,7 @@ from .core import ConnectionSet, _Value
 from .errors import Intractable, InvalidParams, WitnessMismatch
 from .export import _block, _Quoted, _record_text
 from .multipliers import adam_orbit, carrying_half_units, is_adam_equivalent
-from .theta import _certify, _jump_image, _levels, _nonmultiple_atoms, jump_hits
+from .theta import _carries, _jump_image, _levels, _nonmultiple_atoms, jump_hits
 from .theta import valid_block_moduli
 
 DEFAULT_SCAN_BUDGET = 20_000_000
@@ -112,8 +112,9 @@ def _mask_jumps(extension_pool: Sequence[int], mask: int) -> tuple[int, ...]:
 
 def _verify_theta_pair(left: ConnectionSet, right: ConnectionSet, m: int, t: int) -> None:
     """Raise WitnessMismatch unless theta at (m, t) carries left onto right
-    edge by edge and no unit multiplier does."""
-    _certify(left, right, m, t)
+    edge by edge, checked one residue class at a time, and no unit
+    multiplier does."""
+    _carries(left, right, m, t)
     if is_adam_equivalent(left, right) is not None:
         raise WitnessMismatch(f"a unit multiplier carries {left} onto {right}")
 

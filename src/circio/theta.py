@@ -17,9 +17,14 @@ with c != 0 is invariant under +t*m^2, and it is then reduce(D'_0), built in
 one pass over D. F_c is D's class c translated, so this is the period rule:
 t hits iff N + t*m^2 = N, N the non-multiples of m in D. N's periods are the
 multiples of its least period p, a divisor of n, so the hits are the
-multiples of p / gcd(p, m^2), and no image is built at a miss. _certify is
-the only edge-level certificate: it checks with oracle.verify_permutation
-that the vertex map carries every source edge onto an edge of the image.
+multiples of p / gcd(p, m^2), and no image is built at a miss.
+
+Two edge-level checks certify that theta carries C_n(a) onto C_n(b), and
+neither reads the rule above. _certify, for theta_witness, checks with
+oracle.verify_permutation that the vertex map carries every edge of a onto
+an edge of b. _carries, for the scan's pair re-check, checks D'_r = D(b)
+for each r: the edges at y = r (mod m) land on theta(y) + D'_r, so this
+covers every edge, one residue class at a time, in m*|D| steps.
 """
 
 from __future__ import annotations
@@ -136,6 +141,23 @@ def _certify(a: ConnectionSet, b: ConnectionSet, m: int, t: int) -> None:
     edges of C_n(a) exactly onto those of C_n(b), whatever the jump rule says."""
     params = ThetaParams(a.n, m, t)
     if not verify_permutation(CirculantGraph(a), CirculantGraph(b), theta_vertex_map(params)):
+        raise WitnessMismatch(f"vertex map of {params} does not carry {a} onto {b}")
+
+
+def _carries(a: ConnectionSet, b: ConnectionSet, m: int, t: int) -> None:
+    """Raise WitnessMismatch unless theta at (m, t) carries the edges of
+    C_n(a) exactly onto those of C_n(b), as _certify does, in m*|D| steps
+    and with no vertex map. For y = r (mod m), theta(y + d) - theta(y) is
+    the element of D'_r that d gives, so theta sends y's neighbours exactly
+    onto theta(y)'s in C_n(b) iff D'_r = D(b); every vertex lies in one
+    class r."""
+    params = ThetaParams(a.n, m, t)
+    n, shift = a.n, t * m
+    diffs = [(d, d % m) for s in a.jumps for d in (s, n - s)]
+    target = {d for s in b.jumps for d in (s, n - s)}
+    if b.n != n or any(
+        {(d + ((r + c) % m - r) * shift) % n for d, c in diffs} != target for r in range(m)
+    ):
         raise WitnessMismatch(f"vertex map of {params} does not carry {a} onto {b}")
 
 

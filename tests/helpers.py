@@ -14,11 +14,12 @@ from circio import (
     ConnectionSet,
     ThetaParams,
     TupleRecord,
+    WitnessMismatch,
     enumerate_family,
     theta_vertex_map,
 )
 from circio.core import EdgeImage, is_circulant
-from circio.theta import _hit_step, _jump_image
+from circio.theta import _carries, _certify, _hit_step, _jump_image
 
 # Four Type-1 family rows (family, row from 1) whose canonical search is the
 # costliest part of the pair queries; their costs span a sixfold range.
@@ -95,22 +96,47 @@ def edge_level_theta_image(cs: ConnectionSet, m: int, t: int) -> Optional[Connec
     return is_circulant(EdgeImage(cs.n, frozenset(pairs)))
 
 
+@lru_cache(maxsize=1)
+def _last_hit_step(n: int, m: int, jumps: tuple[int, ...]) -> int:
+    return _hit_step(n, m, jumps)
+
+
 def rule_theta_image(n: int, m: int, t: int, jumps: Sequence[int]) -> Optional[ConnectionSet]:
     """theta's answer at one shift on bare jumps, which need hold no multiple
     of m: t hits iff the period rule's hit step divides it, and then the
     jump-level image, or None at a miss. The tests hold it against the
-    references below at every shift."""
-    return _jump_image(n, m, t, jumps) if t % _hit_step(n, m, jumps) == 0 else None
+    references below at every shift, so the step of the last (n, m, jumps)
+    is kept for the next shift."""
+    return _jump_image(n, m, t, jumps) if t % _last_hit_step(n, m, tuple(jumps)) == 0 else None
+
+
+def _accepts(check, a: ConnectionSet, b: ConnectionSet, m: int, t: int) -> bool:
+    try:
+        check(a, b, m, t)
+    except WitnessMismatch:
+        return False
+    return True
+
+
+def theta_check_verdicts(a: ConnectionSet, b: ConnectionSet, m: int, t: int) -> tuple[bool, bool]:
+    """Whether the class-rule check theta._carries and the vertex-by-vertex
+    check theta._certify each accept theta at (m, t) carrying a onto b."""
+    return _accepts(_carries, a, b, m, t), _accepts(_certify, a, b, m, t)
+
+
+def d_r_sets(n: int, m: int, t: int, jumps: Sequence[int]) -> list[frozenset[int]]:
+    """D'_r = { d + (((r + d) mod m) - r)*t*m mod n : d in D } for r in
+    [0, m): the neighbours of theta(y) minus theta(y), for y = r (mod m)."""
+    diffs = [d for s in jumps for d in (s, n - s)]
+    return [
+        frozenset((d + ((r + d) % m - r) * t * m) % n for d in diffs) for r in range(m)
+    ]
 
 
 def d_r_theta_image(n: int, m: int, t: int, jumps: Sequence[int]) -> Optional[ConnectionSet]:
-    """The image by the D'_r rule: build every neighbour set
-    D'_r = { d + (((r + d) mod m) - r)*t*m mod n : d in D } for r in [0, m)
-    and call the image circulant iff all m of them are equal."""
-    diffs = [d for s in jumps for d in (s, n - s)]
-    images = {
-        frozenset((d + ((r + d) % m - r) * t * m) % n for d in diffs) for r in range(m)
-    }
+    """The image by the D'_r rule: build every neighbour set D'_r and call
+    the image circulant iff all m of them are equal."""
+    images = set(d_r_sets(n, m, t, jumps))
     if len(images) != 1:
         return None
     return ConnectionSet(n, tuple(sorted(d for d in images.pop() if 2 * d <= n)))

@@ -41,7 +41,7 @@ from circio import (
 from circio.enumeration import FAMILY_BASES, _fixed_masks, family_rows
 from circio.export import export_jsonl
 from circio.multipliers import units
-from helpers import cs, rule_theta_image
+from helpers import cs, rule_theta_image, theta_check_verdicts
 
 # Rows (1-based, ordered by extension size then lexicographically) whose
 # triple collapses into a single multiplier orbit. Same list for both
@@ -471,24 +471,62 @@ class TestScanImageTable:
 
 class TestWitnessRecheck:
     """The scan re-verifies the witness of every counted raw pair at
-    n <= 32, and of its first 100 records above that: theta's vertex map
-    must carry the left set edge by edge onto the right one, and no unit
-    multiplier may. The re-check builds no image and runs no period search,
-    so it does not repeat the jump rule that built the theta class."""
+    n <= 32, and of its first 100 records above that: theta must carry the
+    left set edge by edge onto the right one, and no unit multiplier may.
+    The re-check compares D'_r with D(right) for each residue class r: it
+    builds no image, vertex map or adjacency and runs no period search, so
+    it does not repeat the jump rule that built the theta class."""
 
     @pytest.mark.parametrize("n,checks", [(32, 1392), (54, 100)])
     def test_recheck_is_edge_level_only(self, monkeypatch, n, checks):
         called = []
-        for name in ("theta_image", "_hit_step", "jump_hits", "theta_vertex_map"):
-            real = getattr(theta_mod, name)
+
+        def count(module, name):
+            real = getattr(module, name)
 
             def counting(*args, name=name, real=real):
                 called.append(name)
                 return real(*args)
 
-            monkeypatch.setattr(theta_mod, name, counting)
+            monkeypatch.setattr(module, name, counting)
+
+        for name in ("theta_image", "_hit_step", "jump_hits", "theta_vertex_map"):
+            count(theta_mod, name)
+        count(enumeration_mod, "jump_hits")
+        count(enumeration_mod, "_carries")
+        count(oracle_mod, "verify_permutation")
+        count(theta_mod, "verify_permutation")
         full_scan(n)
-        assert called == ["theta_vertex_map"] * checks
+        assert called == ["_carries"] * checks
+
+    @pytest.mark.parametrize("n", [16, 24, 27, 32])
+    def test_class_rule_agrees_with_edge_check_on_scan_pairs(self, monkeypatch, n):
+        pairs = []
+        monkeypatch.setattr(
+            enumeration_mod, "_verify_theta_pair", lambda *pair: pairs.append(pair)
+        )
+        report = full_scan(n)
+        assert len(pairs) == report.counts["type2_pairs_raw"] > 0
+        for left, right, m, t in pairs:
+            assert theta_check_verdicts(left, right, m, t) == (True, True)
+        # Each left side against the next pair's right side, at the left
+        # pair's (m, t): both checks reject every one.
+        crossed = [
+            theta_check_verdicts(left, right, m, t)
+            for (left, _, m, t), (_, right, _, _) in zip(pairs, pairs[1:])
+        ]
+        assert crossed == [(False, False)] * (len(pairs) - 1)
+
+    def test_recheck_raises_on_every_record_with_one_image_jump_changed(self, scan54):
+        n = 54
+        for record in scan54.records:
+            m, t = record.verdict.m, record.verdict.t
+            image = record.theta_images[t]
+            enumeration_mod._verify_theta_pair(record.members[0], image, m, t)
+            spare = next(j for j in range(1, n // 2 + 1) if j not in image.jumps)
+            changed = ConnectionSet(n, tuple(sorted(image.jumps[1:] + (spare,))))
+            with pytest.raises(WitnessMismatch, match="does not carry"):
+                enumeration_mod._verify_theta_pair(record.members[0], changed, m, t)
 
     def test_recheck_raises_on_a_changed_jump(self):
         left = cs("C54(1,3,17,19)")

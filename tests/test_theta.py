@@ -25,7 +25,15 @@ from circio import (
     theta_witness,
     valid_block_moduli,
 )
-from helpers import cs, d_r_theta_image, edge_level_theta_image, rule_theta_image, theta_inputs
+from helpers import (
+    cs,
+    d_r_sets,
+    d_r_theta_image,
+    edge_level_theta_image,
+    rule_theta_image,
+    theta_check_verdicts,
+    theta_inputs,
+)
 
 # The four worked images at order 54, m = 3.
 WORKED_IMAGES = [
@@ -148,6 +156,68 @@ class TestThetaWitness:
         monkeypatch.setattr(theta_mod, "theta_image", lambda c, m, t: wrong)
         with pytest.raises(WitnessMismatch):
             theta_witness(source, 3, 2)
+
+
+# Orders whose valid m run from 2 to 6, for the class-rule check.
+CARRIES_ORDERS = tuple((n, m) for n in (54, 64, 125, 216) for m in valid_block_moduli(n))
+
+
+@st.composite
+def carries_inputs(draw) -> tuple[ConnectionSet, int, int]:
+    """(a, m, t) at an order of CARRIES_ORDERS. Half the draws snap t down to
+    a shift whose image is circulant; even orders may put n/2 in a."""
+    n, m = draw(st.sampled_from(CARRIES_ORDERS))
+    jumps = draw(st.sets(st.integers(1, n // 2), min_size=1, max_size=8))
+    if n % 2 == 0 and draw(st.booleans()):
+        jumps.add(n // 2)
+    jumps = tuple(sorted(jumps))
+    t = draw(st.integers(0, n // m - 1))
+    if draw(st.booleans()):
+        t -= t % theta_mod._hit_step(n, m, jumps)
+    return ConnectionSet(n, jumps), m, t
+
+
+class TestCarries:
+    """_carries compares D'_r with D(b) for each residue class r; it must
+    accept and reject exactly where _certify's vertex-by-vertex check does."""
+
+    @pytest.mark.parametrize("source,t,image", WORKED_IMAGES)
+    def test_worked_images(self, source, t, image):
+        assert theta_check_verdicts(cs(source), cs(image), 3, t) == (True, True)
+        assert theta_check_verdicts(cs(source), cs(image), 3, 6 - t) == (False, False)
+
+    def test_order_mismatch_and_bad_params(self):
+        a = cs("C54(1,3,17,19)")
+        assert theta_check_verdicts(a, cs("C27(3,7,11,12)"), 3, 2) == (False, False)
+        # At t = 0 theta is the identity, and these jumps read alike at n = 27.
+        assert theta_check_verdicts(cs("C54(1,3,5)"), cs("C27(1,3,5)"), 3, 0) == (False, False)
+        for check in (theta_mod._carries, theta_mod._certify):
+            with pytest.raises(InvalidParams):
+                check(a, cs("C54(3,7,11,25)"), 2, 2)
+            with pytest.raises(InvalidParams):
+                check(a, cs("C54(3,7,11,25)"), 3, 18)
+
+    @settings(max_examples=200, deadline=None)
+    @given(carries_inputs(), st.data())
+    def test_agrees_with_certify(self, inp, data):
+        a, m, t = inp
+        n = a.n
+        hit = rule_theta_image(n, m, t, a.jumps) is not None
+        # reduce(D'_r) for each class r: every one is the image at a hit,
+        # and none is a set that theta carries a onto at a miss.
+        reduced = [
+            ConnectionSet(n, tuple(sorted(d for d in d_r if 2 * d <= n)))
+            for d_r in d_r_sets(n, m, t, a.jumps)
+        ]
+        for image in reduced:
+            assert theta_check_verdicts(a, image, m, t) == (hit, hit)
+        image = reduced[0]
+        if image.jumps:
+            i = data.draw(st.integers(0, len(image.jumps) - 1))
+            spare = [j for j in range(1, n // 2 + 1) if j not in image.jumps]
+            jumps = set(image.jumps) - {image.jumps[i]} | {data.draw(st.sampled_from(spare))}
+            changed = ConnectionSet(n, tuple(sorted(jumps)))
+            assert theta_check_verdicts(a, changed, m, t) == (False, False)
 
 
 class TestThetaScan:
