@@ -13,7 +13,10 @@ builds a core gives its hit step h/m^2, so its images are built at the
 multiples of that step only, and the image phase's work gate counts exactly
 those images. The cores fall into theta classes (a core and its circulant
 images): the raw pairs are the pairs inside a class, and the primitive
-tuples are the classes of minimal cores, each with one extension.
+tuples are the classes of minimal cores, each with one extension. A record
+is its (class core, extension mask) pair. A unit x keeps multiples of m and
+non-multiples apart, so it maps that pair to (x*core, x*mask): the orbits
+come from each unit's image of the core and map of the pool.
 """
 
 from __future__ import annotations
@@ -25,8 +28,9 @@ from typing import Sequence, TextIO
 from .classify import TYPE2, Classification, TupleRecord, type1_verdict
 from .core import ConnectionSet, _Value
 from .errors import Intractable, InvalidParams, WitnessMismatch
-from .export import _block, _Quoted, _record_text
-from .multipliers import adam_orbit, carrying_half_units, is_adam_equivalent
+from .export import _RecordText
+from .multipliers import _half_units, _images, _same_size, adam_orbit, carrying_half_units
+from .multipliers import is_adam_equivalent
 from .theta import _carries, _jump_image, _levels, _nonmultiple_atoms, jump_hits
 from .theta import valid_block_moduli
 
@@ -86,15 +90,26 @@ def enumerate_family(name: str) -> list[TupleRecord]:
 # ---------------------------------------------------------------------------
 # exhaustive scan machinery
 
-def _fixed_masks(n: int, pool: Sequence[int], x: int) -> set[int]:
-    """The masks of pool that the unit x maps onto themselves: the unions of
-    x's cycles on pool. x and n - x reduce every jump alike, so they fix the
-    same masks."""
+def _pool_maps(n: int, pool: Sequence[int]) -> dict[int, tuple[int, ...]]:
+    """unit x <= n/2 -> its permutation of pool's indices: i goes to the
+    index of x*pool[i] reduced. Raises WitnessMismatch unless every such x
+    permutes pool, as units do the multiples of any m | n."""
     index = {j: i for i, j in enumerate(pool)}
-    image = [index[min(x * j % n, n - x * j % n)] for j in pool]
+    maps = {}
+    for x in _half_units(n):
+        image = tuple(index.get(min(x * j % n, n - x * j % n), -1) for j in pool)
+        if sorted(image) != list(range(len(pool))):
+            raise WitnessMismatch(f"the unit {x} does not permute {pool} mod {n}")
+        maps[x] = image
+    return maps
+
+
+def _fixed_masks(image: Sequence[int]) -> set[int]:
+    """The masks that a unit with pool map image (_pool_maps) fixes: the
+    unions of its cycles."""
     masks = [0]
     seen = 0
-    for start in range(len(pool)):
+    for start in range(len(image)):
         if seen >> start & 1:
             continue
         cycle, i = 0, start
@@ -106,8 +121,33 @@ def _fixed_masks(n: int, pool: Sequence[int], x: int) -> set[int]:
     return set(masks)
 
 
-def _mask_jumps(extension_pool: Sequence[int], mask: int) -> tuple[int, ...]:
-    return tuple(j for i, j in enumerate(extension_pool) if mask >> i & 1)
+def _mask_images(image: Sequence[int]) -> list[int]:
+    """mask -> its image, for every mask, under a unit with pool map image."""
+    out = [0]
+    for i in image:
+        bit = 1 << i
+        out += [mask | bit for mask in out]
+    return out
+
+
+def _pair_orbit(core_images: list, ext_images: list, mask: int) -> list[tuple[int, ...]]:
+    """The sorted jumps of the Ádám orbit of core + exts[mask], core holding
+    no multiple of m. core_images[i] is the i-th unit x <= n/2 times core,
+    and ext_images[i][k] is exts[x*k]: x*(core + ext) is x*core + x*ext."""
+    return sorted({tuple(sorted(c + e[mask])) for c, e in zip(core_images, ext_images)})
+
+
+class _Sets(dict):
+    """jumps -> ConnectionSet(n, jumps), built on first use, so each
+    distinct set of a scan is one object."""
+
+    def __init__(self, n: int) -> None:
+        super().__init__()
+        self.n = n
+
+    def __missing__(self, jumps: tuple[int, ...]) -> ConnectionSet:
+        cs = self[jumps] = ConnectionSet(self.n, jumps)
+        return cs
 
 
 def _verify_theta_pair(left: ConnectionSet, right: ConnectionSet, m: int, t: int) -> None:
@@ -144,19 +184,21 @@ class ScanReport(_Value):
         one record at a time. The text comes from the records' fields, not
         from their to_json() dicts, and each distinct set is quoted once per
         call."""
-        quoted = _Quoted()
-        counts = [f"{json.dumps(k)}: {json.dumps(v)}" for k, v in self.counts.items()]
+        # json escapes every newline inside a string, so each one in
+        # json.dumps' indented text is layout and can take the extra depth.
+        counts = json.dumps(self.counts, indent=2).replace("\n", "\n  ")
         fh.write(
             f'{{\n  "n": {json.dumps(self.n)},\n  "convention": {json.dumps(self.convention)},\n'
-            f'  "counts": {_block("{}", counts, 2)},\n'
+            f'  "counts": {counts},\n'
         )
         if not self.records:
             fh.write('  "records": []\n}\n')
             return
         fh.write('  "records": [\n')
+        render = _RecordText(4)
         for i, record in enumerate(self.records):
             fh.write(",\n    " if i else "    ")
-            fh.write(_record_text(record, quoted, 4))
+            fh.write(render(record))
         fh.write("\n  ]\n}\n")
 
 
@@ -184,12 +226,13 @@ def full_scan(n: int, budget: int = DEFAULT_SCAN_BUDGET) -> ScanReport:
         "type1_tuples_primitive": 0,
     }
     records: list[TupleRecord] = []
-    # Ádám orbits are classes: each member of an orbit built in this scan
-    # maps to it, and a record whose first member is among them reuses it.
-    orbits: dict[ConnectionSet, tuple[ConnectionSet, ...]] = {}
+    sets = _Sets(n)
     for m in valid_block_moduli(n):
-        _scan_one_modulus(n, m, budget, counts, records, orbits)
-    records.sort(key=lambda r: tuple(c.jumps for c in r.members))
+        _scan_one_modulus(n, m, budget, counts, records, sets)
+    # An order up to 54 has one valid m at most (two need lcm(m^3, m'^3) >= 64
+    # to divide it), and one m's records are distinct (class core, mask) pairs:
+    # their first members differ, so this key orders them as all members would.
+    records.sort(key=lambda r: r.members[0].jumps)
     return ScanReport(
         n=n, convention=_SCAN_CONVENTION, counts=counts, records=records
     )
@@ -201,9 +244,10 @@ def _scan_one_modulus(
     budget: int,
     counts: dict[str, int],
     records: list[TupleRecord],
-    orbits: dict[ConnectionSet, tuple[ConnectionSet, ...]],
+    sets: _Sets,
 ) -> None:
-    extension_pool = tuple(j for j in range(m, n // 2 + 1, m))
+    extension_pool = tuple(range(m, n // 2 + 1, m))
+    pool_maps = _pool_maps(n, extension_pool)
     all_atoms: set[tuple[int, ...]] = set()
     # core -> its hit step h / m^2, h the least (first) level that builds it.
     cores: dict[tuple[int, ...], int] = {}
@@ -257,11 +301,13 @@ def _scan_one_modulus(
         """The masks fixed by some unit carrying core src onto core dst."""
         coset = carrying_half_units(ConnectionSet(n, src), ConnectionSet(n, dst))
         if coset not in fixed_by:
-            fixed_by[coset] = frozenset().union(
-                *(_fixed_masks(n, extension_pool, x) for x in coset)
-            )
+            fixed_by[coset] = frozenset().union(*(_fixed_masks(pool_maps[x]) for x in coset))
         return fixed_by[coset]
 
+    # exts[mask]: the pool jumps of mask, ascending.
+    exts: list[tuple[int, ...]] = [()]
+    for j in extension_pool:
+        exts += [ext + (j,) for ext in exts]
     # Nonempty extension masks giving core + extension at least 3 jumps.
     masks = range(1, 1 << len(extension_pool))
     admissible = {
@@ -274,6 +320,10 @@ def _scan_one_modulus(
     minimal = {a for a in all_atoms if not any(set(b) < set(a) for b in all_atoms)}
     verify_all = n <= 32
     sample_budget = 0 if verify_all else 100
+    # ext_images[i][mask] is exts[x*mask] for the i-th unit x. An orbit,
+    # once built, is found from the jumps of each of its sets.
+    ext_images = [[exts[k] for k in _mask_images(image)] for image in pool_maps.values()]
+    orbit_of: dict[tuple[int, ...], tuple[ConnectionSet, ...]] = {}
     for shift in classes:
         group = sorted(shift)
         # Raw pairs: two members of the class and an admissible extension
@@ -286,12 +336,9 @@ def _scan_one_modulus(
                 continue
             t = (shift[dst] - shift[src]) % (n // m)
             for mask in counted:
-                ext = _mask_jumps(extension_pool, mask)
+                ext = exts[mask]
                 _verify_theta_pair(
-                    ConnectionSet(n, tuple(sorted(src + ext))),
-                    ConnectionSet(n, tuple(sorted(dst + ext))),
-                    m,
-                    t,
+                    sets[tuple(sorted(src + ext))], sets[tuple(sorted(dst + ext))], m, t
                 )
 
         # Primitive tuples: the classes of minimal cores, one per extension.
@@ -311,21 +358,24 @@ def _scan_one_modulus(
             (t, img) for t, img in images[base_core].items() if img != base_core
         ]
         first_t = base_hits[0][0]
+        base = ConnectionSet(n, base_core)
+        core_images = _images(base)
+        _same_size(base, core_images)
         for mask in admissible[len(base_core)]:
             if mask in type1_masks:
                 counts["type1_tuples_primitive"] += 1
                 continue
             counts["type2_tuples_primitive"] += 1
-            ext = _mask_jumps(extension_pool, mask)
+            ext = exts[mask]
             # Every image core lies in the class (checked above), so each
             # theta image is one of the member objects.
-            member_of = {core: ConnectionSet(n, tuple(sorted(core + ext))) for core in group}
+            member_of = {core: sets[tuple(sorted(core + ext))] for core in group}
             members = tuple(member_of.values())
             theta_images = {t: member_of[img] for t, img in base_hits}
-            orbit = orbits.get(members[0])
+            orbit = orbit_of.get(members[0].jumps)
             if orbit is None:
-                orbit = adam_orbit(members[0])
-                orbits.update(dict.fromkeys(orbit, orbit))
+                orbit = tuple([sets[j] for j in _pair_orbit(core_images, ext_images, mask)])
+                orbit_of.update(dict.fromkeys([c.jumps for c in orbit], orbit))
             verdict = Classification(kind=TYPE2, orbit=orbit, m=m, t=first_t, chain=members)
             records.append(
                 TupleRecord(members=members, theta_images=theta_images, verdict=verdict)

@@ -50,48 +50,53 @@ def export_jsonl(records: Sequence[TupleRecord], path: str | os.PathLike) -> Non
     enumeration order. Each distinct set is quoted once per file."""
     if not records:
         raise ValueError("refusing to export an empty record list")
-    quoted = _Quoted()
+    render = _RecordText()
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
-            fh.write(_record_text(rec, quoted) + "\n")
+            fh.write(render(rec) + "\n")
 
 
-class _Quoted(dict):
-    """value -> json.dumps(str(value)), built on first use."""
+class _RecordText(dict):
+    """Renders records as json.dumps(record.to_json()) does: compact when
+    depth is None, else with indent=2 as they read depth spaces deep. The
+    verdict's fields() are rendered as to_json renders them: a tuple of
+    sets as a list of their texts, a str quoted, an int as json prints it.
+    As a dict it maps each value to json.dumps(str(value)), built on first
+    use, so each distinct set is quoted once per renderer."""
+
+    def __init__(self, depth: int | None = None) -> None:
+        super().__init__()
+        # (head, sep, tail) of a nonempty list or object in the record (level
+        # 0), its three parts (1) and the verdict's lists (2): what json.dumps
+        # writes after "[" or "{", between items, and before "]" or "}".
+        if depth is None:
+            self._layout = [("", ", ", "")] * 3
+        else:
+            self._layout = [
+                (f"\n{pad}  ", f",\n{pad}  ", f"\n{pad}")
+                for pad in (" " * (depth + 2 * level) for level in range(3))
+            ]
 
     def __missing__(self, value: object) -> str:
         text = self[value] = json.dumps(str(value))
         return text
 
-
-def _block(brackets: str, items: list[str], depth: int | None) -> str:
-    """A list ("[]") or object ("{}") of items, already JSON text, as
-    json.dumps lays it out: compact when depth is None, else with indent=2
-    when its first line is depth spaces deep."""
-    if not items:
-        return brackets
-    if depth is None:
-        return brackets[0] + ", ".join(items) + brackets[1]
-    pad = " " * (depth + 2)
-    return f"{brackets[0]}\n{pad}" + f",\n{pad}".join(items) + f"\n{' ' * depth}{brackets[1]}"
-
-
-def _record_text(record: TupleRecord, quoted: _Quoted, depth: int | None = None) -> str:
-    """json.dumps(record.to_json()), or with indent=2 as it reads depth
-    spaces deep. The verdict's fields() are rendered as to_json renders
-    them: a tuple of sets as a list of their texts, a str quoted, an int as
-    json prints it."""
-    inner, deeper = (None, None) if depth is None else (depth + 2, depth + 4)
-    fields = []
-    for key, value in record.verdict.fields():
-        if isinstance(value, tuple):
-            text = _block("[]", [quoted[c] for c in value], deeper)
-        else:
-            text = quoted[value] if isinstance(value, str) else str(value)
-        fields.append(f'"{key}": {text}')
-    images = [f"{quoted[t]}: {quoted[img]}" for t, img in sorted(record.theta_images.items())]
-    return _block("{}", [
-        f'"members": {_block("[]", [quoted[c] for c in record.members], inner)}',
-        f'"theta_images": {_block("{}", images, inner)}',
-        f'"verdict": {_block("{}", fields, inner)}',
-    ], depth)
+    def __call__(self, record: TupleRecord) -> str:
+        (head0, sep0, tail0), (head1, sep1, tail1), (head2, sep2, tail2) = self._layout
+        members = [self[c] for c in record.members]
+        fields = []
+        for key, value in record.verdict.fields():
+            if isinstance(value, tuple):
+                # A chain is often the members tuple itself.
+                items = members if value is record.members else [self[c] for c in value]
+                text = f"[{head2}{sep2.join(items)}{tail2}]" if items else "[]"
+            else:
+                text = self[value] if isinstance(value, str) else str(value)
+            fields.append(f'"{key}": {text}')
+        images = [f"{self[t]}: {self[img]}" for t, img in sorted(record.theta_images.items())]
+        members_text = f"[{head1}{sep1.join(members)}{tail1}]" if members else "[]"
+        images_text = f"{{{head1}{sep1.join(images)}{tail1}}}" if images else "{}"
+        return (
+            f'{{{head0}"members": {members_text}{sep0}"theta_images": {images_text}'
+            f'{sep0}"verdict": {{{head1}{sep1.join(fields)}{tail1}}}{tail0}}}'
+        )

@@ -6,9 +6,11 @@ import io
 import json
 import sys
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import circio.enumeration as enumeration_mod
 import circio.oracle as oracle_mod
@@ -38,9 +40,11 @@ from circio import (
     verify_goldens,
     worker_count,
 )
-from circio.enumeration import FAMILY_BASES, _fixed_masks, family_rows
+from circio.enumeration import FAMILY_BASES, _fixed_masks, _mask_images, _pair_orbit
+from circio.enumeration import _pool_maps, family_rows
 from circio.export import export_jsonl
-from circio.multipliers import units
+from circio.multipliers import _images, units
+from circio.theta import _levels, _nonmultiple_atoms
 from helpers import cs, rule_theta_image, theta_check_verdicts
 
 # Rows (1-based, ordered by extension size then lexicographically) whose
@@ -227,25 +231,77 @@ class TestScanLatticeChecks:
 
 class TestFixedMasks:
     """A unit fixes an extension mask exactly when the mask is a union of
-    the unit's cycles on the multiple-of-m pool."""
+    the unit's cycles on the multiple-of-m pool; it maps each mask to the
+    mask of its jumps' images."""
 
     def test_matches_brute_force(self):
         checked = 0
         for n in range(2, 55):
             for m in valid_block_moduli(n):
                 pool = tuple(range(m, n // 2 + 1, m))
-                for x in units(n):
-                    if 2 * x > n:
-                        break
+                maps = _pool_maps(n, pool)
+                assert list(maps) == [x for x in units(n) if 2 * x <= n]
+                mask_of = {j: 1 << i for i, j in enumerate(pool)}
+                for x, image in maps.items():
+                    mask_images = _mask_images(image)
                     expected = set()
                     for mask in range(1 << len(pool)):
                         jumps = {j for i, j in enumerate(pool) if mask >> i & 1}
-                        if {min(x * j % n, n - x * j % n) for j in jumps} == jumps:
+                        moved = sum(mask_of[min(x * j % n, n - x * j % n)] for j in jumps)
+                        assert mask_images[mask] == moved, (n, m, x, mask)
+                        if moved == mask:
                             expected.add(mask)
-                    assert _fixed_masks(n, pool, x) == expected, (n, m, x)
+                    assert _fixed_masks(image) == expected, (n, m, x)
                     checked += 1
         # Units x <= n/2 at n = 8, 16, 24, 27, 32, 40, 48, 54.
         assert checked == 2 + 4 + 4 + 9 + 8 + 8 + 8 + 9
+
+    @pytest.mark.parametrize("n,pool", [(16, (2, 4)), (16, (1, 2, 4, 6, 8)), (27, (3, 9))])
+    def test_pool_a_unit_leaves_raises(self, n, pool):
+        with pytest.raises(WitnessMismatch, match="does not permute"):
+            _pool_maps(n, pool)
+
+    def test_core_image_of_another_size_raises(self, monkeypatch):
+        # The scan maps each class core by every unit once; an image that
+        # lost a jump must stop it, under python -O too.
+        monkeypatch.setattr(
+            enumeration_mod, "_images", lambda cs: [img[1:] for img in _images(cs)]
+        )
+        with pytest.raises(WitnessMismatch, match="another size"):
+            full_scan(27)
+
+
+# Every order with scan records and its one valid m.
+RECORD_ORDERS = ((16, 2), (24, 2), (27, 3), (32, 2), (40, 2), (48, 2), (54, 3))
+
+
+@st.composite
+def core_mask_pairs(draw) -> tuple[int, int, tuple[int, ...], int]:
+    """(n, m, core, mask): core a union of atoms of one scan level, mask
+    any subset of the multiple-of-m pool, at an order with records."""
+    n, m = draw(st.sampled_from(RECORD_ORDERS))
+    atoms = _nonmultiple_atoms(n, m, draw(st.sampled_from(_levels(n, m))))
+    chosen = draw(st.sets(st.sampled_from(atoms), min_size=1))
+    core = tuple(sorted(j for atom in chosen for j in atom))
+    return n, m, core, draw(st.integers(0, (1 << (n // 2 // m)) - 1))
+
+
+class TestPairOrbit:
+    """The scan builds a record's Ádám orbit from its (core, mask) pair:
+    the unit x maps it to (x*core, x*mask)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(core_mask_pairs())
+    def test_is_adam_orbit(self, pair):
+        n, m, core, mask = pair
+        pool = tuple(range(m, n // 2 + 1, m))
+        exts = [tuple(j for i, j in enumerate(pool) if k >> i & 1) for k in range(1 << len(pool))]
+        ext_images = [
+            [exts[k] for k in _mask_images(image)] for image in _pool_maps(n, pool).values()
+        ]
+        jumps = _pair_orbit(_images(ConnectionSet(n, core)), ext_images, mask)
+        whole = ConnectionSet(n, tuple(sorted(core + exts[mask])))
+        assert jumps == [c.jumps for c in adam_orbit(whole)]
 
 
 class TestFullScan:
@@ -373,7 +429,16 @@ class TestFullScan:
                 kind=UNKNOWN, orbit=unknown.verdict.orbit, reason='a "quoted" \\ \nreason, \u00e9'
             ),
         )
-        records = [t1, non_iso, unknown, escaped]
+        # An empty verdict list, and a record of one member.
+        empty_chain = TupleRecord(
+            members=t1.members,
+            theta_images=t1.theta_images,
+            verdict=Classification(kind=TYPE2, orbit=t1.verdict.orbit, m=3, t=2, chain=()),
+        )
+        one_member = TupleRecord(
+            members=t1.members[:1], theta_images={2: t1.members[2]}, verdict=t1.verdict
+        )
+        records = [t1, non_iso, unknown, escaped, empty_chain, one_member]
         for record in records:
             fh = io.StringIO()
             ScanReport(n=0, convention="", counts={}, records=[record]).write_json(fh)
@@ -388,18 +453,28 @@ class TestFullScan:
             json.dumps(record.to_json()) + "\n" for record in records
         )
 
-    @pytest.mark.parametrize("n", [32, 54])
+    @pytest.mark.parametrize(
+        "n", [16, 24, 27, 32, 40, pytest.param(48, marks=pytest.mark.slow), 54]
+    )
     def test_record_orbits_are_the_first_members_orbits(self, n, scan_of):
-        for rec in scan_of(n).records:
+        records = scan_of(n).records
+        assert records
+        for rec in records:
             assert rec.verdict.orbit == adam_orbit(rec.members[0])
 
-    @pytest.mark.parametrize("n", [32, 54])
+    @pytest.mark.parametrize("n", [27, 32, pytest.param(48, marks=pytest.mark.slow), 54])
     def test_images_and_chain_are_member_objects(self, n, scan_of):
-        # The scan builds each member once and shares it, not an equal copy.
+        # The scan builds each distinct set once and shares it, not an equal
+        # copy: within a record, and across the whole report.
+        one: dict[tuple[int, ...], ConnectionSet] = {}
         for rec in scan_of(n).records:
             ids = {id(c) for c in rec.members}
             assert all(id(img) in ids for img in rec.theta_images.values())
             assert all(id(c) in ids for c in rec.verdict.chain)
+            verdict = rec.verdict
+            for c in chain(rec.members, rec.theta_images.values(), verdict.chain, verdict.orbit):
+                assert one.setdefault(c.jumps, c) is c
+        assert len(one) > len(scan_of(n).records)
 
     def test_order_ceiling(self):
         with pytest.raises(Intractable):
