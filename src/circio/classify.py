@@ -146,31 +146,21 @@ def _theta_walk(
             yield m, jump_hits(a.n, m, a.jumps)
 
 
-def _theta_links(
-    a: ConnectionSet, targets: Sequence[ConnectionSet]
-) -> dict[ConnectionSet, tuple[int, int]]:
-    """Smallest (m, t) at which the theta image of a is b, for each eligible b.
+def _theta_link(a: ConnectionSet, b: ConnectionSet) -> Optional[tuple[int, int]]:
+    """Smallest (m, t) at which the theta image of a is b, or None.
 
     b is eligible at m when a and b have as many jumps, at least three, and
-    the same nonempty set of multiples of m, which theta fixes. One walk
-    serves every target. It leaves each m once no target still open is
-    eligible there, and stops once each target has its link.
+    the same nonempty set of multiples of m, which theta fixes. The walk
+    builds no image at an m where b is not eligible, and stops at the link.
     """
-    open_targets = {b for b in targets if len(b.jumps) == len(a.jumps) >= 3}
-    links: dict[ConnectionSet, tuple[int, int]] = {}
+    if len(b.jumps) != len(a.jumps) or len(a.jumps) < 3:
+        return None
     for m, hits in _theta_walk(a):
-        if not open_targets:
-            break
-        fixed = _multiples(a, m)
-        reach = {b for b in open_targets if _multiples(b, m) == fixed}
-        for t, img in hits if reach else ():
-            if img in reach:
-                links[img] = (m, t)
-                reach.remove(img)
-                open_targets.remove(img)
-                if not reach:
-                    break
-    return links
+        if _multiples(b, m) == _multiples(a, m):
+            for t, img in hits:
+                if img == b:
+                    return m, t
+    return None
 
 
 def _verdict(members: tuple[ConnectionSet, ...], budget: int) -> Classification:
@@ -199,13 +189,14 @@ def _verdict(members: tuple[ConnectionSet, ...], budget: int) -> Classification:
     for i, a in enumerate(members[:-1]):
         # Ádám equivalence of a pair is membership in the first one's orbit.
         own_orbit = orbit if i == 0 else adam_orbit(a)
-        later = [b for b in members[i + 1:] if b not in own_orbit]
-        links = _theta_links(a, later)
-        for b in later:
-            if b not in links:
+        for b in members[i + 1:]:
+            if b in own_orbit:
+                continue
+            link = _theta_link(a, b)
+            if link is None:
                 unlinked.append((a, b))
             elif first_theta is None:
-                first_theta = links[b]
+                first_theta = link
     if not unlinked:
         # Not T1, so some pair has no multiplier and first_theta is set.
         m, t = first_theta

@@ -17,9 +17,10 @@ from circio import (
     WitnessMismatch,
     enumerate_family,
     theta_vertex_map,
+    verify_permutation,
 )
 from circio.core import EdgeImage, is_circulant
-from circio.theta import _carries, _certify, _hit_step, _jump_image
+from circio.theta import _carries, _hit_step, _jump_image
 
 # Four Type-1 family rows (family, row from 1) whose canonical search is the
 # costliest part of the pair queries; their costs span a sixfold range.
@@ -110,6 +111,27 @@ def rule_theta_image(n: int, m: int, t: int, jumps: Sequence[int]) -> Optional[C
     return _jump_image(n, m, t, jumps) if t % _last_hit_step(n, m, tuple(jumps)) == 0 else None
 
 
+def vertex_map_carries(a: ConnectionSet, b: ConnectionSet, m: int, t: int) -> None:
+    """The vertex-by-vertex reference for theta._carries: raise
+    WitnessMismatch unless theta's vertex map at (m, t) carries the edges of
+    C_n(a) exactly onto those of C_n(b), as the oracle's verify_permutation
+    checks it."""
+    params = ThetaParams(a.n, m, t)
+    if not verify_permutation(CirculantGraph(a), CirculantGraph(b), theta_vertex_map(params)):
+        raise WitnessMismatch(f"vertex map of {params} does not carry {a} onto {b}")
+
+
+def count_calls(monkeypatch, called: list, module, name: str) -> None:
+    """Wrap module.name so that each call appends name to called."""
+    real = getattr(module, name)
+
+    def counting(*args):
+        called.append(name)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counting)
+
+
 def _accepts(check, a: ConnectionSet, b: ConnectionSet, m: int, t: int) -> bool:
     try:
         check(a, b, m, t)
@@ -120,8 +142,8 @@ def _accepts(check, a: ConnectionSet, b: ConnectionSet, m: int, t: int) -> bool:
 
 def theta_check_verdicts(a: ConnectionSet, b: ConnectionSet, m: int, t: int) -> tuple[bool, bool]:
     """Whether the class-rule check theta._carries and the vertex-by-vertex
-    check theta._certify each accept theta at (m, t) carrying a onto b."""
-    return _accepts(_carries, a, b, m, t), _accepts(_certify, a, b, m, t)
+    reference vertex_map_carries each accept theta at (m, t) carrying a onto b."""
+    return _accepts(_carries, a, b, m, t), _accepts(vertex_map_carries, a, b, m, t)
 
 
 def d_r_sets(n: int, m: int, t: int, jumps: Sequence[int]) -> list[frozenset[int]]:

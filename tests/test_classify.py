@@ -31,7 +31,7 @@ from circio import (
     theta_image,
     valid_block_moduli,
 )
-from circio.classify import _theta_links, type1_verdict
+from circio.classify import _theta_link, type1_verdict
 from circio.theta import _multiples
 from helpers import cs, family_records
 
@@ -256,7 +256,8 @@ class TestAcrossModuli:
         for m, t, img in hits:
             if img in targets and len(a.jumps) >= 3:
                 expected_links.setdefault(img, (m, t))
-        assert _theta_links(a, targets) == expected_links
+        links = {b: link for b in targets if (link := _theta_link(a, b)) is not None}
+        assert links == expected_links
 
         if not targets:
             return
@@ -277,8 +278,8 @@ class TestAcrossModuli:
 
     def test_links_skip_moduli_no_open_target_reaches(self, monkeypatch):
         # C64(2,4,31) shares a's multiples of 2 and of 4 and is linked at
-        # m = 2; C64(4,17,30) shares only a's multiples of 4. Once the first
-        # is linked, no open target is reachable at m = 2.
+        # m = 2; C64(4,17,30) shares only a's multiples of 4, so its search
+        # builds no image at m = 2.
         a = cs("C64(1,2,4)")
         near, far = cs("C64(2,4,31)"), cs("C64(4,17,30)")
         calls = []
@@ -289,10 +290,10 @@ class TestAcrossModuli:
             return real(n, m, t, jumps)
 
         monkeypatch.setattr(theta_mod, "_jump_image", counted)
-        links = _theta_links(a, [near, far])
+        links = {b: _theta_link(a, b) for b in (near, far)}
         assert links == {near: (2, 16), far: (4, 4)}
         for m, t in calls:
-            # A target is open at a call until its link is found.
+            # Each image is built for a target eligible at m, up to its link.
             assert any(
                 links.get(b, (m, t)) >= (m, t) and _multiples(b, m) == _multiples(a, m)
                 for b in (near, far)

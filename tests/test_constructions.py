@@ -1,6 +1,10 @@
-"""The two parametric constructions: worked examples, links, validation."""
+"""The two parametric constructions: worked examples, links, validation,
+and their Type-2 claims checked edge by edge on parameter grids that reach
+orders far above the scan's."""
 
 from __future__ import annotations
+
+from itertools import combinations
 
 import pytest
 
@@ -12,8 +16,10 @@ from circio import (
     classify_pair,
     generate_a17c,
     generate_c1,
+    is_adam_equivalent,
     theta_image,
 )
+from circio.theta import _carries, jump_hits
 from helpers import cs
 
 
@@ -70,3 +76,46 @@ class TestGenerateC1:
             generate_c1(1, 3, 3, 0, 1)
         with pytest.raises(InvalidIndex):
             generate_c1(1, 3, 1, 3, 1)
+
+
+def _slow_unless(small: bool):
+    return () if small else pytest.mark.slow
+
+
+class TestConstructionClaims:
+    """Each link is checked by _carries, theta's edge-level class rule, at
+    the (m, t) the construction names, and no unit multiplier may make it.
+    These are finite grids, not proofs for every parameter."""
+
+    @pytest.mark.parametrize("p,base", [
+        pytest.param(p, base, marks=_slow_unless(p <= 5 and base <= 2))
+        for p in (3, 5, 7)
+        for base in range(1, 5)
+    ])
+    def test_c1_chains_link_member_i_to_j_at_t_of_j_minus_i(self, p, base):
+        links = 0
+        for x in range(1, p):
+            for y in range(base * p):
+                chain = [generate_c1(base, p, x, y, i) for i in range(1, p + 1)]
+                assert len(set(chain)) == p, (x, y)
+                for (i, a), (j, b) in combinations(enumerate(chain), 2):
+                    _carries(a, b, p, (j - i) * base)
+                    assert is_adam_equivalent(a, b) is None, (x, y, i, j)
+                    links += 1
+        assert links == (p - 1) * base * p * p * (p - 1) // 2
+
+    @pytest.mark.parametrize("k", [
+        pytest.param(k, marks=_slow_unless(k <= 20)) for k in range(2, 61)
+    ])
+    def test_a17c_pairs_link_at_m2(self, k):
+        for s in range(1, k + 1):
+            if 2 * s - 1 == k:
+                continue
+            left, right = generate_a17c(k, s)
+            shifts = {t for t, img in jump_hits(left.n, 2, left.jumps) if img == right}
+            assert shifts, s
+            for t in shifts:
+                _carries(left, right, 2, t)
+            assert is_adam_equivalent(left, right) is None, s
+            if k <= 40:
+                assert shifts == {k, 3 * k}, s

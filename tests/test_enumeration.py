@@ -45,7 +45,7 @@ from circio.enumeration import _pool_maps, family_rows
 from circio.export import export_jsonl
 from circio.multipliers import _images, units
 from circio.theta import _levels, _nonmultiple_atoms
-from helpers import cs, rule_theta_image, theta_check_verdicts
+from helpers import count_calls, cs, rule_theta_image, theta_check_verdicts
 
 # Rows (1-based, ordered by extension size then lexicographically) whose
 # triple collapses into a single multiplier orbit. Same list for both
@@ -555,22 +555,11 @@ class TestWitnessRecheck:
     @pytest.mark.parametrize("n,checks", [(32, 1392), (54, 100)])
     def test_recheck_is_edge_level_only(self, monkeypatch, n, checks):
         called = []
-
-        def count(module, name):
-            real = getattr(module, name)
-
-            def counting(*args, name=name, real=real):
-                called.append(name)
-                return real(*args)
-
-            monkeypatch.setattr(module, name, counting)
-
         for name in ("theta_image", "_hit_step", "jump_hits", "theta_vertex_map"):
-            count(theta_mod, name)
-        count(enumeration_mod, "jump_hits")
-        count(enumeration_mod, "_carries")
-        count(oracle_mod, "verify_permutation")
-        count(theta_mod, "verify_permutation")
+            count_calls(monkeypatch, called, theta_mod, name)
+        count_calls(monkeypatch, called, enumeration_mod, "jump_hits")
+        count_calls(monkeypatch, called, enumeration_mod, "_carries")
+        count_calls(monkeypatch, called, oracle_mod, "verify_permutation")
         full_scan(n)
         assert called == ["_carries"] * checks
 

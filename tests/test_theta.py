@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import circio.oracle as oracle_mod
 import circio.theta as theta_mod
 from circio.core import full_difference_set
 from circio.theta import _levels, _nonmultiple_atoms
@@ -26,6 +27,7 @@ from circio import (
     valid_block_moduli,
 )
 from helpers import (
+    count_calls,
     cs,
     d_r_sets,
     d_r_theta_image,
@@ -33,6 +35,7 @@ from helpers import (
     rule_theta_image,
     theta_check_verdicts,
     theta_inputs,
+    vertex_map_carries,
 )
 
 # The four worked images at order 54, m = 3.
@@ -137,8 +140,16 @@ class TestThetaImage:
 class TestThetaWitness:
     def test_witness_carries_map_and_image(self):
         assert theta_witness(cs("C54(1,3,17,19)"), 3, 2) == cs("C54(3,7,11,25)")
-        # The vertex map it checks edge by edge.
+        # The vertex map whose edges _carries checks, one class at a time.
         assert theta_vertex_map(ThetaParams(54, 3, 2))[1] == 7
+
+    def test_witness_checks_by_class_rule_only(self, monkeypatch):
+        called = []
+        count_calls(monkeypatch, called, theta_mod, "_carries")
+        count_calls(monkeypatch, called, theta_mod, "theta_vertex_map")
+        count_calls(monkeypatch, called, oracle_mod, "verify_permutation")
+        assert theta_witness(cs("C54(1,3,17,19)"), 3, 2) == cs("C54(3,7,11,25)")
+        assert called == ["_carries"]
 
     @given(theta_inputs())
     def test_witness_is_the_checked_image(self, inp):
@@ -179,7 +190,8 @@ def carries_inputs(draw) -> tuple[ConnectionSet, int, int]:
 
 class TestCarries:
     """_carries compares D'_r with D(b) for each residue class r; it must
-    accept and reject exactly where _certify's vertex-by-vertex check does."""
+    accept and reject exactly where the vertex-by-vertex reference
+    vertex_map_carries does."""
 
     @pytest.mark.parametrize("source,t,image", WORKED_IMAGES)
     def test_worked_images(self, source, t, image):
@@ -191,7 +203,7 @@ class TestCarries:
         assert theta_check_verdicts(a, cs("C27(3,7,11,12)"), 3, 2) == (False, False)
         # At t = 0 theta is the identity, and these jumps read alike at n = 27.
         assert theta_check_verdicts(cs("C54(1,3,5)"), cs("C27(1,3,5)"), 3, 0) == (False, False)
-        for check in (theta_mod._carries, theta_mod._certify):
+        for check in (theta_mod._carries, vertex_map_carries):
             with pytest.raises(InvalidParams):
                 check(a, cs("C54(3,7,11,25)"), 2, 2)
             with pytest.raises(InvalidParams):
