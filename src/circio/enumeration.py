@@ -15,8 +15,10 @@ those images. The cores fall into theta classes (a core and its circulant
 images): the raw pairs are the pairs inside a class, and the primitive
 tuples are the classes of minimal cores, each with one extension. A record
 is its (class core, extension mask) pair. A unit x keeps multiples of m and
-non-multiples apart, so it maps that pair to (x*core, x*mask): the orbits
-come from each unit's image of the core and map of the pool.
+non-multiples apart, so it maps that pair to (x*core, x*mask), x*mask read
+from x's mask table: the orbits come from each unit's image of the core and
+its table. A tuple is Type-1 when each other core is the first core's image
+under some unit whose table maps the tuple's mask to itself.
 """
 
 from __future__ import annotations
@@ -90,44 +92,21 @@ def enumerate_family(name: str) -> list[TupleRecord]:
 # ---------------------------------------------------------------------------
 # exhaustive scan machinery
 
-def _pool_maps(n: int, pool: Sequence[int]) -> dict[int, tuple[int, ...]]:
-    """unit x <= n/2 -> its permutation of pool's indices: i goes to the
-    index of x*pool[i] reduced. Raises WitnessMismatch unless every such x
+def _mask_tables(n: int, pool: Sequence[int]) -> dict[int, list[int]]:
+    """unit x <= n/2 -> its mask table: entry k is the mask of x times the
+    pool jumps of mask k, reduced. Raises WitnessMismatch unless every such x
     permutes pool, as units do the multiples of any m | n."""
-    index = {j: i for i, j in enumerate(pool)}
-    maps = {}
+    bit = {j: 1 << i for i, j in enumerate(pool)}
+    tables = {}
     for x in _half_units(n):
-        image = tuple(index.get(min(x * j % n, n - x * j % n), -1) for j in pool)
-        if sorted(image) != list(range(len(pool))):
+        images = [bit.get(min(x * j % n, n - x * j % n), 0) for j in pool]
+        if sorted(images) != list(bit.values()):
             raise WitnessMismatch(f"the unit {x} does not permute {pool} mod {n}")
-        maps[x] = image
-    return maps
-
-
-def _fixed_masks(image: Sequence[int]) -> set[int]:
-    """The masks that a unit with pool map image (_pool_maps) fixes: the
-    unions of its cycles."""
-    masks = [0]
-    seen = 0
-    for start in range(len(image)):
-        if seen >> start & 1:
-            continue
-        cycle, i = 0, start
-        while not cycle >> i & 1:
-            cycle |= 1 << i
-            i = image[i]
-        seen |= cycle
-        masks += [mask | cycle for mask in masks]
-    return set(masks)
-
-
-def _mask_images(image: Sequence[int]) -> list[int]:
-    """mask -> its image, for every mask, under a unit with pool map image."""
-    out = [0]
-    for i in image:
-        bit = 1 << i
-        out += [mask | bit for mask in out]
-    return out
+        table = [0]
+        for b in images:
+            table += [k | b for k in table]
+        tables[x] = table
+    return tables
 
 
 def _pair_orbit(core_images: list, ext_images: list, mask: int) -> list[tuple[int, ...]]:
@@ -229,10 +208,12 @@ def full_scan(n: int, budget: int = DEFAULT_SCAN_BUDGET) -> ScanReport:
     sets = _Sets(n)
     for m in valid_block_moduli(n):
         _scan_one_modulus(n, m, budget, counts, records, sets)
-    # An order up to 54 has one valid m at most (two need lcm(m^3, m'^3) >= 64
-    # to divide it), and one m's records are distinct (class core, mask) pairs:
-    # their first members differ, so this key orders them as all members would.
+    # One m's records are distinct (class core, mask) pairs with distinct first
+    # members, so this key orders them fully; two moduli could repeat a member.
     records.sort(key=lambda r: r.members[0].jumps)
+    for a, b in zip(records, records[1:]):
+        if a.members[0] == b.members[0]:
+            raise WitnessMismatch(f"two scan records start with {a.members[0]}")
     return ScanReport(
         n=n, convention=_SCAN_CONVENTION, counts=counts, records=records
     )
@@ -247,7 +228,7 @@ def _scan_one_modulus(
     sets: _Sets,
 ) -> None:
     extension_pool = tuple(range(m, n // 2 + 1, m))
-    pool_maps = _pool_maps(n, extension_pool)
+    tables = _mask_tables(n, extension_pool)
     all_atoms: set[tuple[int, ...]] = set()
     # core -> its hit step h / m^2, h the least (first) level that builds it.
     cores: dict[tuple[int, ...], int] = {}
@@ -298,10 +279,13 @@ def _scan_one_modulus(
     fixed_by: dict[tuple[int, ...], frozenset[int]] = {}
 
     def carried_fixed(src: tuple[int, ...], dst: tuple[int, ...]) -> frozenset[int]:
-        """The masks fixed by some unit carrying core src onto core dst."""
+        """The masks fixed by some unit carrying core src onto core dst: x
+        fixes mask k when its table maps k to itself."""
         coset = carrying_half_units(ConnectionSet(n, src), ConnectionSet(n, dst))
         if coset not in fixed_by:
-            fixed_by[coset] = frozenset().union(*(_fixed_masks(pool_maps[x]) for x in coset))
+            fixed_by[coset] = frozenset(
+                k for x in coset for k, image in enumerate(tables[x]) if image == k
+            )
         return fixed_by[coset]
 
     # exts[mask]: the pool jumps of mask, ascending.
@@ -322,7 +306,7 @@ def _scan_one_modulus(
     sample_budget = 0 if verify_all else 100
     # ext_images[i][mask] is exts[x*mask] for the i-th unit x. An orbit,
     # once built, is found from the jumps of each of its sets.
-    ext_images = [[exts[k] for k in _mask_images(image)] for image in pool_maps.values()]
+    ext_images = [[exts[k] for k in table] for table in tables.values()]
     orbit_of: dict[tuple[int, ...], tuple[ConnectionSet, ...]] = {}
     for shift in classes:
         group = sorted(shift)

@@ -29,6 +29,7 @@ verify_permutation; nothing here imports the oracle.
 
 from __future__ import annotations
 
+from math import isqrt
 from typing import Iterator, Optional, Sequence
 
 from .core import ConnectionSet, _set, _Value
@@ -87,21 +88,24 @@ def _check_params(cs: ConnectionSet, m: int, t: int) -> None:
 def _hit_step(n: int, m: int, jumps: Sequence[int]) -> int:
     """The least t >= 1 that hits, p / gcd(p, m^2) for N's least period p:
     t hits exactly when this step divides it. It divides q = n/m^2, which
-    always hits, so it is the least divisor d of q with N + d*m^2 = N."""
+    always hits, so it is h/m^2 for the first level h with N + h = N, else q."""
     nonmult = {d for s in jumps for d in (s, n - s) if d % m}
-    q = n // (m * m)
     return next(
-        (d for d in range(1, q) if q % d == 0 and all((v + d * m * m) % n in nonmult for v in nonmult)),
-        q,
+        (h // (m * m) for h in _levels(n, m) if all((v + h) % n in nonmult for v in nonmult)),
+        n // (m * m),
     )
 
 
 def _levels(n: int, m: int) -> list[int]:
     """The levels gcd(t*m^2, n) < n of the shifts t in [1, n/m - 1], ascending:
-    m^2 d for each divisor d < q of q = n/m^2. t hits exactly the N with a
-    period dividing its level h: the unions of h's atoms (_nonmultiple_atoms)."""
+    m^2 d for each divisor d < q of q = n/m^2, listed in O(sqrt(q)) steps. t
+    hits exactly the N with a period dividing its level h: the unions of h's
+    atoms (_nonmultiple_atoms)."""
     q = n // (m * m)
-    return [m * m * d for d in range(1, q) if q % d == 0]
+    low = [d for d in range(1, isqrt(q) + 1) if q % d == 0]
+    # The divisors above sqrt(q) but q itself, which is no level.
+    high = [q // d for d in reversed(low) if 1 < d and d * d != q]
+    return [m * m * d for d in low + high]
 
 
 def _nonmultiple_atoms(n: int, m: int, h: int) -> list[tuple[int, ...]]:

@@ -40,12 +40,11 @@ from circio import (
     verify_goldens,
     worker_count,
 )
-from circio.enumeration import FAMILY_BASES, _fixed_masks, _mask_images, _pair_orbit
-from circio.enumeration import _pool_maps, family_rows
+from circio.enumeration import FAMILY_BASES, _mask_tables, _pair_orbit, family_rows
 from circio.export import export_jsonl
 from circio.multipliers import _images, units
 from circio.theta import _levels, _nonmultiple_atoms
-from helpers import count_calls, cs, rule_theta_image, theta_check_verdicts
+from helpers import count_calls, cs, d_r_theta_image, rule_theta_image, theta_check_verdicts
 
 # Rows (1-based, ordered by extension size then lexicographically) whose
 # triple collapses into a single multiplier orbit. Same list for both
@@ -230,28 +229,24 @@ class TestScanLatticeChecks:
 
 
 class TestFixedMasks:
-    """A unit fixes an extension mask exactly when the mask is a union of
-    the unit's cycles on the multiple-of-m pool; it maps each mask to the
-    mask of its jumps' images."""
+    """A unit's mask table maps each extension mask on the multiple-of-m
+    pool to the mask of its jumps' images; the unit fixes the masks that
+    its table maps to themselves."""
 
     def test_matches_brute_force(self):
         checked = 0
         for n in range(2, 55):
             for m in valid_block_moduli(n):
                 pool = tuple(range(m, n // 2 + 1, m))
-                maps = _pool_maps(n, pool)
-                assert list(maps) == [x for x in units(n) if 2 * x <= n]
+                tables = _mask_tables(n, pool)
+                assert list(tables) == [x for x in units(n) if 2 * x <= n]
                 mask_of = {j: 1 << i for i, j in enumerate(pool)}
-                for x, image in maps.items():
-                    mask_images = _mask_images(image)
-                    expected = set()
+                for x, table in tables.items():
+                    assert len(table) == 1 << len(pool), (n, m, x)
                     for mask in range(1 << len(pool)):
                         jumps = {j for i, j in enumerate(pool) if mask >> i & 1}
                         moved = sum(mask_of[min(x * j % n, n - x * j % n)] for j in jumps)
-                        assert mask_images[mask] == moved, (n, m, x, mask)
-                        if moved == mask:
-                            expected.add(mask)
-                    assert _fixed_masks(image) == expected, (n, m, x)
+                        assert table[mask] == moved, (n, m, x, mask)
                     checked += 1
         # Units x <= n/2 at n = 8, 16, 24, 27, 32, 40, 48, 54.
         assert checked == 2 + 4 + 4 + 9 + 8 + 8 + 8 + 9
@@ -259,7 +254,7 @@ class TestFixedMasks:
     @pytest.mark.parametrize("n,pool", [(16, (2, 4)), (16, (1, 2, 4, 6, 8)), (27, (3, 9))])
     def test_pool_a_unit_leaves_raises(self, n, pool):
         with pytest.raises(WitnessMismatch, match="does not permute"):
-            _pool_maps(n, pool)
+            _mask_tables(n, pool)
 
     def test_core_image_of_another_size_raises(self, monkeypatch):
         # The scan maps each class core by every unit once; an image that
@@ -296,9 +291,7 @@ class TestPairOrbit:
         n, m, core, mask = pair
         pool = tuple(range(m, n // 2 + 1, m))
         exts = [tuple(j for i, j in enumerate(pool) if k >> i & 1) for k in range(1 << len(pool))]
-        ext_images = [
-            [exts[k] for k in _mask_images(image)] for image in _pool_maps(n, pool).values()
-        ]
+        ext_images = [[exts[k] for k in table] for table in _mask_tables(n, pool).values()]
         jumps = _pair_orbit(_images(ConnectionSet(n, core)), ext_images, mask)
         whole = ConnectionSet(n, tuple(sorted(core + exts[mask])))
         assert jumps == [c.jumps for c in adam_orbit(whole)]
@@ -373,6 +366,14 @@ class TestFullScan:
             )
             moved += got.verdict.t != rec.verdict.t
         assert moved == differ
+
+    def test_records_sharing_a_first_member_raise(self, monkeypatch):
+        # Scanning one modulus twice repeats every record. The records are
+        # ordered by their first member alone, so the scan must stop there
+        # instead of returning the doubled list.
+        monkeypatch.setattr(enumeration_mod, "valid_block_moduli", lambda n: [2, 2])
+        with pytest.raises(WitnessMismatch, match="two scan records start with"):
+            full_scan(16)
 
     def test_no_transform_order_scans_clean(self):
         rep = full_scan(12)
@@ -721,6 +722,79 @@ class TestBruteForceScanCounts:
     def test_matches_full_scan(self, n, expected):
         assert brute_force_pair_count(n) == expected
         assert full_scan(n).counts["type2_pairs_raw"] == expected
+
+
+def d_r_tuple_counts(n: int) -> tuple[int, int]:
+    """(Type-2, Type-1) primitive tuples from the D'_r rule and adam_orbit
+    alone, with none of the scan's atoms, levels, classes or mask tables, at
+    an order with one valid m.
+
+    A core is a nonempty set of non-multiples of m whose image is circulant
+    at some proper divisor of n/m^2, one shift per level. The minimal cores
+    strictly contain no other core. A minimal core's class is the core with
+    its circulant images at every shift. A class of two or more members gives
+    one tuple per nonempty set E of multiples of m with |core| + |E| >= 3;
+    it is Type-1 when every member with E lies in the Ádám orbit of the first
+    member with E."""
+    (m,) = valid_block_moduli(n)
+    q = n // (m * m)
+    divisors = [d for d in range(1, q) if q % d == 0]
+    nonmultiples = [j for j in range(1, n // 2 + 1) if j % m]
+    multiples = range(m, n // 2 + 1, m)
+    cores = [
+        set(core)
+        for k in range(1, len(nonmultiples) + 1)
+        for core in combinations(nonmultiples, k)
+        if any(d_r_theta_image(n, m, d, core) is not None for d in divisors)
+    ]
+    minimal = [tuple(sorted(c)) for c in cores if not any(o < c for o in cores)]
+    classes = {
+        frozenset(
+            [core]
+            + [
+                image.jumps
+                for t in range(1, n // m)
+                if (image := d_r_theta_image(n, m, t, core)) is not None
+            ]
+        )
+        for core in minimal
+    }
+    type2 = type1 = 0
+    for members in classes:
+        if len(members) < 2:
+            continue
+        first, *others = sorted(members)
+        for k in range(max(1, 3 - len(first)), len(multiples) + 1):
+            for ext in combinations(multiples, k):
+                orbit = adam_orbit(ConnectionSet(n, tuple(sorted(first + ext))))
+                if all(ConnectionSet(n, tuple(sorted(core + ext))) in orbit for core in others):
+                    type1 += 1
+                else:
+                    type2 += 1
+    return type2, type1
+
+
+class TestSecondDerivationTupleCounts:
+    """The scan's primitive tuple counts, derived from the D'_r rule and
+    adam_orbit without the core lattice or the units' mask tables."""
+
+    @pytest.mark.parametrize(
+        "n,type2,type1",
+        [
+            (16, 8, 7),
+            (24, 32, 94),
+            (27, 12, 3),
+            (32, 384, 126),
+            (40, 1536, 1533),
+            pytest.param(48, 10624, 9851, marks=pytest.mark.slow),
+            pytest.param(54, 960, 1595, marks=pytest.mark.slow),
+        ],
+    )
+    def test_matches_full_scan(self, n, type2, type1, scan_of):
+        assert d_r_tuple_counts(n) == (type2, type1)
+        counts = scan_of(n).counts
+        assert counts["type2_tuples_primitive"] == type2
+        assert counts["type1_tuples_primitive"] == type1
 
 
 @pytest.mark.slow

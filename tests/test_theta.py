@@ -136,6 +136,13 @@ class TestThetaImage:
         with pytest.raises(InvalidParams):
             theta_image(cs("C54(1,3,17,19)"), 2, 1)
 
+    def test_order_eight_billion(self):
+        # The hit step comes from the divisors of n/m^2 = 2*10^9, listed up to
+        # their square root, so one shift takes milliseconds, not a walk over n.
+        a = cs("C8000000000(1,2)")
+        assert theta_image(a, 2, 1) is None
+        assert theta_image(a, 2, 2 * 10**9) == cs("C8000000000(2,3999999999)")
+
 
 class TestThetaWitness:
     def test_witness_carries_map_and_image(self):
@@ -414,6 +421,45 @@ class TestHitWalk:
             if (image := edge_level_theta_image(ConnectionSet(n, jumps), m, t)) is not None
         ]
         assert list(theta_mod.jump_hits(n, m, jumps)) == expected
+
+
+# Every (n, m) with m^3 | n and n <= 2000.
+LEVEL_ORDERS = tuple((n, m) for n in range(8, 2001) for m in valid_block_moduli(n))
+
+
+@st.composite
+def periodic_jump_sets(draw) -> tuple[int, int, tuple[int, ...]]:
+    """(n, m, jumps) at an order of LEVEL_ORDERS: the jumps whose residues
+    mod a drawn period p | n, up to sign, lie in a drawn set, and in half the
+    draws one jump toggled, which usually breaks the period."""
+    n, m = draw(st.sampled_from(LEVEL_ORDERS))
+    p = draw(st.sampled_from([p for p in range(1, n + 1) if n % p == 0]))
+    residues = draw(st.sets(st.integers(0, p - 1), min_size=1, max_size=6))
+    jumps = {j for j in range(1, n // 2 + 1) if j % p in residues or -j % p in residues}
+    if draw(st.booleans()):
+        jumps ^= {draw(st.integers(1, n // 2))}
+    return n, m, tuple(sorted(jumps or {1}))
+
+
+class TestLevels:
+    """_levels lists the divisors of q = n/m^2 up to sqrt(q), and _hit_step
+    reads its first level that N is periodic under; both against brute
+    force at every order with a valid modulus up to 2000."""
+
+    def test_levels_are_the_divisor_list(self):
+        for n, m in LEVEL_ORDERS:
+            q = n // (m * m)
+            assert _levels(n, m) == [m * m * d for d in range(1, q) if q % d == 0], (n, m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(periodic_jump_sets())
+    def test_hit_step_is_the_least_hitting_shift(self, inp):
+        n, m, jumps = inp
+        nonmult = {d for s in jumps for d in (s, n - s) if d % m}
+        least = next(
+            t for t in range(1, n // m + 1) if {(v + t * m * m) % n for v in nonmult} == nonmult
+        )
+        assert theta_mod._hit_step(n, m, jumps) == least
 
 
 # (n, m) with m^3 | n up to 120, for the composition law on images.
