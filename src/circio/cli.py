@@ -126,7 +126,7 @@ def _probe_open(args: argparse.Namespace) -> int:
     if args.out is not None:
         _check_writable(args.out)
     print("probing open questions (35 oracle runs)...", file=sys.stderr)
-    report = probe_open_problems(budget=args.budget)
+    report = probe_open_problems()
     print(report.summary())
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -195,9 +195,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--c1", type=int, nargs=4, metavar=("BASE", "P", "X", "Y"), help="Order-base*p^3 chain."
     )
 
-    sub = command("probe-open", _probe_open)
-    budget(sub, DEFAULT_BUDGET, "Oracle search-node budget per pair.")
-    sub.add_argument("--out", help="Optional JSON report file.")
+    command("probe-open", _probe_open).add_argument("--out", help="Optional JSON report file.")
 
     command("verify-goldens", _verify_goldens)
     return parser

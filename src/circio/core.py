@@ -217,11 +217,8 @@ def adjacency_spectrum(cs: ConnectionSet) -> list[float]:
     return lam
 
 
-def first_spectral_gap(a: Sequence[float], b: Sequence[float], tol: float = 1e-9) -> Optional[int]:
-    """Index of the first eigenvalue disagreement, or None if cospectral."""
+def first_spectral_gap(a: Sequence[float], b: Sequence[float]) -> Optional[int]:
+    """Index of the first eigenvalue pair more than 1e-9 apart, or None if cospectral."""
     if len(a) != len(b):
         return 0
-    for i, (x, y) in enumerate(zip(a, b)):
-        if abs(x - y) > tol:
-            return i
-    return None
+    return next((i for i, (x, y) in enumerate(zip(a, b)) if abs(x - y) > 1e-9), None)

@@ -118,15 +118,11 @@ class GoldenRow(_Value):
         return (str(self.source), str(self.printed_t2), str(self.printed_t4))
 
 
-def _parse_jumps(text: str) -> ConnectionSet:
-    return reflexive_reduce([int(p) for p in text.split(",")], 54)
-
-
 def load_golden_rows() -> list[GoldenRow]:
     rows = []
     for line in GOLDEN_ROWS.strip().splitlines():
         fam, row_no, table_no, verdict, *sets = line.split("|")
-        parsed = [_parse_jumps(s) for s in sets]
+        parsed = [reflexive_reduce(map(int, s.split(",")), 54) for s in sets]
         rows.append(
             GoldenRow(
                 family=fam,
@@ -190,23 +186,20 @@ def verify_goldens() -> GoldenReport:
     ]
     for row, record in zip(rows, records):
         tag = f"family {row.family} row {row.row_no} (table {row.table_no})"
-        if record.members[0] != row.source:
-            warnings.append(f"{tag}: source printed {row.source}, computed {record.members[0]}")
-        img2, img4 = record.theta_images[2], record.theta_images[4]
-        orbit = record.verdict.orbit
         computed = record.verdict.table_verdict
         if computed != row.expected_verdict:
-            mismatches.append(
-                f"{tag}: computed {computed}, printed {row.expected_verdict}"
-            )
-        if img2 != row.printed_t2:
-            warnings.append(f"{tag}: t=2 image printed {row.printed_t2}, computed {img2}")
-        if img4 != row.printed_t4:
-            warnings.append(f"{tag}: t=4 image printed {row.printed_t4}, computed {img4}")
-        if set(row.printed_orbit) != set(orbit):
+            mismatches.append(f"{tag}: computed {computed}, printed {row.expected_verdict}")
+        for label, printed, image in (
+            ("source", row.source, record.members[0]),
+            ("t=2 image", row.printed_t2, record.theta_images[2]),
+            ("t=4 image", row.printed_t4, record.theta_images[4]),
+        ):
+            if image != printed:
+                warnings.append(f"{tag}: {label} printed {printed}, computed {image}")
+        if set(row.printed_orbit) != set(record.verdict.orbit):
             warnings.append(
                 f"{tag}: orbit printed {[str(c) for c in row.printed_orbit]}, "
-                f"computed {[str(c) for c in orbit]}"
+                f"computed {[str(c) for c in record.verdict.orbit]}"
             )
     return GoldenReport(
         rows_checked=len(rows),

@@ -6,16 +6,19 @@ its certificate and is never presumed.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from .core import CirculantGraph, ConnectionSet, _Value, reflexive_reduce
-from .oracle import DEFAULT_BUDGET, IsoVerdict, isomorphic
+from .oracle import IsoVerdict, isomorphic
 
 
-# Each side's two fixed jumps; the probe adds s to both.
+# Each member's fixed jumps; a probe adds its s to every member.
 _PROBE_PAIRS_48 = {
     "n48-a": ((1, 23), (11, 13)),
     "n48-b": ((5, 19), (7, 17)),
 }
 _PROBE_S_48 = (3, 9, 15, 21)
+_PROBE_TRIPLE_54 = ((1, 17, 19), (5, 13, 23), (7, 11, 25))
 _PROBE_S_54 = (2, 4, 8, 10, 14, 16, 20, 22, 26)
 
 
@@ -62,32 +65,26 @@ class ProbeReport(_Value):
         return "\n".join(e.describe() for e in self.entries)
 
 
-def probe_open_problems(budget: int = DEFAULT_BUDGET) -> ProbeReport:
+def probe_open_problems() -> ProbeReport:
     """Oracle verdicts for the undecided non-isomorphism questions.
 
     Two shapes: order-48 pairs over s in {3,9,15,21} and order-54 triples
     (checked pairwise) over the nine even s with gcd(54, s) not divisible
-    by 3. Verdicts are reported with certificates, never presumed.
+    by 3. Verdicts are reported with certificates, never presumed. Every
+    probe ends on its spectrum, before any canonical search.
     """
-    entries: list[ProbeEntry] = []
-    for group, (left_fixed, right_fixed) in _PROBE_PAIRS_48.items():
-        for s in _PROBE_S_48:
-            left = reflexive_reduce([*left_fixed, s], 48)
-            right = reflexive_reduce([*right_fixed, s], 48)
-            verdict = isomorphic(CirculantGraph(left), CirculantGraph(right), budget)
-            entries.append(ProbeEntry(group, s, left, right, verdict))
+    pairs = [
+        (group, s, reflexive_reduce([*left, s], 48), reflexive_reduce([*right, s], 48))
+        for group, (left, right) in _PROBE_PAIRS_48.items()
+        for s in _PROBE_S_48
+    ]
     for s in _PROBE_S_54:
-        triple = [
-            reflexive_reduce([1, s, 17, 19], 54),
-            reflexive_reduce([5, s, 13, 23], 54),
-            reflexive_reduce([s, 7, 11, 25], 54),
+        triple = [reflexive_reduce([*fixed, s], 54) for fixed in _PROBE_TRIPLE_54]
+        pairs += [
+            (f"n54-triple[{i}{j}]", s, triple[i], triple[j]) for i, j in combinations(range(3), 2)
         ]
-        for i in range(3):
-            for j in range(i + 1, 3):
-                verdict = isomorphic(
-                    CirculantGraph(triple[i]), CirculantGraph(triple[j]), budget
-                )
-                entries.append(
-                    ProbeEntry(f"n54-triple[{i}{j}]", s, triple[i], triple[j], verdict)
-                )
-    return ProbeReport(entries=tuple(entries))
+    entries = tuple(
+        ProbeEntry(group, s, a, b, isomorphic(CirculantGraph(a), CirculantGraph(b)))
+        for group, s, a, b in pairs
+    )
+    return ProbeReport(entries=entries)

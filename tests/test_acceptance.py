@@ -322,7 +322,7 @@ class TestBulkInvariants:
             spectra = [adjacency_spectrum(c) for c in members]
             for i in range(len(spectra)):
                 for j in range(i + 1, len(spectra)):
-                    assert first_spectral_gap(spectra[i], spectra[j], tol=1e-9) is None
+                    assert first_spectral_gap(spectra[i], spectra[j]) is None
 
         for report in (scan_16[0], scan_27[0]):
             for rec in report.records:

@@ -17,6 +17,7 @@ import pytest
 import circio.cli as cli_mod
 from circio.cli import export_csv, export_jsonl, main
 from circio import GoldenReport, ProbeReport, WitnessMismatch, enumerate_family
+from circio.multipliers import MAX_UNIT_ORDER
 
 ROW1 = (
     '1,C54(1,3,17,19),C54(3,7,11,25),C54(3,5,13,23),'
@@ -83,6 +84,24 @@ class TestOrbitCommand:
         # Arabic-Indic digits for 54: the order must be ASCII, like the jumps.
         result = runner.invoke(main, ["orbit", "C٥٤(1,3)"])
         assert result.exit_code == 2
+
+
+class TestUnitCeiling:
+    """Every command that lists units exits 2 above the ceiling, at once."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["orbit", "C8000000000(1,2)"],
+            ["orbit", f"C{MAX_UNIT_ORDER + 1}(1,2)"],
+            ["classify", "C8000000000(1,2)", "C8000000000(1,3)"],
+            ["generate", "--a17c", "1000000000", "1"],
+        ],
+    )
+    def test_exit_2(self, runner, argv):
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 2
+        assert f"unit multipliers support n <= {MAX_UNIT_ORDER}" in result.output
 
 
 class TestThetaCommand:
@@ -494,18 +513,15 @@ class TestProbeOpenCommand:
         assert len(entry_lines) == 35
         assert len(json.loads(out.read_text())["entries"]) == 35
 
-    def test_negative_budget_exit_2(self, runner, monkeypatch):
-        monkeypatch.setattr(
-            cli_mod, "probe_open_problems", lambda budget: ProbeReport(entries=())
-        )
-        result = runner.invoke(main, ["probe-open", "--budget", "-1"])
+    def test_budget_is_unknown_option_exit_2(self, runner, monkeypatch):
+        # Every probe ends on its spectrum, so probe-open takes no budget.
+        monkeypatch.setattr(cli_mod, "probe_open_problems", lambda: ProbeReport(entries=()))
+        result = runner.invoke(main, ["probe-open", "--budget", "1"])
         assert result.exit_code == 2
-        assert "--budget" in result.output
+        assert "unrecognized arguments: --budget 1" in result.output
 
     def test_unwritable_out_exit_2(self, runner, tmp_path, monkeypatch):
-        monkeypatch.setattr(
-            cli_mod, "probe_open_problems", lambda budget: ProbeReport(entries=())
-        )
+        monkeypatch.setattr(cli_mod, "probe_open_problems", lambda: ProbeReport(entries=()))
         out = tmp_path / "missing" / "probes.json"
         result = runner.invoke(main, ["probe-open", "--out", str(out)])
         assert_unwritable(result, out)

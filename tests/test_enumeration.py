@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import sys
+from collections import defaultdict
 from functools import lru_cache
 from itertools import chain, combinations
 
@@ -20,6 +21,7 @@ from circio import (
     TYPE1,
     TYPE2,
     UNKNOWN,
+    CirculantGraph,
     Classification,
     ConnectionSet,
     Intractable,
@@ -28,6 +30,7 @@ from circio import (
     TupleRecord,
     WitnessMismatch,
     adam_orbit,
+    canonical_form,
     classify_pair,
     classify_tuple,
     enumerate_family,
@@ -795,6 +798,42 @@ class TestSecondDerivationTupleCounts:
         counts = scan_of(n).counts
         assert counts["type2_tuples_primitive"] == type2
         assert counts["type1_tuples_primitive"] == type1
+
+
+def oracle_type2_pair_count(n: int) -> int:
+    """type2 verdicts over the pairs of sets from two distinct Ádám orbits
+    that canonical_form puts in one isomorphism class."""
+    half = range(1, n // 2 + 1)
+    orbits, seen = [], set()
+    for jumps in chain.from_iterable(combinations(half, k) for k in half):
+        member = ConnectionSet(n, jumps)
+        if member not in seen:
+            orbit = adam_orbit(member)
+            seen.update(orbit)
+            orbits.append(orbit)
+    classes = defaultdict(list)
+    for orbit in orbits:
+        classes[canonical_form(CirculantGraph(orbit[0])).canonical_edges].append(orbit)
+    return sum(
+        classify_pair(a, b).kind == TYPE2
+        for group in classes.values()
+        for left, right in combinations(group, 2)
+        for a in left
+        for b in right
+    )
+
+
+class TestThirdDerivationPairCounts:
+    """The scan's raw pair counts, with the isomorphism classes taken from
+    the oracle rather than from theta."""
+
+    @pytest.mark.parametrize(
+        "n,pairs",
+        [(16, 8), (24, 64), (27, 72), pytest.param(32, 1392, marks=pytest.mark.slow)],
+    )
+    def test_matches_full_scan(self, n, pairs, scan_of):
+        assert oracle_type2_pair_count(n) == pairs
+        assert scan_of(n).counts["type2_pairs_raw"] == pairs
 
 
 @pytest.mark.slow

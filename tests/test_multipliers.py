@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 import circio.multipliers as multipliers_mod
 from circio import (
     ConnectionSet,
+    Intractable,
     NotAUnit,
     OrderMismatch,
     WitnessMismatch,
     adam_orbit,
     is_adam_equivalent,
 )
-from circio.multipliers import carrying_half_units, multiply_set, units
+from circio.multipliers import MAX_UNIT_ORDER, carrying_half_units, multiply_set, units
 from helpers import connection_sets, cs
 
 # Each entry: source text, then (x, product text) twice. These are the six
@@ -124,6 +125,17 @@ class TestAdamOrbit:
             for b in orbits[a]:
                 assert orbits[b] == orbits[a]
                 assert a in orbits[b]
+
+
+class TestUnitCeiling:
+    """Above MAX_UNIT_ORDER the unit tables are refused, not built."""
+
+    def test_just_above_raises(self):
+        big = ConnectionSet(MAX_UNIT_ORDER + 1, (1, 2))
+        with pytest.raises(Intractable, match=f"n <= {MAX_UNIT_ORDER}"):
+            adam_orbit(big)
+        with pytest.raises(Intractable):
+            is_adam_equivalent(big, ConnectionSet(MAX_UNIT_ORDER + 1, (1, 3)))
 
 
 class TestIsAdamEquivalent:

@@ -28,6 +28,11 @@ class TestProbes:
         certificates = [e.verdict.certificate for e in report.entries]
         assert certificates == ["spectrum[1]"] * 8 + ["spectrum[0]"] * 27
 
+    def test_no_probe_reaches_the_canonical_search(self):
+        # Why probe_open_problems takes no budget: a probe that needed the
+        # canonical search would run it with no bound from the command line.
+        assert all(e.verdict.nodes == 0 for e in probe_open_problems().entries)
+
     def test_json_and_summary(self):
         report = probe_open_problems()
         out = report.to_json()
