@@ -11,13 +11,13 @@ its two-member case.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .core import CirculantGraph, ConnectionSet, _set, _Value
 from .errors import InvalidParams, OrderMismatch
 from .multipliers import adam_orbit, is_adam_equivalent
 from .oracle import DEFAULT_BUDGET, isomorphic
-from .theta import _multiples, jump_hits, valid_block_moduli
+from .theta import _carries, _multiples, jump_hits, valid_block_moduli
 
 TYPE1 = "type1"
 TYPE2 = "type2"
@@ -134,30 +134,24 @@ def type1_verdict(
     )
 
 
-def _theta_walk(
-    a: ConnectionSet,
-) -> Iterator[tuple[int, Iterator[tuple[int, ConnectionSet]]]]:
-    """(m, jump_hits(a.n, m, a.jumps)) for each valid modulus m of which a
-    holds a multiple, ascending. That filter is all the validation theta
-    needs, so no shift is checked again. Both levels are lazy: a caller that
-    skips or leaves an m's hits computes no image it does not read."""
-    for m in valid_block_moduli(a.n):
-        if _multiples(a, m):
-            yield m, jump_hits(a.n, m, a.jumps)
+def _theta_moduli(a: ConnectionSet) -> list[int]:
+    """The valid moduli m of which a holds a multiple, ascending: where theta
+    is defined for a, so jump_hits needs no further validation there."""
+    return [m for m in valid_block_moduli(a.n) if _multiples(a, m)]
 
 
 def _theta_link(a: ConnectionSet, b: ConnectionSet) -> Optional[tuple[int, int]]:
     """Smallest (m, t) at which the theta image of a is b, or None.
 
     b is eligible at m when a and b have as many jumps, at least three, and
-    the same nonempty set of multiples of m, which theta fixes. The walk
+    the same nonempty set of multiples of m, which theta fixes. The search
     builds no image at an m where b is not eligible, and stops at the link.
     """
     if len(b.jumps) != len(a.jumps) or len(a.jumps) < 3:
         return None
-    for m, hits in _theta_walk(a):
+    for m in _theta_moduli(a):
         if _multiples(b, m) == _multiples(a, m):
-            for t, img in hits:
+            for t, img in jump_hits(a.n, m, a.jumps):
                 if img == b:
                     return m, t
     return None
@@ -168,7 +162,8 @@ def _verdict(members: tuple[ConnectionSet, ...], budget: int) -> Classification:
 
     T1 needs every member in the orbit of the first (type1_verdict). Else
     every pair (i < j) without a multiplier needs a theta link, and the
-    first linked pair in (i, j) order gives the reported (m, t). Pairs with
+    first linked pair in (i, j) order gives the reported (m, t); each link
+    is certified edge by edge (theta._carries) before it counts. Pairs with
     neither go to the oracle in (i, j) order; the first non-isomorphic or
     timeout answer decides, and an all-isomorphic answer is unknown.
     """
@@ -195,7 +190,9 @@ def _verdict(members: tuple[ConnectionSet, ...], budget: int) -> Classification:
             link = _theta_link(a, b)
             if link is None:
                 unlinked.append((a, b))
-            elif first_theta is None:
+                continue
+            _carries(a, b, *link)
+            if first_theta is None:
                 first_theta = link
     if not unlinked:
         # Not T1, so some pair has no multiplier and first_theta is set.
@@ -234,8 +231,9 @@ def classify_tuple(
 
     rest = set(members[1:])
     theta_images: dict[int, ConnectionSet] = {}
-    for _, hits in _theta_walk(members[0]):
-        theta_images = {t: img for t, img in hits if img in rest}
+    first = members[0]
+    for m in _theta_moduli(first):
+        theta_images = {t: img for t, img in jump_hits(first.n, m, first.jumps) if img in rest}
         if theta_images:
             break
     return TupleRecord(members=members, theta_images=theta_images, verdict=verdict)

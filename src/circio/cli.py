@@ -17,7 +17,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import __version__
-from .classify import classify_pair, classify_tuple
+from .classify import classify_tuple
 from .constructions import generate_a17c, generate_c1
 from .core import ConnectionSet
 from .enumeration import DEFAULT_SCAN_BUDGET, enumerate_family, full_scan
@@ -27,7 +27,7 @@ from .goldens import verify_goldens
 from .multipliers import adam_orbit
 from .oracle import DEFAULT_BUDGET
 from .probes import probe_open_problems
-from .theta import theta_image
+from .theta import theta_witness
 
 
 def _connection_set(text: str) -> ConnectionSet:
@@ -66,8 +66,8 @@ def _orbit(args: argparse.Namespace) -> int:
 
 
 def _theta(args: argparse.Namespace) -> int:
-    """Apply the block-shift transform; print the image or 'not circulant'."""
-    img = theta_image(args.connection_set, args.m, args.t)
+    """Apply the block-shift transform; print the certified image or 'not circulant'."""
+    img = theta_witness(args.connection_set, args.m, args.t)
     print(img if img is not None else "not circulant")
     return 0
 
@@ -94,8 +94,8 @@ def _enumerate_family(args: argparse.Namespace) -> int:
 
 def _scan(args: argparse.Namespace) -> int:
     """Exhaustively scan one order and write a JSON report to --out."""
-    print(f"scanning n={args.n}...", file=sys.stderr)
     _check_writable(args.out)
+    print(f"scanning n={args.n}...", file=sys.stderr)
     report = full_scan(args.n, budget=args.budget)
     with open(args.out, "w", encoding="utf-8") as fh:
         report.write_json(fh)
@@ -107,17 +107,17 @@ def _scan(args: argparse.Namespace) -> int:
 def _generate(args: argparse.Namespace) -> int:
     """Run one construction and classify its output."""
     if args.a17c:
-        left, right = generate_a17c(*args.a17c)
-        print(f"{left}\n{right}")
-        print(classify_pair(left, right).describe())
-        return 0
-    base, p, x, y = args.c1
-    # Member 1 validates all four values, also when p <= 0 leaves no chain.
-    chain = (generate_c1(base, p, x, y, 1),)
-    chain += tuple(generate_c1(base, p, x, y, i) for i in range(2, p + 1))
-    for member in chain:
+        sets = generate_a17c(*args.a17c)
+    else:
+        base, p, x, y = args.c1
+        # Member 1 validates all four values, also when p <= 0 leaves no chain.
+        sets = (generate_c1(base, p, x, y, 1),)
+        sets += tuple(generate_c1(base, p, x, y, i) for i in range(2, p + 1))
+    # Classify before printing, so a usage error leaves stdout empty.
+    verdict = classify_tuple(sets).verdict
+    for member in sets:
         print(member)
-    print(classify_tuple(chain).verdict.describe())
+    print(verdict.describe())
     return 0
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import re
-from functools import cached_property, total_ordering
+from functools import total_ordering
 from typing import Iterable, Optional, Sequence
 
 from .errors import ZeroJump
@@ -140,9 +140,7 @@ def full_difference_set(cs: ConnectionSet) -> tuple[int, ...]:
 class CirculantGraph(_Value):
     """C_n(R): vertex set Z_n, x ~ y iff reduce(y - x) in R."""
 
-    # the cached adjacency lives in __dict__; it is not a field
-    __slots__ = ("cs", "__dict__")
-    _fields = ("cs",)
+    __slots__ = _fields = ("cs",)
     cs: ConnectionSet
 
     def __init__(self, cs: ConnectionSet) -> None:
@@ -157,7 +155,7 @@ class CirculantGraph(_Value):
         n, jumps = self.cs.n, self.cs.jumps
         return 2 * len(jumps) - (1 if n % 2 == 0 and n // 2 in jumps else 0)
 
-    @cached_property
+    @property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Sorted neighbor lists, indexed by vertex."""
         n = self.cs.n

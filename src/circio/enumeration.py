@@ -138,17 +138,26 @@ def _verify_theta_pair(left: ConnectionSet, right: ConnectionSet, m: int, t: int
         raise WitnessMismatch(f"a unit multiplier carries {left} onto {right}")
 
 
+_SCAN_CONVENTION = (
+    "pairs: unordered {R,S} with R != S, a verified theta witness at some "
+    "(m,t), and no unit multiplier carrying R to S; "
+    "tuples: theta-closure classes of minimal non-multiple cores, one tuple "
+    "per nonempty multiple-of-m extension not fixed by every unit in some "
+    "linking coset; pair witnesses re-verified edge-level exhaustively for "
+    "n <= 32 and on a 100-record sample at n = 54"
+)
+
+
 class ScanReport(_Value):
-    __slots__ = _fields = ("n", "convention", "counts", "records")
+    __slots__ = _fields = ("n", "counts", "records")
     n: int
-    convention: str
     counts: dict[str, int]
     records: list[TupleRecord]
+    # Every report counts by this one convention, so it is not a field.
+    convention = _SCAN_CONVENTION
 
-    def __init__(
-        self, n: int, convention: str, counts: dict[str, int], records: list[TupleRecord]
-    ) -> None:
-        self._init(n, convention, counts, records)
+    def __init__(self, n: int, counts: dict[str, int], records: list[TupleRecord]) -> None:
+        self._init(n, counts, records)
 
     def to_json(self) -> dict:
         return {
@@ -181,16 +190,6 @@ class ScanReport(_Value):
         fh.write("\n  ]\n}\n")
 
 
-_SCAN_CONVENTION = (
-    "pairs: unordered {R,S} with R != S, a verified theta witness at some "
-    "(m,t), and no unit multiplier carrying R to S; "
-    "tuples: theta-closure classes of minimal non-multiple cores, one tuple "
-    "per nonempty multiple-of-m extension not fixed by every unit in some "
-    "linking coset; pair witnesses re-verified edge-level exhaustively for "
-    "n <= 32 and on a 100-record sample at n = 54"
-)
-
-
 def full_scan(n: int, budget: int = DEFAULT_SCAN_BUDGET) -> ScanReport:
     """Count and list the non-multiplier isomorphisms at one order.
 
@@ -214,9 +213,7 @@ def full_scan(n: int, budget: int = DEFAULT_SCAN_BUDGET) -> ScanReport:
     for a, b in zip(records, records[1:]):
         if a.members[0] == b.members[0]:
             raise WitnessMismatch(f"two scan records start with {a.members[0]}")
-    return ScanReport(
-        n=n, convention=_SCAN_CONVENTION, counts=counts, records=records
-    )
+    return ScanReport(n=n, counts=counts, records=records)
 
 
 def _scan_one_modulus(

@@ -112,11 +112,6 @@ class GoldenRow(_Value):
             family, table_no, row_no, source, printed_t2, printed_t4, printed_orbit, expected_verdict
         )
 
-    @property
-    def members(self) -> tuple[str, str, str]:
-        """Text forms of the row triple as printed."""
-        return (str(self.source), str(self.printed_t2), str(self.printed_t4))
-
 
 def load_golden_rows() -> list[GoldenRow]:
     rows = []

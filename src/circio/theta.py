@@ -20,10 +20,10 @@ multiples of its least period p, a divisor of n, so the hits are the
 multiples of p / gcd(p, m^2), and no image is built at a miss.
 
 One edge-level check, _carries, certifies that theta carries C_n(a) onto
-C_n(b) for theta_witness and the scan's pair re-check, without reading the
-rule above. It checks D'_r = D(b) for each r: the edges at y = r (mod m) land
-on theta(y) + D'_r, so this covers every edge, one residue class at a time,
-in m*|D| steps. The tests' reference hands theta_vertex_map to the oracle's
+C_n(b) for theta_witness, classify's links and the scan's pair re-check,
+without reading the rule above. It checks D'_r = D(b) for each r: the edges
+at y = r (mod m) land on theta(y) + D'_r, so this covers every edge, one
+residue class at a time, in m*|D| steps. The tests' reference hands theta_vertex_map to the oracle's
 verify_permutation; nothing here imports the oracle.
 """
 

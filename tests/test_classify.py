@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import circio.classify as classify_mod
 import circio.theta as theta_mod
 from circio import (
     DEFAULT_BUDGET,
@@ -21,6 +22,7 @@ from circio import (
     ConnectionSet,
     InvalidParams,
     OrderMismatch,
+    WitnessMismatch,
     adam_orbit,
     classify_pair,
     classify_tuple,
@@ -54,6 +56,18 @@ class TestClassifyPair:
         assert v.describe() == "Type2 m=3 t=2"
         assert v.table_verdict == "T2"
         assert v.chain == (cs("C54(1,3,17,19)"), cs("C54(3,7,11,25)"))
+
+    def test_false_theta_image_is_not_certified(self, monkeypatch):
+        # A link rests on the edge-level check, not on the image jump_hits
+        # reports: θ at t = 1 does not carry a onto b (t = 2 does).
+        a, b = cs("C54(1,3,17,19)"), cs("C54(3,7,11,25)")
+
+        def false_hits(n, m, jumps):
+            yield 1, b
+
+        monkeypatch.setattr(classify_mod, "jump_hits", false_hits)
+        with pytest.raises(WitnessMismatch, match="does not carry"):
+            classify_pair(a, b)
 
     def test_type2_family_b(self):
         v = classify_pair(cs("C54(2,3,16,20)"), cs("C54(3,4,14,22)"))

@@ -14,7 +14,9 @@ from types import SimpleNamespace
 
 import pytest
 
+import circio.classify as classify_mod
 import circio.cli as cli_mod
+import circio.theta as theta_mod
 from circio.cli import export_csv, export_jsonl, main
 from circio import GoldenReport, ProbeReport, WitnessMismatch, enumerate_family
 from circio.multipliers import MAX_UNIT_ORDER
@@ -293,6 +295,20 @@ class TestFailedCertificate:
         monkeypatch.setattr(cli_mod, "verify_goldens", self.mismatch)
         self.assert_not_certified(runner.invoke(main, ["verify-goldens"]))
 
+    def test_classify(self, runner, monkeypatch):
+        # The verdict counts a theta link only after its edge-level check.
+        monkeypatch.setattr(classify_mod, "_carries", self.mismatch)
+        result = runner.invoke(main, ["classify", "C54(1,3,17,19)", "C54(3,7,11,25)"])
+        self.assert_not_certified(result)
+        assert "Type2" not in result.output
+
+    def test_theta(self, runner, monkeypatch):
+        # theta prints theta_witness's image, which _carries has checked.
+        monkeypatch.setattr(theta_mod, "_carries", self.mismatch)
+        result = runner.invoke(main, ["theta", "--m", "3", "--t", "2", "C54(1,3,17,19)"])
+        self.assert_not_certified(result)
+        assert "C54(3,7,11,25)" not in result.output
+
 
 class TestUnwritableOutBeforeWork:
     """A bad --out fails before the work starts, and a failed scan leaves the
@@ -315,6 +331,11 @@ class TestUnwritableOutBeforeWork:
             main, ["enumerate-family", "--family", "a", "--out", str(out)]
         )
         assert_unwritable(result, out)
+
+    def test_scan_says_nothing_first(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "scan16.json"
+        assert main(["scan", "--n", "16", "--out", str(out)]) == 2
+        assert "scanning" not in capsys.readouterr().err
 
     def test_probe_open(self, runner, tmp_path, monkeypatch):
         monkeypatch.setattr(cli_mod, "probe_open_problems", self.refuse)
@@ -414,6 +435,17 @@ class TestGenerateCommand:
             main, ["generate", "--a17c", "2", "1", "--c1", "1", "3", "1", "0"]
         )
         assert both.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "argv", [["--a17c", "1000000000", "1"], ["--c1", "10000", "101", "1", "0"]]
+    )
+    def test_usage_error_prints_no_sets(self, capsys, argv):
+        # The sets are classified before any is printed, so a construction
+        # above the unit ceiling leaves stdout empty.
+        assert main(["generate", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"unit multipliers support n <= {MAX_UNIT_ORDER}" in err
 
     def test_degenerate_exit_2(self, runner):
         result = runner.invoke(main, ["generate", "--a17c", "3", "2"])

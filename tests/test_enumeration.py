@@ -43,7 +43,13 @@ from circio import (
     verify_goldens,
     worker_count,
 )
-from circio.enumeration import FAMILY_BASES, _mask_tables, _pair_orbit, family_rows
+from circio.enumeration import (
+    _SCAN_CONVENTION,
+    FAMILY_BASES,
+    _mask_tables,
+    _pair_orbit,
+    family_rows,
+)
 from circio.export import export_jsonl
 from circio.multipliers import _images, units
 from circio.theta import _levels, _nonmultiple_atoms
@@ -445,10 +451,11 @@ class TestFullScan:
         records = [t1, non_iso, unknown, escaped, empty_chain, one_member]
         for record in records:
             fh = io.StringIO()
-            ScanReport(n=0, convention="", counts={}, records=[record]).write_json(fh)
+            ScanReport(n=0, counts={}, records=[record]).write_json(fh)
             nested = json.dumps(record.to_json(), indent=2).replace("\n", "\n    ")
             assert fh.getvalue() == (
-                '{\n  "n": 0,\n  "convention": "",\n  "counts": {},\n'
+                f'{{\n  "n": 0,\n  "convention": {json.dumps(_SCAN_CONVENTION)},\n'
+                '  "counts": {},\n'
                 f'  "records": [\n    {nested}\n  ]\n}}\n'
             )
         path = tmp_path / "shapes.jsonl"

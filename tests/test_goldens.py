@@ -28,7 +28,9 @@ class TestLoadGoldenRows:
         row = load_golden_rows()[0]
         assert (row.family, row.row_no, row.table_no) == ("a", 1, 1)
         assert row.source == cs("C54(1,3,17,19)")
-        assert row.members == ("C54(1,3,17,19)", "C54(3,7,11,25)", "C54(3,5,13,23)")
+        assert (str(row.source), str(row.printed_t2), str(row.printed_t4)) == (
+            "C54(1,3,17,19)", "C54(3,7,11,25)", "C54(3,5,13,23)"
+        )
         assert row.expected_verdict == "T2"
 
     def test_rows_unique(self):

@@ -39,7 +39,7 @@ class TestReproduceTables:
 
         def scan_without_first_record(n):
             report = real(n)
-            return ScanReport(report.n, report.convention, report.counts, report.records[1:])
+            return ScanReport(report.n, report.counts, report.records[1:])
 
         monkeypatch.setattr(script, "full_scan", scan_without_first_record)
         monkeypatch.setattr(sys, "argv", ["reproduce_tables.py", "--out-dir", str(tmp_path)])

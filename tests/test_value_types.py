@@ -77,10 +77,10 @@ SPECS = [
          f"TupleRecord(members=({CS_REPR},), theta_images={{2: {CS_REPR}}}, "
          f"verdict={CLASSIFICATION_REPR})",
          lambda: TupleRecord((CS,), {2: CS}, CLASSIFICATION)),
-    Spec(ScanReport, (8, "conv", {"a": 1}, []),
-         (("n", _EMPTY), ("convention", _EMPTY), ("counts", _EMPTY), ("records", _EMPTY)),
-         "ScanReport(n=8, convention='conv', counts={'a': 1}, records=[])",
-         lambda: ScanReport(8, "conv", {"a": 2}, []), hashable=False),
+    Spec(ScanReport, (8, {"a": 1}, []),
+         (("n", _EMPTY), ("counts", _EMPTY), ("records", _EMPTY)),
+         "ScanReport(n=8, counts={'a': 1}, records=[])",
+         lambda: ScanReport(8, {"a": 2}, []), hashable=False),
     Spec(GoldenRow, ("a", 1, 2, CS, CS, CS, (CS,), "T2"),
          (("family", _EMPTY), ("table_no", _EMPTY), ("row_no", _EMPTY), ("source", _EMPTY),
           ("printed_t2", _EMPTY), ("printed_t4", _EMPTY), ("printed_orbit", _EMPTY),
@@ -159,6 +159,10 @@ class TestEveryType:
             assert repr(twin) == spec.text
             if spec.cls is not TupleRecord:
                 assert twin == value
+
+    def test_no_instance_dict(self, spec):
+        # every value is its fields and nothing else: no hidden per-instance state
+        assert not hasattr(spec.cls(*spec.args), "__dict__")
 
     def test_not_a_tuple(self, spec):
         # the JSON renderers branch on isinstance(value, tuple)
@@ -274,7 +278,6 @@ class TestConnectionSetOrder:
 class TestCirculantGraphCache:
     def test_adjacency_is_computed_once_and_hidden(self):
         g = CirculantGraph(ConnectionSet(8, (1, 2)))
-        assert g.adjacency is g.adjacency
         assert g.adjacency[0] == (1, 2, 6, 7)
         assert repr(g) == f"CirculantGraph(cs={CS_REPR})"
         assert g == CirculantGraph(CS) and hash(g) == hash(CirculantGraph(CS))
