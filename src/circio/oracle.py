@@ -10,15 +10,19 @@ automorphism maps onto the best leaf also jumps the search back to the node
 where their paths part, since the automorphism carries the rest of that
 subtree onto one already explored. Pruning by automorphisms skips only
 subtrees equivalent to explored ones, so the certificate and the labeling do
-not depend on the seeds or the jumps. The canonical engine works on plain
-adjacency lists and uses no multiplier or theta algebra, so it owes nothing
-to the algebra it is checking.
+not depend on the seeds or the jumps. A regular graph skips the root
+refinement, since its one-cell root coloring is already equitable.
+isomorphic(a, b) searches b only up to the first leaf with a's certificate,
+which is the leaf b's full search keeps when a and b are isomorphic. The
+canonical engine works on plain adjacency lists and uses no multiplier or
+theta algebra, so it owes nothing to the algebra it is checking.
 """
 
 from __future__ import annotations
 
 from bisect import bisect
-from typing import Iterable, Optional, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Optional, Sequence
 
 from .core import (
     CirculantGraph,
@@ -31,11 +35,13 @@ from .errors import BudgetExceeded, InvalidParams, OrderMismatch, WitnessMismatc
 
 DEFAULT_BUDGET = 10 ** 7
 
+Cert = tuple[tuple[int, int], ...]  # a certificate: relabeled edges, sorted
+
 
 class CanonicalForm(_Value):
     __slots__ = _fields = ("n", "canonical_edges", "labeling", "nodes")
     n: int
-    canonical_edges: tuple[tuple[int, int], ...]
+    canonical_edges: Cert
     labeling: tuple[int, ...]
     nodes: int  # search nodes used
 
@@ -51,8 +57,10 @@ class CanonicalForm(_Value):
 
 class IsoVerdict(_Value):
     """One of isomorphic (with permutation), non-isomorphic (with a named
-    certificate), or timeout. nodes counts the canonical search nodes used
-    on both sides (0 for a spectral verdict); serialize() leaves it out."""
+    certificate), or timeout. nodes counts the canonical search nodes used:
+    all of a's, and b's up to its first leaf with a's certificate, or all of
+    b's when no leaf has it (0 for a spectral verdict); serialize() leaves
+    it out."""
 
     __slots__ = _fields = ("kind", "permutation", "certificate", "nodes")
     kind: str
@@ -77,11 +85,27 @@ class IsoVerdict(_Value):
         return "timeout"
 
 
+ColoursOf = Callable[[list[int]], Sequence[int]]
+
+
+def _neighbour_colours(adj: Sequence[Sequence[int]]) -> list[ColoursOf]:
+    """Per vertex v, a function from a coloring to the colours of v's
+    neighbours, built once per search."""
+    getters = []
+    for row in adj:
+        if len(row) > 1:
+            getters.append(itemgetter(*row))
+        else:  # itemgetter returns a scalar for one index and fails for none
+            getters.append(itemgetter(slice(row[0], row[0] + 1) if row else slice(0)))
+    return getters
+
+
 def _refine(
     adj: Sequence[Sequence[int]],
     colors: list[int],
     cells: list[Optional[list[int]]],
     moved: Iterable[int],
+    colours_of: Optional[list[ColoursOf]] = None,
 ) -> None:
     """Equitable refinement, in place.
 
@@ -99,7 +123,10 @@ def _refine(
     cell's minus the other parts'. The result is the same as splitting
     every cell in every round. moved names the vertices to start from:
     every vertex unless the coloring was equitable before they moved.
+    colours_of is _neighbour_colours(adj), built here when not given.
     """
+    if colours_of is None:
+        colours_of = _neighbour_colours(adj)
     while True:
         splits = []
         for start in {colors[u] for w in moved for u in adj[w]}:
@@ -108,7 +135,7 @@ def _refine(
                 continue
             parts: dict[tuple[int, ...], list[int]] = {}
             for v in cell:
-                key = tuple(sorted(map(colors.__getitem__, adj[v])))
+                key = tuple(sorted(colours_of[v](colors)))
                 parts.setdefault(key, []).append(v)
             if len(parts) > 1:
                 splits.append((start, [parts[key] for key in sorted(parts)]))
@@ -141,7 +168,7 @@ def _individualize(
     return colors, cells
 
 
-def _certificate(adj: Sequence[Sequence[int]], lab: Sequence[int]) -> tuple[tuple[int, int], ...]:
+def _certificate(adj: Sequence[Sequence[int]], lab: Sequence[int]) -> Cert:
     """The edges relabeled by lab, each as (low, high), in sorted order."""
     out = []
     for v, row in enumerate(adj):
@@ -166,13 +193,19 @@ def _close(orbit: set[int], todo: list[int], gens: Sequence[Sequence[int]]) -> N
 
 
 class _Search:
-    def __init__(self, n: int, adj: Sequence[Sequence[int]], budget: int):
+    def __init__(
+        self, n: int, adj: Sequence[Sequence[int]], budget: int, stop: Optional[Cert] = None
+    ):
         self.n = n
         self.adj = adj
         self.nbr = [set(a) for a in adj]
+        self.colours_of = _neighbour_colours(adj)
+        # With equal row lengths the one-cell root coloring is equitable.
+        self.regular = len({len(row) for row in adj}) <= 1
+        self.stop = stop  # a certificate that ends the search at its first leaf
         self.budget = budget
         self.remaining = budget
-        self.best_cert: Optional[tuple[tuple[int, int], ...]] = None
+        self.best_cert: Optional[Cert] = None
         self.best_lab: Optional[list[int]] = None
         self.best_path: tuple[int, ...] = ()
         self.auts: list[tuple[int, ...]] = []
@@ -199,8 +232,9 @@ class _Search:
 
     def _leaf(self, colors: list[int], path: tuple[int, ...]) -> int:
         """Compare the leaf with the best one and return the depth the search
-        resumes at: the leaf's own depth, or the depth where its path parts
-        from the best path when an automorphism maps it onto the best leaf."""
+        resumes at: the leaf's own depth, the depth where its path parts from
+        the best path when an automorphism maps it onto the best leaf, or -1,
+        which ends the search, at a leaf whose certificate is stop."""
         lab = colors  # discrete coloring is the labeling itself
         if self.best_lab is not None:
             # lab's certificate equals the best one exactly when the map
@@ -226,6 +260,8 @@ class _Search:
             self.best_cert = cert
             self.best_lab = list(lab)
             self.best_path = path
+            if cert == self.stop:
+                return -1
         return len(path)
 
     def run(
@@ -237,8 +273,10 @@ class _Search:
             raise BudgetExceeded("canonical search budget exhausted")
         self.remaining -= 1
         # The parent coloring is equitable, so only the last individualized
-        # vertex has moved; the root starts from every vertex.
-        _refine(self.adj, colors, cells, path[-1:] if path else range(self.n))
+        # vertex has moved; the root starts from every vertex unless the
+        # graph is regular.
+        moved = path[-1:] if path or self.regular else range(self.n)
+        _refine(self.adj, colors, cells, moved, self.colours_of)
         target = max(filter(None, cells), key=len, default=None)  # first largest
         if target is None or len(target) == 1:
             return self._leaf(colors, path)
@@ -310,10 +348,15 @@ def _twin_seeds(n: int, adj: Sequence[Sequence[int]], search: _Search) -> list[t
 
 
 def _canonical_search(
-    n: int, adj: Sequence[Sequence[int]], budget: int
-) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...], int]:
-    """Certificate, labeling and search nodes used for sorted adjacency lists."""
-    search = _Search(n, adj, budget)
+    n: int, adj: Sequence[Sequence[int]], budget: int, stop: Optional[Cert] = None
+) -> tuple[Cert, tuple[int, ...], int]:
+    """Certificate, labeling and search nodes used for sorted adjacency lists.
+
+    With stop, the search ends at the first leaf whose certificate is stop.
+    The best leaf changes only for a smaller certificate, so when stop is
+    the least certificate of the graph, that leaf is the one the full search
+    keeps; otherwise no leaf matches and the search runs to the end."""
+    search = _Search(n, adj, budget, stop)
     for gamma in _dihedral_seeds(n, search) + _twin_seeds(n, adj, search):
         search._store(gamma)
     search.run([0] * n, [list(range(n))] + [None] * (n - 1) if n else [], ())
@@ -353,7 +396,12 @@ def canonical_edges_of(
 def canonical_form(g: CirculantGraph, budget: int = DEFAULT_BUDGET) -> CanonicalForm:
     """Canonical form of a circulant graph. Raises BudgetExceeded on blowup."""
     adj = g.adjacency
-    cert, lab, nodes = _canonical_search(g.n, adj, budget)
+    return _checked_form(g, adj, *_canonical_search(g.n, adj, budget))
+
+
+def _checked_form(
+    g: CirculantGraph, adj: Sequence[Sequence[int]], cert: Cert, lab: tuple[int, ...], nodes: int
+) -> CanonicalForm:
     # The labeling must reproduce the certificate exactly.
     if _certificate(adj, lab) != cert:
         raise WitnessMismatch(f"the canonical labeling of {g.cs} misses its certificate")
@@ -385,7 +433,8 @@ def verify_permutation(
 def isomorphic(
     a: CirculantGraph, b: CirculantGraph, budget: int = DEFAULT_BUDGET
 ) -> IsoVerdict:
-    """Spectrum shortcut for mismatches, canonical forms for the rest."""
+    """Spectrum shortcut for mismatches, canonical forms for the rest. b's
+    search stops at the first leaf that reproduces a's certificate."""
     if a.n != b.n:
         raise OrderMismatch(f"orders differ: {a.n} vs {b.n}")
     gap = first_spectral_gap(adjacency_spectrum(a.cs), adjacency_spectrum(b.cs))
@@ -395,7 +444,8 @@ def isomorphic(
     try:
         ca = canonical_form(a, budget)
         nodes = ca.nodes
-        cb = canonical_form(b, budget)
+        adj = b.adjacency
+        cb = _checked_form(b, adj, *_canonical_search(b.n, adj, budget, ca.canonical_edges))
     except BudgetExceeded:
         # The search gives up only once it has spent its whole budget.
         return IsoVerdict(kind="timeout", nodes=nodes + max(budget, 0))

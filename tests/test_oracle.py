@@ -576,6 +576,47 @@ class TestRefinement:
                 reference = reference_refine(n, adj, reference_individualize(reference, v))
 
 
+class TestRootRefinement:
+    """The search skips the root refinement of a regular graph (every
+    circulant), whose one-cell root coloring is already equitable; other
+    graphs still refine at the root."""
+
+    @staticmethod
+    def refined_root(n, adj) -> tuple[list[int], list]:
+        colors, cells = [0] * n, [list(range(n))] + [None] * (n - 1)
+        oracle_mod._refine(adj, colors, cells, range(n))
+        return colors, cells
+
+    @staticmethod
+    def searched_root(n, adj) -> tuple[list[int], list]:
+        """The root coloring a whole search leaves: the root refines in
+        place, and every child works on copies."""
+        colors, cells = [0] * n, [list(range(n))] + [None] * (n - 1)
+        oracle_mod._Search(n, adj, oracle_mod.DEFAULT_BUDGET).run(colors, cells, ())
+        return colors, cells
+
+    def test_regular_root_does_not_split(self):
+        graphs = [
+            (n, adj)
+            for n, adj in sample_graphs(seed=17, count=30)
+            if len({len(row) for row in adj}) == 1
+        ]
+        graphs += copies_of_regular_graphs(seed=3, count=10)
+        assert len(graphs) > 25
+        for n, adj in graphs:
+            one_cell = ([0] * n, [list(range(n))] + [None] * (n - 1))
+            assert self.refined_root(n, adj) == one_cell == self.searched_root(n, adj), n
+
+    def test_star_and_path_split_at_the_root(self):
+        # The star has an isolated seventh vertex: rows of 0, 1 and 5 entries.
+        star = adjacency_lists(7, [(0, v) for v in range(1, 6)])
+        path = adjacency_lists(6, [(v, v + 1) for v in range(5)])
+        assert self.refined_root(7, star)[0] == [6, 1, 1, 1, 1, 1, 0]
+        assert self.refined_root(6, path)[0] == [0, 2, 4, 4, 2, 0]
+        for n, adj in ((7, star), (6, path)):
+            assert self.searched_root(n, adj) == self.refined_root(n, adj), n
+
+
 class TestNodeCounts:
     def test_cycle_needs_three_nodes(self):
         # Root, one child, one leaf: the rotation prunes the root's other
@@ -595,18 +636,24 @@ class TestNodeCounts:
                 assert canonical_form(CirculantGraph(member)).nodes == nodes, (name, row)
 
     def test_isomorphic_sums_both_sides(self):
+        # a's full search, then b's up to its first leaf with a's certificate.
         a, b = graph("C54(1,3,17,19)"), graph("C54(3,7,11,25)")
         v = isomorphic(a, b)
-        assert v.nodes == canonical_form(a).nodes + canonical_form(b).nodes
+        form = canonical_form(a)
+        stopped = oracle_mod._canonical_search(
+            b.n, b.adjacency, oracle_mod.DEFAULT_BUDGET, form.canonical_edges
+        )[2]
+        assert (form.nodes, stopped, canonical_form(b).nodes) == (5, 4, 5)
+        assert v.nodes == form.nodes + stopped == 9
 
     def test_timeout_says_how_far_it_got(self):
-        # Each side needs 5 nodes; the first one gives up after the budget.
+        # a needs 5 nodes and b 4; the first one gives up after the budget.
         a, b = graph("C54(1,3,17,19)"), graph("C54(3,7,11,25)")
         for budget in (3, 4):
             v = isomorphic(a, b, budget=budget)
             assert v.kind == "timeout"
             assert v.nodes == budget
-        assert isomorphic(a, b, budget=5).nodes == 10
+        assert isomorphic(a, b, budget=5).nodes == 9
 
     def test_spectral_verdict_uses_no_nodes(self):
         v = isomorphic(graph("C16(1)"), graph("C16(1,2)"))
@@ -616,6 +663,85 @@ class TestNodeCounts:
         v = isomorphic(graph("C8(1,2)"), graph("C8(2,3)"))
         assert v.nodes > 0
         assert v.serialize() == "isomorphic " + " ".join(map(str, v.permutation))
+
+
+def full_searches(a: CirculantGraph, b: CirculantGraph) -> tuple[tuple, int]:
+    """isomorphic's (kind, permutation, certificate) for a cospectral pair,
+    rebuilt from two full canonical searches, and their summed nodes."""
+    n = a.n
+    cert_a, lab_a, nodes_a = oracle_mod._canonical_search(n, a.adjacency, oracle_mod.DEFAULT_BUDGET)
+    cert_b, lab_b, nodes_b = oracle_mod._canonical_search(n, b.adjacency, oracle_mod.DEFAULT_BUDGET)
+    if cert_a != cert_b:
+        return ("non-isomorphic", None, "canonical-form"), nodes_a + nodes_b
+    inv_b = [0] * n
+    for v in range(n):
+        inv_b[lab_b[v]] = v
+    return ("isomorphic", tuple(inv_b[lab_a[v]] for v in range(n)), None), nodes_a + nodes_b
+
+
+class TestStoppedSearch:
+    """b's search stops at the first leaf with a's certificate: the leaf the
+    full search keeps, since the best leaf changes only for a smaller
+    certificate. Kind, permutation and certificate are those of two full
+    searches; only the node count falls."""
+
+    @staticmethod
+    def assert_matches_full_searches(a: ConnectionSet, b: ConnectionSet) -> tuple[int, int]:
+        ga, gb = CirculantGraph(a), CirculantGraph(b)
+        v = isomorphic(ga, gb)
+        expected, full_nodes = full_searches(ga, gb)
+        assert (v.kind, v.permutation, v.certificate) == expected, (a, b)
+        assert v.nodes <= full_nodes, (a, b)
+        return v.nodes, full_nodes
+
+    def test_unit_multiples(self):
+        rng = random.Random(23)
+        saved = 0
+        for _ in range(40):
+            n = rng.randint(16, 54)
+            jumps = rng.sample(range(1, n // 2 + 1), rng.randint(1, min(5, n // 2)))
+            a = ConnectionSet(n, tuple(sorted(jumps)))
+            b = multiply_set(a, rng.choice(units(n)))
+            nodes, full_nodes = self.assert_matches_full_searches(a, b)
+            saved += full_nodes - nodes
+        assert saved > 0
+
+    def test_theta_images_of_catalogue_rows(self):
+        for record in random.Random(6).sample(type2_family_records(), 10):
+            first, *rest = record.members
+            for member in rest:
+                self.assert_matches_full_searches(first, member)
+        for name, row in CATALOGUE_T1:
+            record = family_records(name)[row - 1]
+            self.assert_matches_full_searches(record.members[0], record.theta_images[2])
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ("C54(1,2,3,16,17,19,20)", "C54(1,2,15,16,17,19,20)"),
+            ("C25(1,4,5,6,9,11)", "C25(1,4,6,9,10,11)"),
+            ("C32(1,4,15,16)", "C32(1,12,15,16)"),
+        ],
+    )
+    def test_pairs_without_a_witness(self, a, b):
+        # classify_pair calls these isomorphic with no Type-1/Type-2 witness.
+        self.assert_matches_full_searches(cs(a), cs(b))
+
+    @pytest.mark.parametrize("text", ["C48(1,9,17)", "C24(5,8,9,11,12)"])
+    def test_canonical_leaf_after_the_first(self, text):
+        # The first leaf of these graphs is not their canonical one, so a
+        # search that stopped at any leaf would give a wrong verdict.
+        self.assert_matches_full_searches(cs(text), cs(text))
+
+    @pytest.mark.parametrize(
+        "a, b", [("C20(1,3,4,6)", "C20(1,4,6,7)"), ("C20(1,2,4,9)", "C20(2,3,4,7)")]
+    )
+    def test_cospectral_non_isomorphic_pair_searches_both_in_full(self, a, b):
+        # No leaf of b has a's certificate, so b's search runs to the end;
+        # C20(2,3,4,7)'s has 7 nodes, 4 of them down to its first leaf.
+        nodes, full_nodes = self.assert_matches_full_searches(cs(a), cs(b))
+        assert isomorphic(graph(a), graph(b)).certificate == "canonical-form"
+        assert nodes == full_nodes
 
 
 def test_pinned_certificates_labelings_and_nodes():

@@ -275,8 +275,8 @@ class TestConnectionSetOrder:
             sorted([a, (8, (1, 3))])
 
 
-class TestCirculantGraphCache:
-    def test_adjacency_is_computed_once_and_hidden(self):
+class TestCirculantGraphAdjacency:
+    def test_adjacency_is_built_from_jumps_and_not_a_field(self):
         g = CirculantGraph(ConnectionSet(8, (1, 2)))
         assert g.adjacency[0] == (1, 2, 6, 7)
         assert repr(g) == f"CirculantGraph(cs={CS_REPR})"
