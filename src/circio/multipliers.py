@@ -7,6 +7,9 @@ of a set under all units is the equivalence class for that mechanism.
 x and n - x reduce every jump alike, so the orbit needs only the units
 x <= n/2. Their reduced products with each jump j are cached per (n, j) as
 one column; the images of a set are the rows of its jumps' columns.
+adam_orbit sorts each row into jumps. carrying_half_units sorts none: it
+compares each row's set with b's, |a| steps a unit, and like the orbit it
+checks that every row keeps |a| distinct jumps, whether or not it is b.
 """
 
 from __future__ import annotations
@@ -72,11 +75,12 @@ def _images(cs: ConnectionSet) -> list[tuple[int, ...]]:
     return list(map(tuple, map(sorted, zip(*columns))))
 
 
-def _same_size(cs: ConnectionSet, images: Iterable[tuple[int, ...]]) -> None:
+def _same_size(cs: ConnectionSet, images: Iterable[Iterable[int]]) -> None:
     """Raise WitnessMismatch unless every image has as many jumps as cs."""
     # Units permute the difference residues, so the size never changes.
+    # frozenset of a frozenset is that set itself: rows are not copied.
     for img in images:
-        if len(set(img)) != len(cs.jumps):
+        if len(frozenset(img)) != len(cs.jumps):
             raise WitnessMismatch(f"a unit multiple of {cs} reduced to {img}, another size")
 
 
@@ -95,9 +99,14 @@ def carrying_half_units(a: ConnectionSet, b: ConnectionSet) -> tuple[int, ...]:
         raise OrderMismatch(f"orders differ: {a.n} vs {b.n}")
     if len(a.jumps) != len(b.jumps):
         return ()
-    images = _images(a)
-    _same_size(a, images)
-    return tuple(x for x, img in zip(_half_units(a.n), images) if img == b.jumps)
+    n = a.n
+    if not a.jumps:
+        return _half_units(n)
+    # A row that lost a jump raises even when it is not b's.
+    rows = list(map(frozenset, zip(*[_column(n, j) for j in a.jumps])))
+    _same_size(a, rows)
+    target = frozenset(b.jumps)
+    return tuple([x for x, row in zip(_half_units(n), rows) if row == target])
 
 
 def is_adam_equivalent(a: ConnectionSet, b: ConnectionSet) -> Optional[int]:

@@ -21,10 +21,15 @@ multiples of p / gcd(p, m^2), and no image is built at a miss.
 
 One edge-level check, _carries, certifies that theta carries C_n(a) onto
 C_n(b) for theta_witness, classify's links and the scan's pair re-check,
-without reading the rule above. It checks D'_r = D(b) for each r: the edges
-at y = r (mod m) land on theta(y) + D'_r, so this covers every edge, one
-residue class at a time, in m*|D| steps. The tests' reference hands theta_vertex_map to the oracle's
-verify_permutation; nothing here imports the oracle.
+without reading the rule above. The edges at y = r (mod m) land on
+theta(y) + D'_r, so theta carries them all iff D'_r = D(b) for each r, and
+that holds class by class: D's class c goes to class c of D'_r. Class 0
+never moves; class c >= 1 moves by c*t*m when r + c < m and by (c - m)*t*m
+otherwise, so r = 0 and r = m - 1 between them make every move there is.
+The 2m - 1 class equalities are therefore D'_0 = D(b) and D'_{m-1} = D(b),
+2|D| steps whatever m and n are. The tests' reference hands
+theta_vertex_map to the oracle's verify_permutation; nothing here imports
+the oracle.
 """
 
 from __future__ import annotations
@@ -141,16 +146,22 @@ def theta_image(cs: ConnectionSet, m: int, t: int) -> Optional[ConnectionSet]:
 
 def _carries(a: ConnectionSet, b: ConnectionSet, m: int, t: int) -> None:
     """Raise WitnessMismatch unless theta at (m, t) carries the edges of
-    C_n(a) exactly onto those of C_n(b), in m*|D| steps and with no vertex
+    C_n(a) exactly onto those of C_n(b), in 2|D| steps and with no vertex
     map. For y = r (mod m), theta(y + d) - theta(y) is the element of D'_r
     that d gives, so theta sends y's neighbours exactly onto theta(y)'s in
-    C_n(b) iff D'_r = D(b); every vertex lies in one class r."""
+    C_n(b) iff D'_r = D(b); every vertex lies in one class r, and every
+    D'_r holds only moves that D'_0 or D'_{m-1} makes (module docstring)."""
     params = ThetaParams(a.n, m, t)
     n, shift = a.n, t * m
-    diffs = [(d, d % m) for s in a.jumps for d in (s, n - s)]
     target = {d for s in b.jumps for d in (s, n - s)}
-    if b.n != n or any(
-        {(d + ((r + c) % m - r) * shift) % n for d, c in diffs} != target for r in range(m)
+    # D'_0 moves class c by c*t*m. D'_{m-1} is D'_0 with each class c >= 1
+    # moved back by t*m^2, so once D'_0 = D(b) it equals D(b) iff that move
+    # keeps D(b) inside itself: the move is one-to-one and D(b) is finite.
+    back = m * shift
+    if (
+        b.n != n
+        or {(d + d % m * shift) % n for s in a.jumps for d in (s, n - s)} != target
+        or any((e - back) % n not in target for e in target if e % m)
     ):
         raise WitnessMismatch(f"vertex map of {params} does not carry {a} onto {b}")
 

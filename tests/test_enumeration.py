@@ -559,7 +559,7 @@ class TestWitnessRecheck:
     """The scan re-verifies the witness of every counted raw pair at
     n <= 32, and of its first 100 records above that: theta must carry the
     left set edge by edge onto the right one, and no unit multiplier may.
-    The re-check compares D'_r with D(right) for each residue class r: it
+    The re-check tests D'_r = D(right) for each residue class r: it
     builds no image, vertex map or adjacency and runs no period search, so
     it does not repeat the jump rule that built the theta class."""
 

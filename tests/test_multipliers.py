@@ -235,6 +235,35 @@ class TestUnitTables:
         with pytest.raises(WitnessMismatch):
             is_adam_equivalent(a, a)
 
+    def test_size_check_runs_on_every_unit(self, monkeypatch):
+        # Only the last half unit's image loses a jump, and no image is b, so
+        # a size check on the images that match b alone would pass it.
+        a, b = cs("C54(1,3,17,19)"), cs("C54(3,7,11,25)")
+        column = multipliers_mod._column
+
+        def merged(n, j):
+            col = column(n, j)
+            if j == a.jumps[1]:
+                return col[:-1] + column(n, a.jumps[0])[-1:]
+            return col
+
+        monkeypatch.setattr(multipliers_mod, "_column", merged)
+        with pytest.raises(WitnessMismatch):
+            carrying_half_units(a, b)
+        with pytest.raises(WitnessMismatch):
+            is_adam_equivalent(a, b)
+
+    @pytest.mark.parametrize(
+        "n,half", [(2, (1,)), (16, (1, 3, 5, 7)), (54, (1, 5, 7, 11, 13, 17, 19, 23, 25))]
+    )
+    def test_sets_with_no_jumps(self, n, half):
+        # No jump, no column: every unit carries the empty set onto itself.
+        # every_set and connection_sets never draw it.
+        empty = ConnectionSet(n, ())
+        assert carrying_half_units(empty, empty) == half
+        assert is_adam_equivalent(empty, empty) == 1
+        assert adam_orbit(empty) == (empty,)
+
     def test_caches_are_bounded(self):
         for cached in (multipliers_mod._half_units, multipliers_mod._column):
             assert cached.cache_info().maxsize is not None

@@ -4,6 +4,7 @@ edge-level definition and with the m-set D'_r rule."""
 
 from __future__ import annotations
 
+import time
 from itertools import combinations
 
 import pytest
@@ -164,6 +165,15 @@ class TestThetaWitness:
         a, m, t = inp
         assert theta_witness(a, m, t) == theta_image(a, m, t)
 
+    def test_order_eight_billion_certifies_quickly(self):
+        # _carries compares sets of |D| differences, so certifying a hit at
+        # n = 8*10^9 costs what it does at n = 54. An n-bit mask of the
+        # differences would take 1 GB here.
+        start = time.perf_counter()
+        image = theta_witness(cs("C8000000000(1,2)"), 2, 2_000_000_000)
+        assert time.perf_counter() - start < 2.0
+        assert image == cs("C8000000000(2,3999999999)")
+
     def test_witness_none_when_not_circulant(self):
         assert theta_witness(cs("C54(1,3,17,19)"), 3, 1) is None
 
@@ -196,9 +206,9 @@ def carries_inputs(draw) -> tuple[ConnectionSet, int, int]:
 
 
 class TestCarries:
-    """_carries compares D'_r with D(b) for each residue class r; it must
-    accept and reject exactly where the vertex-by-vertex reference
-    vertex_map_carries does."""
+    """_carries checks D'_r = D(b) for each residue class r, through D'_0
+    and D'_{m-1}; it must accept and reject exactly where the
+    vertex-by-vertex reference vertex_map_carries does."""
 
     @pytest.mark.parametrize("source,t,image", WORKED_IMAGES)
     def test_worked_images(self, source, t, image):
