@@ -14,7 +14,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import ZeroJump
 
-_CS_TEXT = re.compile(r"^\s*C\s*([0-9]+)\s*\(\s*([0-9]+(?:\s*,\s*[0-9]+)*)\s*\)\s*$")
+_CS_TEXT = re.compile(r"^\s*C\s*([0-9]+)\s*\(\s*((?:[0-9]+(?:\s*,\s*[0-9]+)*)?)\s*\)\s*$")
 
 _set = object.__setattr__
 
@@ -99,16 +99,24 @@ class ConnectionSet(_Value):
         return NotImplemented
 
     def __str__(self) -> str:
-        return f"C{self.n}({','.join(map(str, self.jumps))})"
+        return _set_text(self.n, map(str, self.jumps))
 
     @classmethod
     def parse(cls, text: str) -> "ConnectionSet":
         """Parse the text form "C<n>(j1,j2,...)": one integer per
-        comma-separated item, whitespace tolerant."""
+        comma-separated item, whitespace tolerant. "C<n>()", which str
+        prints for a set with no jumps, is that set."""
         m = _CS_TEXT.match(text)
         if m is None:
             raise ValueError(f"not a connection set literal: {text!r}")
-        return reflexive_reduce(map(int, m.group(2).split(",")), int(m.group(1)))
+        items = m.group(2).split(",") if m.group(2) else []
+        return reflexive_reduce(map(int, items), int(m.group(1)))
+
+
+def _set_text(n: int, jump_texts: Iterable[str]) -> str:
+    """The text form C<n>(j1,j2,...) from the jumps' decimal texts: str
+    writes it, and so does the record renderer in export.py."""
+    return f"C{n}({','.join(jump_texts)})"
 
 
 def reflexive_reduce(raw: Iterable[int], n: int) -> ConnectionSet:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 from itertools import chain, combinations
+from operator import attrgetter
 from typing import Sequence, TextIO
 
 from .classify import TYPE2, Classification, TupleRecord, type1_verdict
@@ -37,6 +38,11 @@ from .theta import _carries, _jump_image, _levels, _nonmultiple_atoms, jump_hits
 from .theta import valid_block_moduli
 
 DEFAULT_SCAN_BUDGET = 20_000_000
+
+_jumps = attrgetter("jumps")
+# Records per write in ScanReport.write_json: few writes, and a chunk's text
+# stays small beside the report's.
+_WRITE_CHUNK = 256
 
 
 def worker_count(workers: int | None = None) -> int:
@@ -109,24 +115,46 @@ def _mask_tables(n: int, pool: Sequence[int]) -> dict[int, list[int]]:
     return tables
 
 
-def _pair_orbit(core_images: list, ext_images: list, mask: int) -> list[tuple[int, ...]]:
-    """The sorted jumps of the Ádám orbit of core + exts[mask], core holding
-    no multiple of m. core_images[i] is the i-th unit x <= n/2 times core,
-    and ext_images[i][k] is exts[x*k]: x*(core + ext) is x*core + x*ext."""
-    return sorted({tuple(sorted(c + e[mask])) for c, e in zip(core_images, ext_images)})
-
-
 class _Sets(dict):
-    """jumps -> ConnectionSet(n, jumps), built on first use, so each
+    """jumps -> ConnectionSet(n, jumps), filled by _CoreSets, so each
     distinct set of a scan is one object."""
 
     def __init__(self, n: int) -> None:
         super().__init__()
         self.n = n
 
-    def __missing__(self, jumps: tuple[int, ...]) -> ConnectionSet:
-        cs = self[jumps] = ConnectionSet(self.n, jumps)
+
+class _CoreSets(dict):
+    """mask -> the set core + exts[mask], one dict per core and modulus.
+    A set is built or taken from sets on its pair's first use, so a member
+    or an orbit set is found by its (core, mask) pair without sorting or
+    hashing its jumps again."""
+
+    def __init__(self, core: tuple[int, ...], exts: list[tuple[int, ...]], sets: _Sets) -> None:
+        super().__init__()
+        self.core = core
+        self.exts = exts
+        self.sets = sets
+
+    def __missing__(self, mask: int) -> ConnectionSet:
+        jumps = tuple(sorted(self.core + self.exts[mask]))
+        sets = self.sets
+        cs = sets.get(jumps)
+        if cs is None:
+            cs = sets[jumps] = ConnectionSet(sets.n, jumps)
+        self[mask] = cs
         return cs
+
+
+def _pair_orbit(
+    image_at: list[_CoreSets], table_list: list[list[int]], mask: int
+) -> tuple[ConnectionSet, ...]:
+    """The Ádám orbit of core + exts[mask], core holding no multiple of m,
+    sorted by jumps. image_at[i] is the _CoreSets of the i-th unit x <= n/2
+    times core, and table_list[i] is x's mask table: x*(core + ext) is
+    x*core + x*ext. Equal sets are one object, so identity tells them apart."""
+    images = [at[table[mask]] for at, table in zip(image_at, table_list)]
+    return tuple(sorted({id(cs): cs for cs in images}.values(), key=_jumps))
 
 
 def _verify_theta_pair(left: ConnectionSet, right: ConnectionSet, m: int, t: int) -> None:
@@ -182,11 +210,13 @@ class ScanReport(_Value):
         if not self.records:
             fh.write('  "records": []\n}\n')
             return
-        fh.write('  "records": [\n')
+        fh.write('  "records": [\n    ')
         render = _RecordText(4)
-        for i, record in enumerate(self.records):
-            fh.write(",\n    " if i else "    ")
-            fh.write(render(record))
+        records = self.records
+        for start in range(0, len(records), _WRITE_CHUNK):
+            if start:
+                fh.write(",\n    ")
+            fh.write(",\n    ".join(map(render, records[start:start + _WRITE_CHUNK])))
         fh.write("\n  ]\n}\n")
 
 
@@ -210,8 +240,9 @@ def full_scan(n: int, budget: int = DEFAULT_SCAN_BUDGET) -> ScanReport:
     # One m's records are distinct (class core, mask) pairs with distinct first
     # members, so this key orders them fully; two moduli could repeat a member.
     records.sort(key=lambda r: r.members[0].jumps)
+    # Every set of one scan has order n, so equal jumps are equal sets.
     for a, b in zip(records, records[1:]):
-        if a.members[0] == b.members[0]:
+        if a.members[0].jumps == b.members[0].jumps:
             raise WitnessMismatch(f"two scan records start with {a.members[0]}")
     return ScanReport(n=n, counts=counts, records=records)
 
@@ -289,6 +320,8 @@ def _scan_one_modulus(
     exts: list[tuple[int, ...]] = [()]
     for j in extension_pool:
         exts += [ext + (j,) for ext in exts]
+    # at[core][mask] is the set core + exts[mask]; the dicts live for this m.
+    at = {core: _CoreSets(core, exts, sets) for core in cores}
     # Nonempty extension masks giving core + extension at least 3 jumps.
     masks = range(1, 1 << len(extension_pool))
     admissible = {
@@ -301,10 +334,10 @@ def _scan_one_modulus(
     minimal = {a for a in all_atoms if not any(set(b) < set(a) for b in all_atoms)}
     verify_all = n <= 32
     sample_budget = 0 if verify_all else 100
-    # ext_images[i][mask] is exts[x*mask] for the i-th unit x. An orbit,
-    # once built, is found from the jumps of each of its sets.
-    ext_images = [[exts[k] for k in table] for table in tables.values()]
-    orbit_of: dict[tuple[int, ...], tuple[ConnectionSet, ...]] = {}
+    table_list = list(tables.values())
+    # An orbit, once built, is found from the id of each of its sets, which
+    # sets keeps alive for the whole scan.
+    orbit_of: dict[int, tuple[ConnectionSet, ...]] = {}
     for shift in classes:
         group = sorted(shift)
         # Raw pairs: two members of the class and an admissible extension
@@ -316,11 +349,9 @@ def _scan_one_modulus(
             if not verify_all:
                 continue
             t = (shift[dst] - shift[src]) % (n // m)
+            src_at, dst_at = at[src], at[dst]
             for mask in counted:
-                ext = exts[mask]
-                _verify_theta_pair(
-                    sets[tuple(sorted(src + ext))], sets[tuple(sorted(dst + ext))], m, t
-                )
+                _verify_theta_pair(src_at[mask], dst_at[mask], m, t)
 
         # Primitive tuples: the classes of minimal cores, one per extension.
         if len(group) < 2 or minimal.isdisjoint(group):
@@ -335,28 +366,32 @@ def _scan_one_modulus(
         type1_masks = frozenset.intersection(
             *(carried_fixed(base_core, core) for core in group[1:])
         )
+        # Every image core lies in the class (checked above), so each theta
+        # image is the member at that core's place in group.
+        place = {core: i for i, core in enumerate(group)}
         base_hits = [
-            (t, img) for t, img in images[base_core].items() if img != base_core
+            (t, place[img]) for t, img in images[base_core].items() if img != base_core
         ]
         first_t = base_hits[0][0]
         base = ConnectionSet(n, base_core)
         core_images = _images(base)
         _same_size(base, core_images)
-        for mask in admissible[len(base_core)]:
-            if mask in type1_masks:
-                counts["type1_tuples_primitive"] += 1
-                continue
-            counts["type2_tuples_primitive"] += 1
-            ext = exts[mask]
-            # Every image core lies in the class (checked above), so each
-            # theta image is one of the member objects.
-            member_of = {core: sets[tuple(sorted(core + ext))] for core in group}
-            members = tuple(member_of.values())
-            theta_images = {t: member_of[img] for t, img in base_hits}
-            orbit = orbit_of.get(members[0].jumps)
+        # Units map the atoms of a level onto atoms of it, so cores onto cores.
+        for img in core_images:
+            if img not in at:
+                raise WitnessMismatch(f"the unit image {img} of {base_core} is not a core")
+        image_at = [at[img] for img in core_images]
+        type2_masks = [mask for mask in admissible[len(base_core)] if mask not in type1_masks]
+        counts["type1_tuples_primitive"] += len(admissible[len(base_core)]) - len(type2_masks)
+        counts["type2_tuples_primitive"] += len(type2_masks)
+        # One column of sets per core of the class; a row is one record's members.
+        columns = [list(map(at[core].__getitem__, type2_masks)) for core in group]
+        for mask, members in zip(type2_masks, zip(*columns)):
+            orbit = orbit_of.get(id(members[0]))
             if orbit is None:
-                orbit = tuple([sets[j] for j in _pair_orbit(core_images, ext_images, mask)])
-                orbit_of.update(dict.fromkeys([c.jumps for c in orbit], orbit))
+                orbit = _pair_orbit(image_at, table_list, mask)
+                orbit_of.update(dict.fromkeys(map(id, orbit), orbit))
+            theta_images = {t: members[i] for t, i in base_hits}
             verdict = Classification(kind=TYPE2, orbit=orbit, m=m, t=first_t, chain=members)
             records.append(
                 TupleRecord(members=members, theta_images=theta_images, verdict=verdict)

@@ -208,6 +208,20 @@ class TestScanCounts:
         assert report.counts["type2_pairs_raw"] == 72
         assert secs < 5.0
 
+    @pytest.mark.slow
+    def test_n48_scan_and_report(self, tmp_path):
+        # The heaviest scan command: n = 48 has the most records (10,624).
+        # Scan and report took 0.3 to 0.5 s on 2 shared CPUs; the bound is
+        # 5 to 8 times that.
+        full_scan(16)
+        start = time.perf_counter()
+        report = full_scan(48)
+        with open(tmp_path / "scan48.json", "w", encoding="utf-8") as fh:
+            report.write_json(fh)
+        secs = time.perf_counter() - start
+        assert report.counts["type2_tuples_primitive"] == len(report.records) == 10624
+        assert secs < 2.5
+
     def test_n8_empty(self):
         report = full_scan(8)
         assert report.counts["type2_pairs_raw"] == 0

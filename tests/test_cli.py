@@ -88,6 +88,26 @@ class TestOrbitCommand:
         assert result.exit_code == 2
 
 
+class TestSetWithNoJumps:
+    """C<n>() is what str prints for a set with no jumps. Each command takes
+    it and answers or exits 2 with a message, never with a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv,code,text",
+        [
+            (["orbit", "C8()"], 0, "C8()\n"),
+            (["classify", "C8()", "C8()"], 2, "members must be pairwise distinct"),
+            (["theta", "--m", "2", "--t", "1", "C16()"], 2, "theta is undefined"),
+        ],
+    )
+    def test_answers_or_exits_2(self, runner, argv, code, text):
+        result = runner.invoke(main, argv)
+        assert result.exit_code == code
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert text in result.output
+        assert "Traceback" not in result.output
+
+
 class TestUnitCeiling:
     """Every command that lists units exits 2 above the ceiling, at once."""
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -41,9 +42,19 @@ class TestConnectionSet:
         # 35=54-19, 37=54-17, 51=54-3, 53=54-1
         assert cs("C54(1,3,17,19,35,37,51,53)") == cs("C54(1,3,17,19)")
 
+    def test_parse_takes_every_printed_set(self):
+        # str prints a set with no jumps as C<n>(); parse reads it back.
+        for n in range(2, 11):
+            for k in range(n // 2 + 1):
+                for jumps in combinations(range(1, n // 2 + 1), k):
+                    cs_ = ConnectionSet(n, jumps)
+                    assert ConnectionSet.parse(str(cs_)) == cs_
+        assert ConnectionSet.parse("C2()") == ConnectionSet(2, ())
+        assert ConnectionSet.parse(" C54 ( ) ") == ConnectionSet(54, ())
+
     def test_parse_rejects_garbage(self):
         for text in (
-            "", "C54", "54(1,2)", "C54(1,2", "C54()", "C54(,)", "Cx(1)",
+            "", "C54", "54(1,2)", "C54(1,2", "C54(,)", "Cx(1)",
             "C54(1,,17)", "C54(1,)", "C54(,1)", "C54(1, 2 3)", "C٥٤(1,3)",
         ):
             with pytest.raises(ValueError):

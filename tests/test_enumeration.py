@@ -46,11 +46,13 @@ from circio import (
 from circio.enumeration import (
     _SCAN_CONVENTION,
     FAMILY_BASES,
+    _CoreSets,
     _mask_tables,
     _pair_orbit,
+    _Sets,
     family_rows,
 )
-from circio.export import export_jsonl
+from circio.export import _RecordText, export_jsonl
 from circio.multipliers import _images, units
 from circio.theta import _levels, _nonmultiple_atoms
 from helpers import count_calls, cs, d_r_theta_image, rule_theta_image, theta_check_verdicts
@@ -274,6 +276,16 @@ class TestFixedMasks:
         with pytest.raises(WitnessMismatch, match="another size"):
             full_scan(27)
 
+    def test_core_image_off_the_lattice_raises(self, monkeypatch):
+        # A record's orbit sets are read from the per-core dicts of the unit
+        # images of its class core; an image that is no core must stop the
+        # scan, not raise KeyError. n/2 = 8 is a multiple of m = 2.
+        monkeypatch.setattr(
+            enumeration_mod, "_images", lambda cs: [img[:-1] + (8,) for img in _images(cs)]
+        )
+        with pytest.raises(WitnessMismatch, match="is not a core"):
+            full_scan(16)
+
 
 # Every order with scan records and its one valid m.
 RECORD_ORDERS = ((16, 2), (24, 2), (27, 3), (32, 2), (40, 2), (48, 2), (54, 3))
@@ -300,10 +312,15 @@ class TestPairOrbit:
         n, m, core, mask = pair
         pool = tuple(range(m, n // 2 + 1, m))
         exts = [tuple(j for i, j in enumerate(pool) if k >> i & 1) for k in range(1 << len(pool))]
-        ext_images = [[exts[k] for k in table] for table in _mask_tables(n, pool).values()]
-        jumps = _pair_orbit(_images(ConnectionSet(n, core)), ext_images, mask)
+        sets = _Sets(n)
+        # One _CoreSets per unit image, as the scan's per-core dicts are:
+        # equal images share their sets through sets.
+        image_at = [_CoreSets(img, exts, sets) for img in _images(ConnectionSet(n, core))]
+        orbit = _pair_orbit(image_at, list(_mask_tables(n, pool).values()), mask)
         whole = ConnectionSet(n, tuple(sorted(core + exts[mask])))
-        assert jumps == [c.jumps for c in adam_orbit(whole)]
+        assert orbit == adam_orbit(whole)
+        assert len({id(cs) for cs in orbit}) == len(orbit)
+        assert all(sets[cs.jumps] is cs for cs in orbit)
 
 
 class TestFullScan:
@@ -407,8 +424,11 @@ class TestFullScan:
         }
         assert len(out["records"]) == 8
 
+    # Records share orbit tuples at n = 32 (192 repeats), 40 (768) and 48
+    # (5,120), so the orbit text rendered once is checked here on two orders
+    # without the slow n = 48.
     @pytest.mark.parametrize(
-        "n", [8, 16, 27, 32, pytest.param(48, marks=pytest.mark.slow), 54]
+        "n", [8, 16, 27, 32, 40, pytest.param(48, marks=pytest.mark.slow), 54]
     )
     def test_streamed_report_is_the_json_dump(self, n, scan_of):
         report = scan_of(n)
@@ -871,3 +891,69 @@ def test_order54_core_lattice_brute_force(scan54):
                 if is_adam_equivalent(left, right) is None:
                     raw += 1
     assert raw == scan54.counts["type2_pairs_raw"] == 28800
+
+
+class TestRecordTextMemo:
+    """The record renderer quotes each set once and renders each shared
+    orbit once, keyed by identity. It holds what it keyed, so a renderer
+    that outlives its records' owners still matches json.dumps."""
+
+    @staticmethod
+    def indented(record: TupleRecord) -> str:
+        return json.dumps(record.to_json(), indent=2).replace("\n", "\n    ")
+
+    def test_one_renderer_for_two_reports(self):
+        render = _RecordText(4)
+        first = full_scan(16)
+        assert [render(r) for r in first.records] == [self.indented(r) for r in first.records]
+        # The first report's objects are freed but for what the renderer
+        # holds, so the second report's objects cannot take their ids.
+        del first
+        second = full_scan(27)
+        assert [render(r) for r in second.records] == [self.indented(r) for r in second.records]
+
+    def test_renderer_outlives_the_records_it_rendered(self):
+        # Each pass drops its sets before the next builds new ones, which
+        # CPython tends to place where the dropped ones were. A memo that
+        # did not hold its keys would hand a new set a dropped set's text.
+        render = _RecordText()
+        for j in range(1, 20):
+            a, b = ConnectionSet(40, (j,)), ConnectionSet(40, (j, 20))
+            record = TupleRecord(
+                members=(a, b),
+                theta_images={j: b},
+                verdict=Classification(kind=UNKNOWN, orbit=(a,), reason=f"pass {j}"),
+            )
+            assert render(record) == json.dumps(record.to_json())
+            del a, b, record
+
+    def test_same_report_written_twice(self, scan_of):
+        report = scan_of(40)
+        want = json.dumps(report.to_json(), indent=2) + "\n"
+        for _ in range(2):
+            fh = io.StringIO()
+            report.write_json(fh)
+            assert fh.getvalue() == want
+
+    def test_scan_report_then_family_export(self, tmp_path, family_a):
+        report = full_scan(54)
+        fh = io.StringIO()
+        report.write_json(fh)
+        assert fh.getvalue() == json.dumps(report.to_json(), indent=2) + "\n"
+        path = tmp_path / "family_a.jsonl"
+        export_jsonl(family_a, path)
+        assert path.read_text(encoding="utf-8") == "".join(
+            json.dumps(rec.to_json()) + "\n" for rec in family_a
+        )
+
+    def test_orbit_of_equal_but_distinct_sets(self, family_a):
+        # A T1 family row's orbit holds sets equal to its members, built
+        # apart from them by adam_orbit.
+        row = family_a[T1_ROWS[0] - 1]
+        assert row.verdict.kind == TYPE1
+        orbit = row.verdict.orbit
+        assert any(c == m and c is not m for c in orbit for m in row.members)
+        render = _RecordText()
+        assert render(row) == json.dumps(row.to_json())
+        assert _RecordText(4)(row) == self.indented(row)
+
