@@ -12,8 +12,9 @@ subtree onto one already explored. Pruning by automorphisms skips only
 subtrees equivalent to explored ones, so the certificate and the labeling do
 not depend on the seeds or the jumps. A regular graph skips the root
 refinement, since its one-cell root coloring is already equitable.
-isomorphic(a, b) searches b only up to the first leaf with a's certificate,
-which is the leaf b's full search keeps when a and b are isomorphic. The
+isomorphic(a, b) needs no canonical form: it descends a's tree to its first
+leaf and searches b only up to a leaf with that certificate, which b's tree
+has exactly when a and b are isomorphic (McKay and Piperno 2014). The
 canonical engine works on plain adjacency lists and uses no multiplier or
 theta algebra, so it owes nothing to the algebra it is checking.
 """
@@ -57,10 +58,10 @@ class CanonicalForm(_Value):
 
 class IsoVerdict(_Value):
     """One of isomorphic (with permutation), non-isomorphic (with a named
-    certificate), or timeout. nodes counts the canonical search nodes used:
-    all of a's, and b's up to its first leaf with a's certificate, or all of
-    b's when no leaf has it (0 for a spectral verdict); serialize() leaves
-    it out."""
+    certificate), or timeout. nodes counts the search nodes used: those on
+    a's path to its first leaf, and b's up to its first leaf with that leaf's
+    certificate, or all of b's when no leaf has it (0 for a spectral
+    verdict); serialize() leaves it out."""
 
     __slots__ = _fields = ("kind", "permutation", "certificate", "nodes")
     kind: str
@@ -202,7 +203,7 @@ class _Search:
         self.colours_of = _neighbour_colours(adj)
         # With equal row lengths the one-cell root coloring is equitable.
         self.regular = len({len(row) for row in adj}) <= 1
-        self.stop = stop  # a certificate that ends the search at its first leaf
+        self.stop = stop  # the search ends at the first leaf with this certificate
         self.budget = budget
         self.remaining = budget
         self.best_cert: Optional[Cert] = None
@@ -231,15 +232,17 @@ class _Search:
             self.fixed.append(frozenset(v for v in range(self.n) if gamma[v] == v))
 
     def _leaf(self, colors: list[int], path: tuple[int, ...]) -> int:
-        """Compare the leaf with the best one and return the depth the search
-        resumes at: the leaf's own depth, the depth where its path parts from
-        the best path when an automorphism maps it onto the best leaf, or -1,
-        which ends the search, at a leaf whose certificate is stop."""
+        """Compare the leaf with the best one and with stop, and return the
+        depth the search resumes at: the leaf's own depth, the depth where
+        its path parts from the best path when an automorphism maps it onto
+        the best leaf, or -1, which ends the search with this leaf as the
+        best, at a leaf whose certificate is stop."""
         lab = colors  # discrete coloring is the labeling itself
         if self.best_lab is not None:
             # lab's certificate equals the best one exactly when the map
             # onto the best leaf is an automorphism; only otherwise is the
-            # certificate worth building.
+            # certificate worth building. The best certificate is not stop,
+            # or the search would have ended at it.
             inv_best = [0] * self.n
             for v in range(self.n):
                 inv_best[self.best_lab[v]] = v
@@ -256,19 +259,19 @@ class _Search:
                     k += 1
                 return k
         cert = _certificate(self.adj, lab)
-        if self.best_cert is None or cert < self.best_cert:
+        found = cert == self.stop
+        if found or self.best_cert is None or cert < self.best_cert:
             self.best_cert = cert
             self.best_lab = list(lab)
             self.best_path = path
-            if cert == self.stop:
-                return -1
-        return len(path)
+        return -1 if found else len(path)
 
-    def run(
+    def node(
         self, colors: list[int], cells: list[Optional[list[int]]], path: tuple[int, ...]
-    ) -> int:
-        """Search the subtree below path; return the depth to resume at,
-        below len(path) when a leaf jumped back past this node."""
+    ) -> Optional[list[int]]:
+        """Spend one node on path: refine its coloring in place and return
+        the cell to individualize next, the first largest, or None at a
+        leaf."""
         if self.remaining <= 0:
             raise BudgetExceeded("canonical search budget exhausted")
         self.remaining -= 1
@@ -278,7 +281,15 @@ class _Search:
         moved = path[-1:] if path or self.regular else range(self.n)
         _refine(self.adj, colors, cells, moved, self.colours_of)
         target = max(filter(None, cells), key=len, default=None)  # first largest
-        if target is None or len(target) == 1:
+        return None if target is None or len(target) == 1 else target
+
+    def run(
+        self, colors: list[int], cells: list[Optional[list[int]]], path: tuple[int, ...]
+    ) -> int:
+        """Search the subtree below path; return the depth to resume at,
+        below len(path) when a leaf jumped back past this node."""
+        target = self.node(colors, cells, path)
+        if target is None:
             return self._leaf(colors, path)
         depth = len(path)
         # Orbit pruning: skip a candidate that a known automorphism fixing
@@ -352,17 +363,42 @@ def _canonical_search(
 ) -> tuple[Cert, tuple[int, ...], int]:
     """Certificate, labeling and search nodes used for sorted adjacency lists.
 
-    With stop, the search ends at the first leaf whose certificate is stop.
-    The best leaf changes only for a smaller certificate, so when stop is
-    the least certificate of the graph, that leaf is the one the full search
-    keeps; otherwise no leaf matches and the search runs to the end."""
+    With stop, every certificate the search builds is compared with stop,
+    and the search ends at the first leaf whose certificate is stop and
+    returns that leaf, whether or not it is the least so far. Pruning skips
+    only subtrees that a verified automorphism carries onto explored ones,
+    and an automorphism keeps certificates, so when any leaf of the tree has
+    certificate stop the search meets one; otherwise it runs to the end and
+    returns the least certificate."""
     search = _Search(n, adj, budget, stop)
     for gamma in _dihedral_seeds(n, search) + _twin_seeds(n, adj, search):
         search._store(gamma)
-    search.run([0] * n, [list(range(n))] + [None] * (n - 1) if n else [], ())
+    search.run(*_root(n), ())
     if search.best_cert is None:
         raise WitnessMismatch("canonical search reached no leaf")
     return search.best_cert, tuple(search.best_lab), search.nodes
+
+
+def _root(n: int) -> tuple[list[int], list[Optional[list[int]]]]:
+    """The one-cell coloring and cells the search starts from."""
+    return [0] * n, [list(range(n))] + [None] * (n - 1) if n else []
+
+
+def _first_leaf(
+    n: int, adj: Sequence[Sequence[int]], budget: int
+) -> tuple[Cert, tuple[int, ...], int]:
+    """Certificate, labeling and search nodes of the first leaf of
+    _canonical_search's tree: the path that individualizes the first vertex
+    of the target cell at every level, which no seed or pruning can skip.
+    The tree is label-invariant, so an isomorphism carries this leaf onto a
+    leaf of the other graph's tree with the same certificate."""
+    search = _Search(n, adj, budget)
+    colors, cells = _root(n)
+    path: tuple[int, ...] = ()
+    while (target := search.node(colors, cells, path)) is not None:
+        colors, cells = _individualize(colors, cells, target[0])
+        path += (target[0],)
+    return _certificate(adj, colors), tuple(colors), search.nodes
 
 
 def canonical_edges_of(
@@ -404,7 +440,7 @@ def _checked_form(
 ) -> CanonicalForm:
     # The labeling must reproduce the certificate exactly.
     if _certificate(adj, lab) != cert:
-        raise WitnessMismatch(f"the canonical labeling of {g.cs} misses its certificate")
+        raise WitnessMismatch(f"the search labeling of {g.cs} misses its certificate")
     return CanonicalForm(g.n, cert, lab, nodes)
 
 
@@ -433,8 +469,10 @@ def verify_permutation(
 def isomorphic(
     a: CirculantGraph, b: CirculantGraph, budget: int = DEFAULT_BUDGET
 ) -> IsoVerdict:
-    """Spectrum shortcut for mismatches, canonical forms for the rest. b's
-    search stops at the first leaf that reproduces a's certificate."""
+    """Spectrum shortcut for mismatches, individualization-refinement for
+    the rest: the first leaf of a's search tree, then b's search up to a
+    leaf with that certificate. a and b are isomorphic exactly when b's
+    tree has such a leaf."""
     if a.n != b.n:
         raise OrderMismatch(f"orders differ: {a.n} vs {b.n}")
     gap = first_spectral_gap(adjacency_spectrum(a.cs), adjacency_spectrum(b.cs))
@@ -442,7 +480,8 @@ def isomorphic(
         return IsoVerdict(kind="non-isomorphic", certificate=f"spectrum[{gap}]")
     nodes = 0
     try:
-        ca = canonical_form(a, budget)
+        adj = a.adjacency
+        ca = _checked_form(a, adj, *_first_leaf(a.n, adj, budget))
         nodes = ca.nodes
         adj = b.adjacency
         cb = _checked_form(b, adj, *_canonical_search(b.n, adj, budget, ca.canonical_edges))
@@ -457,5 +496,5 @@ def isomorphic(
         inv_b[cb.labeling[v]] = v
     perm = tuple(inv_b[ca.labeling[v]] for v in range(a.n))
     if not verify_permutation(a, b, perm):
-        raise WitnessMismatch(f"the canonical permutation does not carry {a.cs} onto {b.cs}")
+        raise WitnessMismatch(f"the oracle's permutation does not carry {a.cs} onto {b.cs}")
     return IsoVerdict(kind="isomorphic", permutation=perm, nodes=nodes)

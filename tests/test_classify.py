@@ -86,7 +86,7 @@ class TestClassifyPair:
         assert "no Type-1/Type-2 witness" in v.reason
 
     def test_unknown_budget(self):
-        v = classify_pair(cs("C16(1,2,7)"), cs("C16(1,6,7)"), budget=3)
+        v = classify_pair(cs("C16(1,2,7)"), cs("C16(1,6,7)"), budget=2)
         assert v.kind == UNKNOWN
         assert v.reason == "budget"
 
@@ -340,7 +340,7 @@ def verdict_lines() -> list[str]:
     lines = [json.dumps(classify_pair(a, b).to_json()) for a, b in pair_corpus()]
     c16 = (cs("C16(1,2,7)"), cs("C16(1,6,7)"))
     lines.append(json.dumps(classify_pair(*c16).to_json()))
-    lines.append(json.dumps(classify_pair(*c16, budget=3).to_json()))
+    lines.append(json.dumps(classify_pair(*c16, budget=2).to_json()))
     tuples = [row.members for row in family_records("a") + family_records("b")]
     tuples += [
         tuple(generate_c1(1, 3, x, y, i) for i in range(1, 4))

@@ -447,7 +447,7 @@ class TestFullScan:
         non_iso = classify_tuple(
             (cs("C54(1,3,17,19)"), cs("C54(3,7,11,25)"), cs("C54(1,2,17,19)"))
         )
-        unknown = classify_tuple((cs("C16(1,2,7)"), cs("C16(1,6,7)")), budget=3)
+        unknown = classify_tuple((cs("C16(1,2,7)"), cs("C16(1,6,7)")), budget=2)
         assert (t1.verdict.kind, t1.verdict.unit) == (TYPE1, 5)
         assert non_iso.verdict.kind == NON_ISOMORPHIC and non_iso.verdict.certificate
         assert (unknown.verdict.kind, unknown.verdict.reason) == (UNKNOWN, "budget")

@@ -20,8 +20,10 @@ from circio import (
     OrderMismatch,
     ThetaParams,
     WitnessMismatch,
+    adjacency_spectrum,
     canonical_edges_of,
     canonical_form,
+    first_spectral_gap,
     generate_c1,
     isomorphic,
     probe_open_problems,
@@ -239,6 +241,17 @@ class TestCertificateChecks:
         monkeypatch.setattr(oracle_mod, "_canonical_search", wrong_certificate)
         with pytest.raises(WitnessMismatch):
             canonical_form(graph("C16(1,2)"))
+
+    def test_first_leaf_that_misses_its_certificate(self, monkeypatch):
+        real = oracle_mod._first_leaf
+
+        def wrong_certificate(n, adj, budget):
+            cert, lab, nodes = real(n, adj, budget)
+            return cert[1:], lab, nodes
+
+        monkeypatch.setattr(oracle_mod, "_first_leaf", wrong_certificate)
+        with pytest.raises(WitnessMismatch):
+            isomorphic(graph("C8(1,2)"), graph("C8(2,3)"))
 
     def test_permutation_that_fails_verification(self, monkeypatch):
         monkeypatch.setattr(oracle_mod, "verify_permutation", lambda a, b, perm: False)
@@ -636,24 +649,28 @@ class TestNodeCounts:
                 assert canonical_form(CirculantGraph(member)).nodes == nodes, (name, row)
 
     def test_isomorphic_sums_both_sides(self):
-        # a's full search, then b's up to its first leaf with a's certificate.
+        # a's path to its first leaf, then b's search up to its first leaf
+        # with that certificate.
         a, b = graph("C54(1,3,17,19)"), graph("C54(3,7,11,25)")
         v = isomorphic(a, b)
-        form = canonical_form(a)
+        cert, _, path = oracle_mod._first_leaf(a.n, a.adjacency, oracle_mod.DEFAULT_BUDGET)
         stopped = oracle_mod._canonical_search(
-            b.n, b.adjacency, oracle_mod.DEFAULT_BUDGET, form.canonical_edges
+            b.n, b.adjacency, oracle_mod.DEFAULT_BUDGET, cert
         )[2]
-        assert (form.nodes, stopped, canonical_form(b).nodes) == (5, 4, 5)
-        assert v.nodes == form.nodes + stopped == 9
+        assert (path, stopped, canonical_form(a).nodes, canonical_form(b).nodes) == (4, 4, 5, 5)
+        assert v.nodes == path + stopped == 8
 
     def test_timeout_says_how_far_it_got(self):
-        # a needs 5 nodes and b 4; the first one gives up after the budget.
+        # a's path needs 4 nodes and b 4; the first one gives up after the
+        # budget, which bounds each side on its own.
         a, b = graph("C54(1,3,17,19)"), graph("C54(3,7,11,25)")
-        for budget in (3, 4):
+        v = isomorphic(a, b, budget=3)
+        assert v.kind == "timeout"
+        assert v.nodes == 3
+        for budget in (4, 5):
             v = isomorphic(a, b, budget=budget)
-            assert v.kind == "timeout"
-            assert v.nodes == budget
-        assert isomorphic(a, b, budget=5).nodes == 9
+            assert v.kind == "isomorphic"
+            assert v.nodes == 8
 
     def test_spectral_verdict_uses_no_nodes(self):
         v = isomorphic(graph("C16(1)"), graph("C16(1,2)"))
@@ -666,33 +683,35 @@ class TestNodeCounts:
 
 
 def full_searches(a: CirculantGraph, b: CirculantGraph) -> tuple[tuple, int]:
-    """isomorphic's (kind, permutation, certificate) for a cospectral pair,
-    rebuilt from two full canonical searches, and their summed nodes."""
+    """isomorphic's (kind, certificate) for a cospectral pair, rebuilt from
+    two full canonical searches, and their summed nodes."""
     n = a.n
-    cert_a, lab_a, nodes_a = oracle_mod._canonical_search(n, a.adjacency, oracle_mod.DEFAULT_BUDGET)
-    cert_b, lab_b, nodes_b = oracle_mod._canonical_search(n, b.adjacency, oracle_mod.DEFAULT_BUDGET)
+    cert_a, _, nodes_a = oracle_mod._canonical_search(n, a.adjacency, oracle_mod.DEFAULT_BUDGET)
+    cert_b, _, nodes_b = oracle_mod._canonical_search(n, b.adjacency, oracle_mod.DEFAULT_BUDGET)
     if cert_a != cert_b:
-        return ("non-isomorphic", None, "canonical-form"), nodes_a + nodes_b
-    inv_b = [0] * n
-    for v in range(n):
-        inv_b[lab_b[v]] = v
-    return ("isomorphic", tuple(inv_b[lab_a[v]] for v in range(n)), None), nodes_a + nodes_b
+        return ("non-isomorphic", "canonical-form"), nodes_a + nodes_b
+    return ("isomorphic", None), nodes_a + nodes_b
+
+
+def assert_matches_full_searches(a: ConnectionSet, b: ConnectionSet) -> tuple[int, int]:
+    """isomorphic's kind and certificate are those of two full searches, its
+    permutation carries a's edges onto b's, and it uses no more nodes.
+    Returns its nodes and the full searches'."""
+    ga, gb = CirculantGraph(a), CirculantGraph(b)
+    v = isomorphic(ga, gb)
+    expected, full_nodes = full_searches(ga, gb)
+    assert (v.kind, v.certificate) == expected, (a, b)
+    if v.kind == "isomorphic":
+        assert reference_verify_permutation(ga, gb, v.permutation), (a, b)
+    assert v.nodes <= full_nodes, (a, b)
+    return v.nodes, full_nodes
 
 
 class TestStoppedSearch:
-    """b's search stops at the first leaf with a's certificate: the leaf the
-    full search keeps, since the best leaf changes only for a smaller
-    certificate. Kind, permutation and certificate are those of two full
+    """isomorphic descends a's tree to its first leaf and stops b's search
+    at the first leaf with that certificate. b's tree has one exactly when
+    a and b are isomorphic, so kind and certificate are those of two full
     searches; only the node count falls."""
-
-    @staticmethod
-    def assert_matches_full_searches(a: ConnectionSet, b: ConnectionSet) -> tuple[int, int]:
-        ga, gb = CirculantGraph(a), CirculantGraph(b)
-        v = isomorphic(ga, gb)
-        expected, full_nodes = full_searches(ga, gb)
-        assert (v.kind, v.permutation, v.certificate) == expected, (a, b)
-        assert v.nodes <= full_nodes, (a, b)
-        return v.nodes, full_nodes
 
     def test_unit_multiples(self):
         rng = random.Random(23)
@@ -702,7 +721,7 @@ class TestStoppedSearch:
             jumps = rng.sample(range(1, n // 2 + 1), rng.randint(1, min(5, n // 2)))
             a = ConnectionSet(n, tuple(sorted(jumps)))
             b = multiply_set(a, rng.choice(units(n)))
-            nodes, full_nodes = self.assert_matches_full_searches(a, b)
+            nodes, full_nodes = assert_matches_full_searches(a, b)
             saved += full_nodes - nodes
         assert saved > 0
 
@@ -710,10 +729,10 @@ class TestStoppedSearch:
         for record in random.Random(6).sample(type2_family_records(), 10):
             first, *rest = record.members
             for member in rest:
-                self.assert_matches_full_searches(first, member)
+                assert_matches_full_searches(first, member)
         for name, row in CATALOGUE_T1:
             record = family_records(name)[row - 1]
-            self.assert_matches_full_searches(record.members[0], record.theta_images[2])
+            assert_matches_full_searches(record.members[0], record.theta_images[2])
 
     @pytest.mark.parametrize(
         "a, b",
@@ -725,23 +744,85 @@ class TestStoppedSearch:
     )
     def test_pairs_without_a_witness(self, a, b):
         # classify_pair calls these isomorphic with no Type-1/Type-2 witness.
-        self.assert_matches_full_searches(cs(a), cs(b))
+        assert_matches_full_searches(cs(a), cs(b))
 
     @pytest.mark.parametrize("text", ["C48(1,9,17)", "C24(5,8,9,11,12)"])
     def test_canonical_leaf_after_the_first(self, text):
-        # The first leaf of these graphs is not their canonical one, so a
-        # search that stopped at any leaf would give a wrong verdict.
-        self.assert_matches_full_searches(cs(text), cs(text))
+        # The first leaf of these graphs is not their canonical one; the
+        # stop is the first leaf's certificate, not the least one.
+        g = graph(text)
+        first = oracle_mod._first_leaf(g.n, g.adjacency, oracle_mod.DEFAULT_BUDGET)[0]
+        assert first != canonical_form(g).canonical_edges
+        assert_matches_full_searches(cs(text), cs(text))
+
+    def test_stop_at_a_leaf_that_is_not_a_new_best(self):
+        # In this relabeling of C48(1,9,17), the first leaf with the natural
+        # labeling's first-leaf certificate comes after a leaf with a
+        # smaller certificate. A search that compared stop only with a new
+        # best would pass it and run on to the least certificate.
+        g = graph("C48(1,9,17)")
+        budget = oracle_mod.DEFAULT_BUDGET
+        stop = oracle_mod._first_leaf(g.n, g.adjacency, budget)[0]
+        adj = adjacency_lists(g.n, relabeled(g, 12))
+        first = oracle_mod._first_leaf(g.n, adj, budget)[0]
+        least, _, full_nodes = oracle_mod._canonical_search(g.n, adj, budget)
+        assert first != stop and least < stop
+        cert, lab, nodes = oracle_mod._canonical_search(g.n, adj, budget, stop)
+        assert cert == stop
+        assert oracle_mod._certificate(adj, lab) == stop
+        assert nodes < full_nodes
 
     @pytest.mark.parametrize(
         "a, b", [("C20(1,3,4,6)", "C20(1,4,6,7)"), ("C20(1,2,4,9)", "C20(2,3,4,7)")]
     )
     def test_cospectral_non_isomorphic_pair_searches_both_in_full(self, a, b):
-        # No leaf of b has a's certificate, so b's search runs to the end;
-        # C20(2,3,4,7)'s has 7 nodes, 4 of them down to its first leaf.
-        nodes, full_nodes = self.assert_matches_full_searches(cs(a), cs(b))
-        assert isomorphic(graph(a), graph(b)).certificate == "canonical-form"
-        assert nodes == full_nodes
+        # No leaf of b has the certificate of a's first leaf, so b's search
+        # runs to the end; C20(2,3,4,7)'s has 7 nodes, 4 of them down to its
+        # first leaf, and C20(1,2,4,9)'s path takes 3 of its 4.
+        ga, gb = graph(a), graph(b)
+        nodes, _ = assert_matches_full_searches(ga.cs, gb.cs)
+        assert isomorphic(ga, gb).certificate == "canonical-form"
+        path = oracle_mod._first_leaf(ga.n, ga.adjacency, oracle_mod.DEFAULT_BUDGET)[2]
+        assert nodes == path + canonical_form(gb).nodes
+
+
+def cospectral_pairs(n: int, draws: int) -> list[tuple[ConnectionSet, ConnectionSet]]:
+    """Every pair of distinct cospectral sets among draws random sets of
+    order n with 3 to n/2 - 3 jumps, seeded by n."""
+    rng = random.Random(n)
+    groups: dict[tuple[float, ...], dict[ConnectionSet, list[float]]] = {}
+    for _ in range(draws):
+        jumps = rng.sample(range(1, n // 2 + 1), rng.randint(3, n // 2 - 3))
+        a = ConnectionSet(n, tuple(sorted(jumps)))
+        spectrum = adjacency_spectrum(a)
+        groups.setdefault(tuple(round(x, 6) for x in spectrum), {})[a] = spectrum
+    return [
+        (a, b)
+        for group in groups.values()
+        for (a, sa), (b, sb) in combinations(group.items(), 2)
+        if first_spectral_gap(sa, sb) is None
+    ]
+
+
+TIER1_ORDERS = (16, 20, 24, 32, 36, 40)
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        n if n in TIER1_ORDERS else pytest.param(n, marks=pytest.mark.slow)
+        for n in range(16, 41)
+    ],
+)
+def test_cospectral_groups_agree_with_full_searches(n):
+    """Over spectrum-equal groups of random sets, isomorphic decides as two
+    full canonical searches do, with a permutation the edge-set reference
+    accepts, in no more nodes. The orders with the most divisors hold most
+    of the non-isomorphic cospectral pairs (20 of 453 pairs in tier-1)."""
+    pairs = cospectral_pairs(n, 400)
+    assert pairs
+    for a, b in pairs:
+        assert_matches_full_searches(a, b)
 
 
 def test_pinned_certificates_labelings_and_nodes():
