@@ -115,23 +115,22 @@ def _mask_tables(n: int, pool: Sequence[int]) -> dict[int, list[int]]:
     return tables
 
 
-class _Sets(dict):
-    """jumps -> ConnectionSet(n, jumps), filled by _CoreSets, so each
-    distinct set of a scan is one object."""
+class _CoreSets(dict):
+    """mask -> the set core + exts[mask] of order n, one dict per core and
+    modulus. A set is built or taken from sets (jumps -> set, shared by the
+    whole scan, so each distinct set is one object) on its pair's first use,
+    so a member or an orbit set is found by its (core, mask) pair without
+    sorting or hashing its jumps again."""
 
-    def __init__(self, n: int) -> None:
+    def __init__(
+        self,
+        n: int,
+        core: tuple[int, ...],
+        exts: list[tuple[int, ...]],
+        sets: dict[tuple[int, ...], ConnectionSet],
+    ) -> None:
         super().__init__()
         self.n = n
-
-
-class _CoreSets(dict):
-    """mask -> the set core + exts[mask], one dict per core and modulus.
-    A set is built or taken from sets on its pair's first use, so a member
-    or an orbit set is found by its (core, mask) pair without sorting or
-    hashing its jumps again."""
-
-    def __init__(self, core: tuple[int, ...], exts: list[tuple[int, ...]], sets: _Sets) -> None:
-        super().__init__()
         self.core = core
         self.exts = exts
         self.sets = sets
@@ -141,7 +140,7 @@ class _CoreSets(dict):
         sets = self.sets
         cs = sets.get(jumps)
         if cs is None:
-            cs = sets[jumps] = ConnectionSet(sets.n, jumps)
+            cs = sets[jumps] = ConnectionSet(self.n, jumps)
         self[mask] = cs
         return cs
 
@@ -234,7 +233,7 @@ def full_scan(n: int, budget: int = DEFAULT_SCAN_BUDGET) -> ScanReport:
         "type1_tuples_primitive": 0,
     }
     records: list[TupleRecord] = []
-    sets = _Sets(n)
+    sets: dict[tuple[int, ...], ConnectionSet] = {}
     for m in valid_block_moduli(n):
         _scan_one_modulus(n, m, budget, counts, records, sets)
     # One m's records are distinct (class core, mask) pairs with distinct first
@@ -253,7 +252,7 @@ def _scan_one_modulus(
     budget: int,
     counts: dict[str, int],
     records: list[TupleRecord],
-    sets: _Sets,
+    sets: dict[tuple[int, ...], ConnectionSet],
 ) -> None:
     extension_pool = tuple(range(m, n // 2 + 1, m))
     tables = _mask_tables(n, extension_pool)
@@ -321,7 +320,7 @@ def _scan_one_modulus(
     for j in extension_pool:
         exts += [ext + (j,) for ext in exts]
     # at[core][mask] is the set core + exts[mask]; the dicts live for this m.
-    at = {core: _CoreSets(core, exts, sets) for core in cores}
+    at = {core: _CoreSets(n, core, exts, sets) for core in cores}
     # Nonempty extension masks giving core + extension at least 3 jumps.
     masks = range(1, 1 << len(extension_pool))
     admissible = {

@@ -22,6 +22,7 @@ theta algebra, so it owes nothing to the algebra it is checking.
 from __future__ import annotations
 
 from bisect import bisect
+from functools import cached_property
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -106,7 +107,7 @@ def _refine(
     colors: list[int],
     cells: list[Optional[list[int]]],
     moved: Iterable[int],
-    colours_of: Optional[list[ColoursOf]] = None,
+    colours_of: list[ColoursOf],
 ) -> None:
     """Equitable refinement, in place.
 
@@ -124,10 +125,8 @@ def _refine(
     cell's minus the other parts'. The result is the same as splitting
     every cell in every round. moved names the vertices to start from:
     every vertex unless the coloring was equitable before they moved.
-    colours_of is _neighbour_colours(adj), built here when not given.
+    colours_of is _neighbour_colours(adj).
     """
-    if colours_of is None:
-        colours_of = _neighbour_colours(adj)
     while True:
         splits = []
         for start in {colors[u] for w in moved for u in adj[w]}:
@@ -199,7 +198,6 @@ class _Search:
     ):
         self.n = n
         self.adj = adj
-        self.nbr = [set(a) for a in adj]
         self.colours_of = _neighbour_colours(adj)
         # With equal row lengths the one-cell root coloring is equitable.
         self.regular = len({len(row) for row in adj}) <= 1
@@ -215,6 +213,10 @@ class _Search:
     @property
     def nodes(self) -> int:
         return self.budget - self.remaining
+
+    @cached_property
+    def nbr(self) -> list[set[int]]:  # _first_leaf never reads it
+        return [set(row) for row in self.adj]
 
     def _is_automorphism(self, gamma: Sequence[int]) -> bool:
         nbr = self.nbr
@@ -369,14 +371,19 @@ def _canonical_search(
     only subtrees that a verified automorphism carries onto explored ones,
     and an automorphism keeps certificates, so when any leaf of the tree has
     certificate stop the search meets one; otherwise it runs to the end and
-    returns the least certificate."""
+    returns the least certificate. The best labeling and certificate are
+    carried through the backjumps apart, so WitnessMismatch is raised unless
+    the labeling reproduces the certificate exactly."""
     search = _Search(n, adj, budget, stop)
     for gamma in _dihedral_seeds(n, search) + _twin_seeds(n, adj, search):
         search._store(gamma)
     search.run(*_root(n), ())
     if search.best_cert is None:
         raise WitnessMismatch("canonical search reached no leaf")
-    return search.best_cert, tuple(search.best_lab), search.nodes
+    lab = tuple(search.best_lab)
+    if _certificate(adj, lab) != search.best_cert:
+        raise WitnessMismatch("the search labeling misses its certificate")
+    return search.best_cert, lab, search.nodes
 
 
 def _root(n: int) -> tuple[list[int], list[Optional[list[int]]]]:
@@ -409,7 +416,8 @@ def canonical_edges_of(
     Exposed separately from canonical_form so label-invariance can be tested
     on arbitrarily relabeled inputs. Raises InvalidParams unless n is an
     int >= 0 and edges is a simple graph on range(n): every endpoint an int
-    in range(n), no loop and no repeated edge.
+    in range(n), no loop and no repeated edge. Raises WitnessMismatch if the
+    search's labeling does not reproduce its certificate.
     """
     if not isinstance(n, int) or n < 0:
         raise InvalidParams(f"n must be an int >= 0, got {n!r}")
@@ -431,17 +439,7 @@ def canonical_edges_of(
 
 def canonical_form(g: CirculantGraph, budget: int = DEFAULT_BUDGET) -> CanonicalForm:
     """Canonical form of a circulant graph. Raises BudgetExceeded on blowup."""
-    adj = g.adjacency
-    return _checked_form(g, adj, *_canonical_search(g.n, adj, budget))
-
-
-def _checked_form(
-    g: CirculantGraph, adj: Sequence[Sequence[int]], cert: Cert, lab: tuple[int, ...], nodes: int
-) -> CanonicalForm:
-    # The labeling must reproduce the certificate exactly.
-    if _certificate(adj, lab) != cert:
-        raise WitnessMismatch(f"the search labeling of {g.cs} misses its certificate")
-    return CanonicalForm(g.n, cert, lab, nodes)
+    return CanonicalForm(g.n, *_canonical_search(g.n, g.adjacency, budget))
 
 
 def verify_permutation(
@@ -480,21 +478,19 @@ def isomorphic(
         return IsoVerdict(kind="non-isomorphic", certificate=f"spectrum[{gap}]")
     nodes = 0
     try:
-        adj = a.adjacency
-        ca = _checked_form(a, adj, *_first_leaf(a.n, adj, budget))
-        nodes = ca.nodes
-        adj = b.adjacency
-        cb = _checked_form(b, adj, *_canonical_search(b.n, adj, budget, ca.canonical_edges))
+        # a's certificate is built from the labeling returned with it.
+        cert_a, lab_a, nodes = _first_leaf(a.n, a.adjacency, budget)
+        cert_b, lab_b, nodes_b = _canonical_search(b.n, b.adjacency, budget, cert_a)
     except BudgetExceeded:
         # The search gives up only once it has spent its whole budget.
         return IsoVerdict(kind="timeout", nodes=nodes + max(budget, 0))
-    nodes += cb.nodes
-    if ca.canonical_edges != cb.canonical_edges:
+    nodes += nodes_b
+    if cert_a != cert_b:
         return IsoVerdict(kind="non-isomorphic", certificate="canonical-form", nodes=nodes)
     inv_b = [0] * b.n
     for v in range(b.n):
-        inv_b[cb.labeling[v]] = v
-    perm = tuple(inv_b[ca.labeling[v]] for v in range(a.n))
+        inv_b[lab_b[v]] = v
+    perm = tuple(inv_b[lab_a[v]] for v in range(a.n))
     if not verify_permutation(a, b, perm):
         raise WitnessMismatch(f"the oracle's permutation does not carry {a.cs} onto {b.cs}")
     return IsoVerdict(kind="isomorphic", permutation=perm, nodes=nodes)

@@ -17,7 +17,8 @@ with c != 0 is invariant under +t*m^2, and it is then reduce(D'_0), built in
 one pass over D. F_c is D's class c translated, so this is the period rule:
 t hits iff N + t*m^2 = N, N the non-multiples of m in D. N's periods are the
 multiples of its least period p, a divisor of n, so the hits are the
-multiples of p / gcd(p, m^2), and no image is built at a miss.
+multiples of p / gcd(p, m^2), and no image is built at a miss. p is one of
+N's differences from its least element, so finding it takes no divisor of n.
 
 One edge-level check, _carries, certifies that theta carries C_n(a) onto
 C_n(b) for theta_witness, classify's links and the scan's pair re-check,
@@ -34,7 +35,7 @@ the oracle.
 
 from __future__ import annotations
 
-from math import isqrt
+from math import gcd, isqrt
 from typing import Iterator, Optional, Sequence
 
 from .core import ConnectionSet, _set, _Value
@@ -92,13 +93,16 @@ def _check_params(cs: ConnectionSet, m: int, t: int) -> None:
 
 def _hit_step(n: int, m: int, jumps: Sequence[int]) -> int:
     """The least t >= 1 that hits, p / gcd(p, m^2) for N's least period p:
-    t hits exactly when this step divides it. It divides q = n/m^2, which
-    always hits, so it is h/m^2 for the first level h with N + h = N, else q."""
+    t hits exactly when this step divides it. If N + p = N, then min N + p
+    lies in N, so p is the least period among N's |N| differences from
+    min N (mod n, 0 read as n) that divide n: |N|^2 steps at most,
+    whatever n is."""
     nonmult = {d for s in jumps for d in (s, n - s) if d % m}
-    return next(
-        (h // (m * m) for h in _levels(n, m) if all((v + h) % n in nonmult for v in nonmult)),
-        n // (m * m),
-    )
+    v0 = min(nonmult, default=0)
+    for p in sorted((d - v0) % n or n for d in nonmult):
+        if n % p == 0 and all((v + p) % n in nonmult for v in nonmult):
+            return p // gcd(p, m * m)
+    return 1  # N is empty: a nonempty N has the period n
 
 
 def _levels(n: int, m: int) -> list[int]:

@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -152,6 +153,22 @@ class TestThetaCommand:
             main, ["theta", "--m", "2", "--t", "1", "C54(1,3,17,19)"]
         )
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "t, expected",
+        [
+            ("1", "not circulant"),
+            ("25000000000000000000", "C100000000000000000000(2,49999999999999999999)"),
+        ],
+    )
+    def test_order_ten_to_the_twenty(self, runner, t, expected):
+        # The hit step comes from the differences of N, |N| = 4 here, so a
+        # shift at n = 10^20 is decided as fast as one at n = 54.
+        start = time.perf_counter()
+        result = runner.invoke(main, ["theta", "--m", "2", "--t", t, "C100000000000000000000(1,2)"])
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 0
+        assert result.output.strip() == expected
 
 
 class TestClassifyCommand:

@@ -49,7 +49,6 @@ from circio.enumeration import (
     _CoreSets,
     _mask_tables,
     _pair_orbit,
-    _Sets,
     family_rows,
 )
 from circio.export import _RecordText, export_jsonl
@@ -312,10 +311,10 @@ class TestPairOrbit:
         n, m, core, mask = pair
         pool = tuple(range(m, n // 2 + 1, m))
         exts = [tuple(j for i, j in enumerate(pool) if k >> i & 1) for k in range(1 << len(pool))]
-        sets = _Sets(n)
+        sets: dict = {}
         # One _CoreSets per unit image, as the scan's per-core dicts are:
         # equal images share their sets through sets.
-        image_at = [_CoreSets(img, exts, sets) for img in _images(ConnectionSet(n, core))]
+        image_at = [_CoreSets(n, img, exts, sets) for img in _images(ConnectionSet(n, core))]
         orbit = _pair_orbit(image_at, list(_mask_tables(n, pool).values()), mask)
         whole = ConnectionSet(n, tuple(sorted(core + exts[mask])))
         assert orbit == adam_orbit(whole)

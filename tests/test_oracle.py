@@ -36,6 +36,7 @@ from helpers import (
     CATALOGUE_T1,
     adjacency_lists,
     connection_sets,
+    count_calls,
     cs,
     edge_list,
     family_records,
@@ -232,26 +233,35 @@ class TestCertificateChecks:
             canonical_edges_of(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
 
     def test_labeling_that_misses_its_certificate(self, monkeypatch):
-        real = oracle_mod._canonical_search
+        # The search leaves a best certificate its best labeling does not
+        # give. The one check after the search catches it for every entry
+        # point that runs the search: canonical_form, canonical_edges_of and
+        # b's side of isomorphic.
+        real = oracle_mod._Search.run
 
-        def wrong_certificate(n, adj, budget):
-            cert, lab, nodes = real(n, adj, budget)
-            return cert[1:], lab, nodes
+        def truncating_run(self, colors, cells, path):
+            resume = real(self, colors, cells, path)
+            if path == ():
+                self.best_cert = self.best_cert[1:]
+            return resume
 
-        monkeypatch.setattr(oracle_mod, "_canonical_search", wrong_certificate)
+        monkeypatch.setattr(oracle_mod._Search, "run", truncating_run)
         with pytest.raises(WitnessMismatch):
             canonical_form(graph("C16(1,2)"))
-
-    def test_first_leaf_that_misses_its_certificate(self, monkeypatch):
-        real = oracle_mod._first_leaf
-
-        def wrong_certificate(n, adj, budget):
-            cert, lab, nodes = real(n, adj, budget)
-            return cert[1:], lab, nodes
-
-        monkeypatch.setattr(oracle_mod, "_first_leaf", wrong_certificate)
+        with pytest.raises(WitnessMismatch):
+            canonical_edges_of(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
         with pytest.raises(WitnessMismatch):
             isomorphic(graph("C8(1,2)"), graph("C8(2,3)"))
+
+    def test_isomorphic_builds_each_certificate_once(self, monkeypatch):
+        # a's first leaf and b's stopping leaf each build one, and the check
+        # after b's search one more; a's certificate is built from the
+        # labeling returned with it, so it needs no second build.
+        called = []
+        count_calls(monkeypatch, called, oracle_mod, "_certificate")
+        v = isomorphic(graph("C54(1,3,17,19)"), graph("C54(3,7,11,25)"))
+        assert v.kind == "isomorphic"
+        assert len(called) == 3
 
     def test_permutation_that_fails_verification(self, monkeypatch):
         monkeypatch.setattr(oracle_mod, "verify_permutation", lambda a, b, perm: False)
@@ -567,7 +577,8 @@ class TestRefinement:
         rng = random.Random(12)
         for n, adj in sample_graphs(seed=11, count=36):
             colors, cells = [0] * n, [list(range(n))] + [None] * (n - 1)
-            oracle_mod._refine(adj, colors, cells, range(n))
+            colours_of = oracle_mod._neighbour_colours(adj)
+            oracle_mod._refine(adj, colors, cells, range(n), colours_of)
             reference = reference_refine(n, adj, [0] * n)
             # Every individualization of each equitable coloring on a random
             # path from the root down to a discrete coloring.
@@ -578,14 +589,14 @@ class TestRefinement:
                     break
                 for v in target:
                     child = oracle_mod._individualize(colors, cells, v)
-                    oracle_mod._refine(adj, *child, (v,))
+                    oracle_mod._refine(adj, *child, (v,), colours_of)
                     expected = reference_refine(n, adj, reference_individualize(reference, v))
                     assert child == slot_coloring(n, expected), (n, v)
                 # The children are copies: the parent coloring is unchanged.
                 assert (colors, cells) == slot_coloring(n, reference), n
                 v = rng.choice(target)
                 colors, cells = oracle_mod._individualize(colors, cells, v)
-                oracle_mod._refine(adj, colors, cells, (v,))
+                oracle_mod._refine(adj, colors, cells, (v,), colours_of)
                 reference = reference_refine(n, adj, reference_individualize(reference, v))
 
 
@@ -597,7 +608,7 @@ class TestRootRefinement:
     @staticmethod
     def refined_root(n, adj) -> tuple[list[int], list]:
         colors, cells = [0] * n, [list(range(n))] + [None] * (n - 1)
-        oracle_mod._refine(adj, colors, cells, range(n))
+        oracle_mod._refine(adj, colors, cells, range(n), oracle_mod._neighbour_colours(adj))
         return colors, cells
 
     @staticmethod

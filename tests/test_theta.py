@@ -138,8 +138,8 @@ class TestThetaImage:
             theta_image(cs("C54(1,3,17,19)"), 2, 1)
 
     def test_order_eight_billion(self):
-        # The hit step comes from the divisors of n/m^2 = 2*10^9, listed up to
-        # their square root, so one shift takes milliseconds, not a walk over n.
+        # The hit step comes from the differences of N, not from the divisors
+        # of n/m^2 = 2*10^9, so one shift takes microseconds, not a walk over n.
         a = cs("C8000000000(1,2)")
         assert theta_image(a, 2, 1) is None
         assert theta_image(a, 2, 2 * 10**9) == cs("C8000000000(2,3999999999)")
@@ -453,8 +453,8 @@ def periodic_jump_sets(draw) -> tuple[int, int, tuple[int, ...]]:
 
 class TestLevels:
     """_levels lists the divisors of q = n/m^2 up to sqrt(q), and _hit_step
-    reads its first level that N is periodic under; both against brute
-    force at every order with a valid modulus up to 2000."""
+    finds N's least period among its differences from min N; both against
+    brute force at every order with a valid modulus up to 2000."""
 
     def test_levels_are_the_divisor_list(self):
         for n, m in LEVEL_ORDERS:
